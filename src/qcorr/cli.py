@@ -267,6 +267,8 @@ def cmd_gns_verify(args) -> int:
 
 
 def cmd_kadison(args) -> int:
+    if args.samples < 1:
+        raise OutOfRange(f"samples must be >= 1, got {args.samples}")
     alpha = _resolve_map(args.map, args.d)
     rng = np.random.default_rng(_default_seed(args))
     worst = np.inf

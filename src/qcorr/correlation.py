@@ -4,22 +4,26 @@ its decorrelated (marginal-product) counterpart, plus an operational
 separability verdict built on top of the minimizer.
 
 The search space is the isometry parametrization of pure-state ensembles
-(anti-Hermitian exponential coordinates of an m x m unitary) combined with
-coarse-graining partitions. The minimizer is a multi-start derivative-free
-direct search: an adaptive random-direction pattern search on the isometry
-parameters. Because the objective is |c - S(theta)| with c fixed and S
-continuous, the search additionally tracks evaluations on both sides of c
-and closes any observed sign straddle by bisection along the parameter
-segment, which pins interior zeros to ~1e-13.
+(anti-Hermitian exponential coordinates theta of an m x m unitary) combined
+with coarse-graining partitions. The minimizer is a multi-start gradient
+search: L-BFGS with Armijo backtracking on |c - S(theta)|, driven by the
+closed-form gradient of the signed gap c - S(theta). That gradient reuses
+the eigendecomposition of each evaluation, so only objective evaluations
+count against the budget. Because c is fixed and S continuous, the search
+also tracks the closest evaluations on each side of c, per partition and
+across starts, and closes any observed sign straddle by bisection along the
+parameter segment, which pins interior zeros to ~1e-13.
 
-All randomness is derived from (seed, start_index) so results are
-reproducible and independent of scheduling; restarts share no mutable
-state. The returned value is recomputed from the witness ensemble, so it
-is always a certified upper bound on the true infimum.
+All randomness is derived from (seed, start_index), so results are
+reproducible and do not depend on scheduling; the only state carried from
+one start to the next is the best point and the per-partition straddle
+trackers. The returned value is recomputed from the witness ensemble, so
+it is always a certified upper bound on the true infimum.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,11 +36,12 @@ from .measures import (
     ZERO_WEIGHT_TOL,
     boxtimes,
     evaluate_boxtimes,
-    expm_antihermitian,
+    hermitian_from_params,
     hjw_ensemble,
     normalize_partition,
     singleton_partition,
     state_spectral_data,
+    triu_pair,
 )
 from .posmaps import partial_transpose, ppt_min_eig_and_vector
 
@@ -46,7 +51,17 @@ MAX_OPT_DIM = 16
 DECISION_THRESHOLD = 1e-4
 # Random coarse-graining partitions tried per start when use_partitions.
 N_RANDOM_PARTITIONS = 2
-# Dimensions where the partial-transpose criterion is an exact oracle.
+# L-BFGS search: curvature pairs kept, Armijo constant, length of the first
+# (steepest-descent) step, backtracking halvings per iteration, and the
+# relative change of |c - S| at or below which the search has stalled.
+LBFGS_MEMORY = 8
+ARMIJO = 1e-4
+FIRST_STEP = 0.3
+MAX_BACKTRACKS = 30
+STALL_REL = 1e-12
+# Dimensions where the partial-transpose criterion is an exact oracle. It is
+# also exact with a trivial factor (d1 == 1 or d2 == 1), where every state
+# is a product state.
 PPT_EXACT_DIMS = {(2, 2), (2, 3), (3, 2)}
 
 SEPARABLE = "Separable"
@@ -59,8 +74,9 @@ class OptimizerConfig:
     """Multi-start search configuration.
 
     ``m`` is the ensemble cardinality; None resolves to (d1*d2)^2.
-    ``max_iters`` is the objective-evaluation budget per start, shared by
-    the partition searches within that start.
+    ``max_iters`` counts objective evaluations per start, shared by the
+    partition searches and sign-straddle bisections within that start.
+    Gradients reuse the last evaluation and are not counted.
     """
 
     m: int | None = None
@@ -125,47 +141,87 @@ def factored_product_value(pe, a: np.ndarray, b: np.ndarray) -> float:
 
 
 class _Engine:
-    """Fast signed-gap evaluation c - S(theta, groups) for a fixed state
-    and observable; mirrors hjw_ensemble semantics exactly."""
+    """Signed gap g(theta) = c - S(theta, groups) for a fixed state and
+    observable, mirroring hjw_ensemble semantics exactly, and its gradient.
+
+    One kernel serves every partition: the per-member marginals are summed
+    into group marginals by a 0/1 indicator matrix, built once per
+    partition. ``gradient`` differentiates the last evaluated point from
+    the cached eigendecomposition and marginals, so it costs no evaluation.
+    """
 
     def __init__(self, rho: BipartiteState, a: np.ndarray, m: int):
-        self.d1, self.d2 = rho.space.d1, rho.space.d2
+        self.d1, self.d2 = d1, d2 = rho.space.d1, rho.space.d2
         self.m = m
         p, psi = state_spectral_data(rho)
         self.r = p.size
         if m < self.r:
             raise RankTooSmall(f"cardinality {m} below rank {self.r}")
-        self.sqrt_p = np.sqrt(p)
-        self.psi = psi
+        self.b = psi * np.sqrt(p)  # phi = b @ conj(U[:, :r]).T
         self.c = float(np.trace(rho.rho @ a).real)
-        self.a4 = np.ascontiguousarray(a.reshape(self.d1, self.d2, self.d1, self.d2))
+        # Marginals are stored flattened, sig[(a, b), k] and tau[(c, d), k];
+        # Tr[(sig x tau) A] = conj(sig) . a_sig . tau as sig is Hermitian.
+        a4 = a.reshape(d1, d2, d1, d2)
+        self.a_sig = np.ascontiguousarray(a4.transpose(0, 2, 3, 1).reshape(d1 * d1, d2 * d2))
         self.n_params = m * m
+        self.triu = triu_pair(m)
+        self._indicators: dict[tuple, np.ndarray] = {}
+        self._last = None
+
+    def _indicator(self, groups) -> np.ndarray:
+        ind = self._indicators.get(groups)
+        if ind is None:
+            ind = np.zeros((self.m, len(groups)), dtype=np.complex128)
+            for k, g in enumerate(groups):
+                ind[list(g), k] = 1.0
+            self._indicators[groups] = ind
+        return ind
 
     def signed_gap(self, theta: np.ndarray, groups) -> float:
-        u = expm_antihermitian(theta, self.m)
-        phi = self.psi @ (self.sqrt_p[:, None] * u[:, :self.r].conj().T)
-        t3 = phi.reshape(self.d1, self.d2, self.m)
-        if len(groups) == self.m:  # singleton partition, vectorized
-            sig = np.einsum("aej,bej->abj", t3, t3.conj())
-            tau = np.einsum("eaj,ebj->abj", t3, t3.conj())
-            lam = np.einsum("aaj->j", sig).real
-            mask = lam >= ZERO_WEIGHT_TOL
-            w = np.einsum("bdac,cdj->baj", self.a4, tau[:, :, mask])
-            terms = np.einsum("abj,baj->j", sig[:, :, mask], w).real / lam[mask]
-            s_val = terms.sum() / lam[mask].sum()
-        else:
-            total, kept = 0.0, 0.0
-            for g in groups:
-                block = t3[:, :, list(g)]
-                sig = np.einsum("aej,bej->ab", block, block.conj())
-                lam = float(np.trace(sig).real)
-                if lam < ZERO_WEIGHT_TOL:
-                    continue
-                tau = np.einsum("eaj,ebj->ab", block, block.conj())
-                total += float(np.einsum("ab,cd,bdac->", sig, tau, self.a4).real) / lam
-                kept += lam
-            s_val = total / kept
+        d1, d2, m = self.d1, self.d2, self.m
+        w, q = np.linalg.eigh(hermitian_from_params(theta, m))
+        v = (q * np.exp(1j * w)) @ q[:self.r].conj().T  # U[:, :r] of U = exp(iH)
+        t3 = (self.b @ v.conj().T).reshape(d1, d2, m)
+        ind = self._indicator(groups)
+        sig = np.einsum("aej,bej->abj", t3, t3.conj()).reshape(d1 * d1, m) @ ind
+        tau = np.einsum("eaj,ebj->abj", t3, t3.conj()).reshape(d2 * d2, m) @ ind
+        lam = sig[::d1 + 1].real.sum(axis=0)
+        kept = lam >= ZERO_WEIGHT_TOL
+        inv = kept / np.maximum(lam, ZERO_WEIGHT_TOL)
+        g1 = self.a_sig @ tau  # derivative of Tr[(sig x tau) A] in sig^T
+        quad = np.einsum("ik,ik->k", sig.conj(), g1).real
+        weight = lam @ kept
+        s_val = (quad @ inv) / weight
+        self._last = (w, q, t3, ind, sig, g1, inv, quad, weight, s_val)
         return self.c - s_val
+
+    def gradient(self) -> np.ndarray:
+        """Gradient of signed_gap in theta at the last evaluated point.
+
+        The chain runs from S through the group marginals to U[:, :r] and
+        then through exp(iH) by the Daleckii-Krein formula on the cached
+        eigendecomposition H = Q diag(w) Q^dagger.
+        """
+        d1, d2, m, r = self.d1, self.d2, self.m, self.r
+        w, q, t3, ind, sig, g1, inv, quad, weight, s_val = self._last
+        # dS = sum_k Tr[x1_k dsig_k] + Tr[x2_k dtau_k] over kept groups
+        x1 = g1 * (inv / weight)
+        x1[::d1 + 1] -= (quad * inv * inv + s_val * (inv > 0.0)) / weight
+        x2 = (self.a_sig.conj().T @ sig) * (inv / weight)
+        x1 = (x1 @ ind.T).reshape(d1, d1, m)  # per member
+        x2 = (x2 @ ind.T).reshape(d2, d2, m)
+        # dS = 2 Re sum conj(dt3) * gt
+        gt = np.einsum("abj,bej->aej", x1, t3) + np.einsum("efj,afj->aej", x2, t3)
+        gv = gt.reshape(-1, m).T @ self.b.conj()  # dS = 2 Re sum dU[:, :r] * gv
+        z = q.T @ (gv @ q[:r].conj())
+        # divided difference of exp(iw), in a form stable as w_k -> w_l
+        half = 0.5 * (w[:, None] - w[None, :])
+        dexp = 1j * np.exp(1j * (w[:, None] + w[None, :]) / 2.0) * np.sinc(half / np.pi)
+        rr = q.conj() @ (z * dexp) @ q.T  # dS = 2 Re sum dH * rr
+        rows, cols = self.triu
+        up, lo = rr[rows, cols], rr[cols, rows]
+        ds = 2.0 * np.concatenate([rr.diagonal().real, (up + lo).real, (lo - up).imag])
+        return -ds
 
 
 class _Straddle:
@@ -217,7 +273,7 @@ def _random_partition(rng: np.random.Generator, m: int):
     return normalize_partition(groups, m)
 
 
-def _bisect(engine: _Engine, groups, straddle: _Straddle, best: _Best, max_iter: int = 120) -> int:
+def _bisect(engine: _Engine, groups, straddle: _Straddle, best: _Best, max_iter: int) -> int:
     """Close a sign straddle by bisection along the parameter segment."""
     (gp, tp), (gn, tn) = straddle.pos, straddle.neg
     evals = 0
@@ -236,10 +292,34 @@ def _bisect(engine: _Engine, groups, straddle: _Straddle, best: _Best, max_iter:
     return evals
 
 
-def _adaptive_search(engine: _Engine, groups, theta0: np.ndarray, rng: np.random.Generator,
-                     budget: int, tol: float, straddle: _Straddle, best: _Best) -> int:
-    """Adaptive random-direction pattern search on |c - S|."""
-    n = engine.n_params
+def _lbfgs_direction(grad: np.ndarray, memory) -> np.ndarray:
+    """Two-loop recursion: -H grad for the L-BFGS inverse-Hessian estimate."""
+    q = grad.copy()
+    alphas = []
+    for s, y, rho in reversed(memory):
+        alpha = rho * (s @ q)
+        q -= alpha * y
+        alphas.append(alpha)
+    s, y, _ = memory[-1]
+    q *= (s @ y) / (y @ y)
+    for (s, y, rho), alpha in zip(memory, reversed(alphas)):
+        q += (alpha - rho * (y @ q)) * s
+    return -q
+
+
+def _gradient_search(engine: _Engine, groups, theta0: np.ndarray, budget: int, tol: float,
+                     straddle: _Straddle, best: _Best) -> int:
+    """L-BFGS with Armijo backtracking on |c - S(theta)|.
+
+    Trial points along the search direction are evaluated until the Armijo
+    test accepts one; only the accepted point is differentiated. The first
+    step, and any step after the memory is reset, has length FIRST_STEP
+    along the steepest descent. The search ends on a sign straddle (closed
+    by ``_bisect``), on reaching ``tol``, on spending ``budget``
+    evaluations, or when a trial changes the objective by at most STALL_REL
+    of its value. Every test compares terms of equal degree in A, so each
+    decision is invariant under A -> cA.
+    """
     evals = 0
 
     def f(theta):
@@ -250,40 +330,42 @@ def _adaptive_search(engine: _Engine, groups, theta0: np.ndarray, rng: np.random
         best.offer(g, theta, groups)
         return g
 
-    cur_t = theta0.copy()
-    cur_g = f(cur_t)
-    step = 0.3
-    fails = 0
-    lo, hi = cur_g, cur_g
-    while evals < budget:
-        if straddle.ready() or best.value <= tol:
-            break
-        d = rng.standard_normal(n)
-        d *= step / np.linalg.norm(d)
-        g1 = f(cur_t + d)
-        lo, hi = min(lo, g1), max(hi, g1)
-        if abs(g1) < abs(cur_g):
-            cur_t = cur_t + d
-            cur_g = g1
-            step *= 1.4
-            fails = 0
-            continue
-        if evals >= budget:
-            break
-        g2 = f(cur_t - d)
-        lo, hi = min(lo, g2), max(hi, g2)
-        if abs(g2) < abs(cur_g):
-            cur_t = cur_t - d
-            cur_g = g2
-            step *= 1.4
-            fails = 0
+    x, g = theta0, f(theta0)
+    grad, step = None, None
+    memory: deque = deque(maxlen=LBFGS_MEMORY)
+    while not (straddle.ready() or best.value <= tol):
+        new_grad = np.sign(g) * engine.gradient()
+        if grad is not None:
+            y = new_grad - grad
+            sy = step @ y
+            if sy > 0.0:
+                memory.append((step, y, 1.0 / sy))
+        grad = new_grad
+        d = _lbfgs_direction(grad, memory) if memory else None
+        if d is None or grad @ d >= 0.0:
+            memory.clear()
+            norm = np.linalg.norm(grad)
+            if norm == 0.0:
+                break
+            d = grad * (-FIRST_STEP / norm)
+        slope = grad @ d
+        t = 1.0
+        for _ in range(MAX_BACKTRACKS):
+            if evals >= budget:
+                return evals
+            g_new = f(x + t * d)
+            if abs(abs(g_new) - abs(g)) <= STALL_REL * abs(g):
+                return evals
+            if straddle.ready() or abs(g_new) <= abs(g) + ARMIJO * t * slope:
+                break
+            t *= 0.5
         else:
-            step *= 0.75
-            fails += 1
-        if step < 1e-10:
-            break
-        if fails >= 40 and (hi - lo) <= 1e-14 * max(1.0, abs(hi)):
-            break  # objective is constant over the reachable set
+            return evals
+        if np.sign(g_new) != np.sign(g):  # crossed zero: the curvature pairs no longer apply
+            memory.clear()
+            grad = None
+        step = t * d
+        x, g = x + step, g_new
     return evals
 
 
@@ -342,10 +424,11 @@ def minimize_d0(rho: BipartiteState, a: np.ndarray, cfg: OptimizerConfig | None 
                 if remaining <= 0:
                     break
                 tracker = trackers.setdefault(groups, _Straddle())
-                spent += _adaptive_search(engine, groups, theta_init, rng,
-                                          remaining, cfg.tol, tracker, best)
-                if tracker.ready():
-                    spent += _bisect(engine, groups, tracker, best)
+                spent += _gradient_search(engine, groups, theta_init, remaining,
+                                          cfg.tol, tracker, best)
+                if tracker.ready() and spent < cfg.max_iters:
+                    spent += _bisect(engine, groups, tracker, best,
+                                     min(120, cfg.max_iters - spent))
                 if best.value <= cfg.tol:
                     break
             starts_used = i + 1
@@ -408,8 +491,8 @@ def separability_verdict(rho: BipartiteState, cfg: OptimizerConfig | None = None
     a decomposition shared across observables. ``decision_threshold``
     separates numerical convergence from verdict logic: Separable needs
     every probe at or below it (plus exact partial-transpose agreement,
-    only available at 2x2 and 2x3), Entangled needs some probe above ten
-    times it.
+    only available at 2x2, 2x3 and with a trivial factor), Entangled needs
+    some probe above ten times it.
     """
     cfg = cfg or OptimizerConfig()
     dim = rho.space.dim
@@ -436,7 +519,7 @@ def separability_verdict(rho: BipartiteState, cfg: OptimizerConfig | None = None
     dims = (rho.space.d1, rho.space.d2)
     if max_d0 > 10.0 * threshold:
         verdict = ENTANGLED
-    elif max_d0 <= threshold and dims in PPT_EXACT_DIMS and pt_min >= -1e-10:
+    elif max_d0 <= threshold and (1 in dims or dims in PPT_EXACT_DIMS) and pt_min >= -1e-10:
         verdict = SEPARABLE
     else:
         verdict = INCONCLUSIVE

@@ -10,6 +10,7 @@ from an isometry applied to the spectral decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -133,6 +134,16 @@ def singleton_partition(m: int) -> Partition:
     return tuple((j,) for j in range(m))
 
 
+@lru_cache(maxsize=None)
+def triu_pair(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict upper triangle of an m x m
+    matrix, in the order the isometry coordinates use; built once per m."""
+    rows, cols = np.triu_indices(m, 1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 def hermitian_from_params(params: np.ndarray, m: int) -> np.ndarray:
     """Hermitian m x m matrix from m^2 real coordinates (diagonal first,
     then upper-triangle real and imaginary parts)."""
@@ -140,22 +151,21 @@ def hermitian_from_params(params: np.ndarray, m: int) -> np.ndarray:
     if params.shape != (m * m,):
         raise DimensionMismatch(f"expected {m * m} parameters, got {params.shape}")
     h = np.zeros((m, m), dtype=np.complex128)
-    h[np.diag_indices(m)] = params[:m]
+    h.flat[::m + 1] = params[:m]
     k = m * (m - 1) // 2
     if k:
-        iu = np.triu_indices(m, 1)
+        rows, cols = triu_pair(m)
         upper = params[m:m + k] + 1j * params[m + k:]
-        h[iu] = upper
-        h[(iu[1], iu[0])] = upper.conj()
+        h[rows, cols] = upper
+        h[cols, rows] = upper.conj()
     return h
 
 
 def params_from_hermitian(h: np.ndarray) -> np.ndarray:
     """Inverse of hermitian_from_params."""
     h = as_matrix(h, "h")
-    m = h.shape[0]
-    iu = np.triu_indices(m, 1)
-    return np.concatenate([h.diagonal().real, h[iu].real, h[iu].imag])
+    upper = h[triu_pair(h.shape[0])]
+    return np.concatenate([h.diagonal().real, upper.real, upper.imag])
 
 
 def embed_params(params: np.ndarray, m_from: int, m_to: int) -> np.ndarray:

@@ -136,6 +136,16 @@ def test_kadison_command(capsys):
     assert float(lines["min_defect"]) >= -1e-10
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_kadison_nonpositive_samples_exit_3(capsys, samples, fmt):
+    code, out, err = run(capsys, "kadison", "transpose", "-d", "2", "--samples", samples,
+                         "--format", fmt)
+    assert code == 3
+    assert out == ""
+    assert "samples" in err
+
+
 def test_werner_sweep_small(capsys):
     code, out, _ = run(capsys, "werner-sweep", "--p-min", "0.0", "--p-max", "0.2",
                        "--steps", "3", "--starts", "2", "--max-iters", "200")

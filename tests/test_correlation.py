@@ -15,6 +15,8 @@ from qcorr.correlation import (
     SEPARABLE,
     CorrelationResult,
     OptimizerConfig,
+    _Engine,
+    _random_partition,
     canonical_pt_witness,
     d0_objective,
     factored_product_value,
@@ -250,3 +252,62 @@ def test_result_fields():
     assert res.value >= 0.0
     assert res.starts_used >= 1
     assert res.ensemble.barycenter.space.dim == 4
+
+
+@pytest.mark.parametrize("d1,d2", [(2, 2), (2, 3)])
+@pytest.mark.parametrize("partition", ["singleton", "random"])
+@pytest.mark.parametrize("at_zero", [True, False])
+def test_engine_gradient_matches_finite_differences(d1, d2, partition, at_zero):
+    rng = np.random.default_rng(100 * d2 + 10 * at_zero + (partition == "random"))
+    space = BipartiteSpace(d1, d2)
+    state = BipartiteState(space, random_density(space.dim, rng))
+    m = space.dim ** 2
+    engine = _Engine(state, random_hermitian(space.dim, rng), m)
+    groups = singleton_partition(m) if partition == "singleton" else _random_partition(rng, m)
+    theta = np.zeros(m * m) if at_zero else 0.4 * rng.standard_normal(m * m)
+    engine.signed_gap(theta, groups)
+    grad = engine.gradient()
+    h = 1e-6
+
+    def central(direction):
+        return (engine.signed_gap(theta + h * direction, groups)
+                - engine.signed_gap(theta - h * direction, groups)) / (2.0 * h)
+
+    # every diagonal coordinate, then a sample of real and imaginary
+    # off-diagonal ones, then random directions through all coordinates
+    coords = np.concatenate([np.arange(m), rng.choice(np.arange(m, m * m), 60, replace=False)])
+    for i in coords:
+        e_i = np.zeros(m * m)
+        e_i[i] = 1.0
+        assert abs(central(e_i) - grad[i]) <= 1e-7 * max(1.0, np.abs(grad).max())
+    for _ in range(3):
+        u = rng.standard_normal(m * m)
+        u /= np.linalg.norm(u)
+        assert abs(central(u) - grad @ u) <= 1e-7 * max(1.0, np.linalg.norm(grad))
+
+
+@pytest.mark.parametrize("p,observable,max_iters", [
+    (0.25, "random", 40), (0.25, "random", 150), (0.8, "random", 25), (0.8, "random", 90),
+    (0.8, "witness", 5), (0.8, "witness", 60)])
+def test_one_start_never_exceeds_max_iters(monkeypatch, p, observable, max_iters):
+    calls = [0]
+    signed_gap = _Engine.signed_gap
+
+    def counted(self, theta, groups):
+        calls[0] += 1
+        return signed_gap(self, theta, groups)
+
+    monkeypatch.setattr(_Engine, "signed_gap", counted)
+    a = random_hermitian(4, np.random.default_rng(8)) if observable == "random" else canonical_witness()
+    res = minimize_d0(make_werner(p), a, OptimizerConfig(starts=1, max_iters=max_iters))
+    # one evaluation of the theta-independent trivial partition, then one start
+    assert res.starts_used == 1
+    assert 1 < calls[0] <= 1 + max_iters
+
+
+@pytest.mark.parametrize("d1,d2", [(1, 3), (3, 1)])
+def test_verdict_trivial_factor_separable(d1, d2):
+    state = make_random_state(BipartiteSpace(d1, d2), 3, seed=9)
+    res = separability_verdict(state, FAST, n_observables=3)
+    assert res.verdict == SEPARABLE
+    assert res.max_d0 <= 1e-9
