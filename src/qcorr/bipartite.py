@@ -13,11 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidDensityMatrix, OutOfRange
-from .linalg import as_matrix, dagger, kron
+from .linalg import HERM_ATOL, as_matrix, dagger, kron
 
 TRACE_ATOL = 1e-10
 PSD_ATOL = 1e-10
-HERM_ATOL = 1e-10
 
 
 def validate_density(rho, dim: int | None = None, name: str = "rho") -> np.ndarray:

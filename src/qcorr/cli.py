@@ -24,10 +24,8 @@ from .bipartite import (
 )
 from .correlation import (
     DECISION_THRESHOLD,
-    ENTANGLED,
-    INCONCLUSIVE,
-    SEPARABLE,
     OptimizerConfig,
+    classify,
     minimize_d0,
     minimize_d_simple,
     separability_verdict,
@@ -308,13 +306,7 @@ def cmd_werner_sweep(args) -> int:
                 res = retry
         warm = ((res.argmin_params, res.argmin_partition),)
         ppt = ppt_min_eigenvalue(state)
-        if res.value > 10.0 * decision:
-            verdict = ENTANGLED
-        elif res.value <= decision and ppt >= -1e-10:
-            verdict = SEPARABLE
-        else:
-            verdict = INCONCLUSIVE
-        rows.append((float(p), res.value, ppt, verdict))
+        rows.append((float(p), res.value, ppt, classify(res.value, ppt, (2, 2), decision)))
 
     if args.format == "json":
         print(json.dumps([{"p": p, "d0_witness": v, "ppt_min_eig": e, "verdict": verdict}

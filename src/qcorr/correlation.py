@@ -9,16 +9,17 @@ with coarse-graining partitions. The minimizer is a multi-start gradient
 search: L-BFGS with Armijo backtracking on |c - S(theta)|, driven by the
 closed-form gradient of the signed gap c - S(theta). That gradient reuses
 the eigendecomposition of each evaluation, so only objective evaluations
-count against the budget. Because c is fixed and S continuous, the search
-also tracks the closest evaluations on each side of c, per partition and
-across starts, and closes any observed sign straddle by bisection along the
-parameter segment, which pins interior zeros to ~1e-13.
+count against the budget. The search also keeps the closest evaluation on
+each side of zero, from any partition and start. S is affine in the
+decomposition measure and the decompositions of a state form a convex set,
+so once both sides are seen the convex mixture of the two ensembles with
+the right weight has zero gap, and the search stops.
 
 All randomness is derived from (seed, start_index), so results are
 reproducible and do not depend on scheduling; the only state carried from
-one start to the next is the best point and the per-partition straddle
-trackers. The returned value is recomputed from the witness ensemble, so
-it is always a certified upper bound on the true infimum.
+one start to the next is the closest point overall and on each side of
+zero. The returned value is recomputed from the witness ensemble, so it is
+always a certified upper bound on the true infimum.
 """
 
 from __future__ import annotations
@@ -75,8 +76,8 @@ class OptimizerConfig:
 
     ``m`` is the ensemble cardinality; None resolves to (d1*d2)^2.
     ``max_iters`` counts objective evaluations per start, shared by the
-    partition searches and sign-straddle bisections within that start.
-    Gradients reuse the last evaluation and are not counted.
+    partition searches within that start. Gradients reuse the last
+    evaluation and are not counted.
     """
 
     m: int | None = None
@@ -102,7 +103,9 @@ class CorrelationResult:
     """Best value found (upper bound on the infimum) with its witness ensemble.
 
     ``argmin_params`` / ``argmin_partition`` are the isometry coordinates of
-    the witness, usable as warm starts for continuation runs.
+    the evaluated single ensemble closest to the target, usable as warm
+    starts for continuation runs. When the witness is the zero-gap mixture
+    of two ensembles, they describe the endpoint closer to zero.
     """
 
     value: float
@@ -224,45 +227,31 @@ class _Engine:
         return -ds
 
 
-class _Straddle:
-    """Closest evaluations observed on each side of zero, per partition."""
-
-    __slots__ = ("pos", "neg", "closed")
-
-    def __init__(self):
-        self.pos = None
-        self.neg = None
-        self.closed = False
-
-    def offer(self, g: float, theta: np.ndarray):
-        if g > 0.0 and (self.pos is None or g < self.pos[0]):
-            self.pos = (g, theta.copy())
-        elif g < 0.0 and (self.neg is None or g > self.neg[0]):
-            self.neg = (g, theta.copy())
-
-    def ready(self) -> bool:
-        return not self.closed and self.pos is not None and self.neg is not None
-
-
 class _Best:
-    __slots__ = ("value", "signed", "theta", "groups", "improved_in_last_start")
+    """Closest evaluation to zero (value, theta, groups), and the closest
+    evaluation on each side of zero (pos, neg), each as (g, theta, groups)."""
+
+    __slots__ = ("value", "theta", "groups", "pos", "neg", "improved_in_last_start")
 
     def __init__(self):
         self.value = np.inf
-        self.signed = np.inf
-        self.theta = None
-        self.groups = None
+        self.theta = self.groups = self.pos = self.neg = None
         self.improved_in_last_start = True
 
-    def offer(self, g: float, theta: np.ndarray, groups) -> bool:
+    def offer(self, g: float, theta: np.ndarray, groups):
+        if g > 0.0 and (self.pos is None or g < self.pos[0]):
+            self.pos = (g, theta.copy(), groups)
+        elif g < 0.0 and (self.neg is None or g > self.neg[0]):
+            self.neg = (g, theta.copy(), groups)
         if abs(g) < self.value:
             self.value = abs(g)
-            self.signed = g
             self.theta = theta.copy()
             self.groups = groups
             self.improved_in_last_start = True
-            return True
-        return False
+
+    def done(self, tol: float) -> bool:
+        """Within tol, or both sides of zero seen (a zero-gap mixture exists)."""
+        return self.value <= tol or (self.pos is not None and self.neg is not None)
 
 
 def _random_partition(rng: np.random.Generator, m: int):
@@ -271,25 +260,6 @@ def _random_partition(rng: np.random.Generator, m: int):
     groups = tuple(tuple(int(j) for j in np.nonzero(labels == g)[0])
                    for g in range(n_groups) if np.any(labels == g))
     return normalize_partition(groups, m)
-
-
-def _bisect(engine: _Engine, groups, straddle: _Straddle, best: _Best, max_iter: int) -> int:
-    """Close a sign straddle by bisection along the parameter segment."""
-    (gp, tp), (gn, tn) = straddle.pos, straddle.neg
-    evals = 0
-    for _ in range(max_iter):
-        tm = 0.5 * (tp + tn)
-        gm = engine.signed_gap(tm, groups)
-        evals += 1
-        best.offer(gm, tm, groups)
-        if abs(gm) <= 1e-13 or gm == 0.0:
-            break
-        if gm > 0.0:
-            gp, tp = gm, tm
-        else:
-            gn, tn = gm, tm
-    straddle.closed = True
-    return evals
 
 
 def _lbfgs_direction(grad: np.ndarray, memory) -> np.ndarray:
@@ -308,14 +278,15 @@ def _lbfgs_direction(grad: np.ndarray, memory) -> np.ndarray:
 
 
 def _gradient_search(engine: _Engine, groups, theta0: np.ndarray, budget: int, tol: float,
-                     straddle: _Straddle, best: _Best) -> int:
+                     best: _Best) -> int:
     """L-BFGS with Armijo backtracking on |c - S(theta)|.
 
     Trial points along the search direction are evaluated until the Armijo
     test accepts one; only the accepted point is differentiated. The first
     step, and any step after the memory is reset, has length FIRST_STEP
-    along the steepest descent. The search ends on a sign straddle (closed
-    by ``_bisect``), on reaching ``tol``, on spending ``budget``
+    along the steepest descent. The search ends once ``best`` is done
+    (within ``tol``, or evaluations seen on both sides of zero, which
+    includes any zero crossing of this search), on spending ``budget``
     evaluations, or when a trial changes the objective by at most STALL_REL
     of its value. Every test compares terms of equal degree in A, so each
     decision is invariant under A -> cA.
@@ -326,14 +297,13 @@ def _gradient_search(engine: _Engine, groups, theta0: np.ndarray, budget: int, t
         nonlocal evals
         evals += 1
         g = engine.signed_gap(theta, groups)
-        straddle.offer(g, theta)
         best.offer(g, theta, groups)
         return g
 
     x, g = theta0, f(theta0)
     grad, step = None, None
     memory: deque = deque(maxlen=LBFGS_MEMORY)
-    while not (straddle.ready() or best.value <= tol):
+    while not best.done(tol):
         new_grad = np.sign(g) * engine.gradient()
         if grad is not None:
             y = new_grad - grad
@@ -354,19 +324,34 @@ def _gradient_search(engine: _Engine, groups, theta0: np.ndarray, budget: int, t
             if evals >= budget:
                 return evals
             g_new = f(x + t * d)
-            if abs(abs(g_new) - abs(g)) <= STALL_REL * abs(g):
+            if best.done(tol) or abs(abs(g_new) - abs(g)) <= STALL_REL * abs(g):
                 return evals
-            if straddle.ready() or abs(g_new) <= abs(g) + ARMIJO * t * slope:
+            if abs(g_new) <= abs(g) + ARMIJO * t * slope:
                 break
             t *= 0.5
         else:
             return evals
-        if np.sign(g_new) != np.sign(g):  # crossed zero: the curvature pairs no longer apply
-            memory.clear()
-            grad = None
         step = t * d
         x, g = x + step, g_new
     return evals
+
+
+def _mixture_witness(rho: BipartiteState, a: np.ndarray, m: int, pos, neg) -> Ensemble:
+    """Zero-gap witness from two points whose signed gaps straddle zero.
+
+    Both ensembles are rebuilt and their gaps g_pos > 0 > g_neg recomputed
+    from them. S is affine in the decomposition measure, so the mixture
+    with weights t = -g_neg / (g_pos - g_neg) and 1 - t is an ensemble of
+    rho with gap t g_pos + (1 - t) g_neg = 0 up to roundoff. t is clipped to
+    [0, 1], so the weights stay a measure when a recomputed gap lands at
+    roundoff on the other side of zero.
+    """
+    e_pos, e_neg = (hjw_ensemble(rho, theta, m, groups) for _, theta, groups in (pos, neg))
+    c = expect(rho, a)
+    g_pos, g_neg = ((c - evaluate_boxtimes(boxtimes(e), a)).real for e in (e_pos, e_neg))
+    t = 0.5 if g_pos == g_neg else float(np.clip(-g_neg / (g_pos - g_neg), 0.0, 1.0))
+    weights = np.concatenate([t * e_pos.weights, (1.0 - t) * e_neg.weights])
+    return Ensemble(rho.space, weights, e_pos.members + e_neg.members, rho)
 
 
 def _resolve_m(cfg: OptimizerConfig, space: BipartiteSpace) -> int:
@@ -393,7 +378,6 @@ def minimize_d0(rho: BipartiteState, a: np.ndarray, cfg: OptimizerConfig | None 
     n = engine.n_params
 
     best = _Best()
-    trackers: dict[tuple, _Straddle] = {}
     zero = np.zeros(n)
 
     # The merge-everything partition gives the trivial decomposition {1, rho};
@@ -402,7 +386,7 @@ def minimize_d0(rho: BipartiteState, a: np.ndarray, cfg: OptimizerConfig | None 
     best.offer(engine.signed_gap(zero, trivial), zero, trivial)
 
     starts_used = 0
-    if best.value > cfg.tol:
+    if not best.done(cfg.tol):
         for i in range(cfg.starts):
             rng = np.random.default_rng((cfg.seed, i))
             best.improved_in_last_start = False
@@ -423,19 +407,17 @@ def minimize_d0(rho: BipartiteState, a: np.ndarray, cfg: OptimizerConfig | None 
                 remaining = cfg.max_iters - spent
                 if remaining <= 0:
                     break
-                tracker = trackers.setdefault(groups, _Straddle())
-                spent += _gradient_search(engine, groups, theta_init, remaining,
-                                          cfg.tol, tracker, best)
-                if tracker.ready() and spent < cfg.max_iters:
-                    spent += _bisect(engine, groups, tracker, best,
-                                     min(120, cfg.max_iters - spent))
-                if best.value <= cfg.tol:
+                spent += _gradient_search(engine, groups, theta_init, remaining, cfg.tol, best)
+                if best.done(cfg.tol):
                     break
             starts_used = i + 1
-            if best.value <= cfg.tol:
+            if best.done(cfg.tol):
                 break
 
-    ensemble = hjw_ensemble(rho, best.theta, m, best.groups)
+    if best.pos is not None and best.neg is not None:
+        ensemble = _mixture_witness(rho, a, m, best.pos, best.neg)
+    else:
+        ensemble = hjw_ensemble(rho, best.theta, m, best.groups)
     value = d0_objective(ensemble, a)
     converged = bool(value <= cfg.tol or not best.improved_in_last_start)
     return CorrelationResult(value=value, ensemble=ensemble,
@@ -482,6 +464,20 @@ def canonical_pt_witness(rho: BipartiteState) -> np.ndarray | None:
     return partial_transpose(proj)
 
 
+def classify(value: float, ppt_min: float, dims: tuple[int, int],
+             threshold: float = DECISION_THRESHOLD) -> str:
+    """Verdict from the largest certified d0 over the probes and the smallest
+    partial-transpose eigenvalue. Entangled needs a value above ten times
+    ``threshold``; Separable needs every value at or below it plus exact
+    partial-transpose agreement, which is only available at 2x2, 2x3 and
+    with a trivial factor."""
+    if value > 10.0 * threshold:
+        return ENTANGLED
+    if value <= threshold and (1 in dims or dims in PPT_EXACT_DIMS) and ppt_min >= -1e-10:
+        return SEPARABLE
+    return INCONCLUSIVE
+
+
 def separability_verdict(rho: BipartiteState, cfg: OptimizerConfig | None = None,
                          n_observables: int = 8,
                          decision_threshold: float = DECISION_THRESHOLD) -> VerdictResult:
@@ -489,10 +485,7 @@ def separability_verdict(rho: BipartiteState, cfg: OptimizerConfig | None = None
 
     The infimum is taken independently per probe; the verdict never assumes
     a decomposition shared across observables. ``decision_threshold``
-    separates numerical convergence from verdict logic: Separable needs
-    every probe at or below it (plus exact partial-transpose agreement,
-    only available at 2x2, 2x3 and with a trivial factor), Entangled needs
-    some probe above ten times it.
+    separates numerical convergence from verdict logic; see ``classify``.
     """
     cfg = cfg or OptimizerConfig()
     dim = rho.space.dim
@@ -515,13 +508,6 @@ def separability_verdict(rho: BipartiteState, cfg: OptimizerConfig | None = None
         if res.value > max_d0:
             max_d0, max_probe = res.value, probe
 
-    threshold = decision_threshold
-    dims = (rho.space.d1, rho.space.d2)
-    if max_d0 > 10.0 * threshold:
-        verdict = ENTANGLED
-    elif max_d0 <= threshold and (1 in dims or dims in PPT_EXACT_DIMS) and pt_min >= -1e-10:
-        verdict = SEPARABLE
-    else:
-        verdict = INCONCLUSIVE
+    verdict = classify(max_d0, pt_min, (rho.space.d1, rho.space.d2), decision_threshold)
     return VerdictResult(verdict=verdict, max_d0=float(max_d0),
                          witness=max_probe, probes=tuple(results))

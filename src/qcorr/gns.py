@@ -136,14 +136,7 @@ class LocalDecomposition:
 
     def tilde_rep(self, a: np.ndarray) -> np.ndarray:
         """Representation matrix in the coordinates V acts on."""
-        if self.right is None:
-            return _realify_op(self.left.rep(a))
-        m1 = self.left.rep(a)
-        m2 = self.right.rep(a)
-        out = np.zeros((m1.shape[0] + m2.shape[0],) * 2, dtype=np.complex128)
-        out[:m1.shape[0], :m1.shape[0]] = m1
-        out[m1.shape[0]:, m1.shape[0]:] = m2
-        return out
+        return _tilde_rep(self.left, self.right, a)
 
 
 def _realify_vec(z: np.ndarray) -> np.ndarray:
@@ -152,6 +145,20 @@ def _realify_vec(z: np.ndarray) -> np.ndarray:
 
 def _realify_op(m: np.ndarray) -> np.ndarray:
     return np.block([[m.real, -m.imag], [m.imag, m.real]])
+
+
+def _tilde_rep(left: GnsRepresentation, right: GnsRepresentation | None,
+               a: np.ndarray) -> np.ndarray:
+    """The realified left representation, or with ``right`` the
+    block-diagonal doubled representation (left and right are equal-sized)."""
+    if right is None:
+        return _realify_op(left.rep(a))
+    m1 = left.rep(a)
+    n = m1.shape[0]
+    out = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    out[:n, :n] = m1
+    out[n:, n:] = right.rep(a)
+    return out
 
 
 def _induced_state_density(alpha: PositiveMapSpec, rho: np.ndarray) -> np.ndarray:
@@ -192,12 +199,13 @@ def _solve_intertwiner(x: np.ndarray, y: np.ndarray, elements: list[np.ndarray])
     return v
 
 
-def _intertwining_residual(v: np.ndarray, rep_of, sqrt_rho_vec: np.ndarray,
+def _intertwining_residual(v: np.ndarray, left: GnsRepresentation,
+                           right: GnsRepresentation | None, sqrt_rho_vec: np.ndarray,
                            targets: list[np.ndarray], elements: list[np.ndarray]) -> float:
     vh_sr = dagger(v) @ sqrt_rho_vec
     res = 0.0
     for a, y in zip(elements, targets):
-        lhs = v @ (rep_of(a) @ vh_sr)
+        lhs = v @ (_tilde_rep(left, right, a) @ vh_sr)
         res = max(res, float(np.linalg.norm(lhs - y)))
     return res
 
@@ -225,7 +233,7 @@ def build_intertwiner_single(alpha: PositiveMapSpec, rho) -> LocalDecomposition:
     v = _solve_intertwiner(x, y, basis)
 
     sr_vec = _realify_vec(sqrt_rho.reshape(-1))
-    residual = _intertwining_residual(v, lambda h: _realify_op(left.rep(h)), sr_vec, targets, basis)
+    residual = _intertwining_residual(v, left, None, sr_vec, targets, basis)
     return LocalDecomposition(
         left=left, right=None,
         tilde_omega=_realify_vec(left.omega_vec), v=v, norm_bound=1.0,
@@ -264,15 +272,7 @@ def build_intertwiner_doubled(alpha: PositiveMapSpec, rho) -> LocalDecomposition
     tilde_omega = np.concatenate([left.omega_vec * inv_sqrt2, right.omega_vec * inv_sqrt2])
     sr_vec = sqrt_rho.reshape(-1)
 
-    def rep_of(a):
-        m1 = left.rep(a)
-        m2 = right.rep(a)
-        out = np.zeros((m1.shape[0] + m2.shape[0],) * 2, dtype=np.complex128)
-        out[:m1.shape[0], :m1.shape[0]] = m1
-        out[m1.shape[0]:, m1.shape[0]:] = m2
-        return out
-
-    residual = _intertwining_residual(v, rep_of, sr_vec, targets, basis)
+    residual = _intertwining_residual(v, left, right, sr_vec, targets, basis)
     return LocalDecomposition(
         left=left, right=right,
         tilde_omega=tilde_omega, v=v, norm_bound=float(np.sqrt(2.0)),
@@ -285,6 +285,6 @@ def verification_report(ld: LocalDecomposition) -> dict:
     return {
         "residual_max": float(ld.residual_max),
         "v_norm": float(ld.v_norm),
-        "dim_gns": int(ld.tilde_omega.size if not ld.real_form else ld.tilde_omega.size // 2),
+        "dim_gns": ld.dim_gns,
         "bound": float(ld.norm_bound),
     }

@@ -129,31 +129,23 @@ def is_unital(alpha: PositiveMapSpec, atol: float = UNITAL_ATOL) -> bool:
     return bool(np.max(np.abs(apply_map(alpha, eye) - eye)) <= atol)
 
 
-def apply_tensor_id_matrix(alpha: PositiveMapSpec, rho: np.ndarray, d1: int, d2: int) -> np.ndarray:
-    """(alpha (x) id) on a raw matrix (not necessarily a state)."""
+def partial_transpose_matrix(rho: np.ndarray, d1: int, d2: int) -> np.ndarray:
+    """Transpose on the first factor of a raw matrix: swap the two
+    first-factor indices of rho[(a, i), (b, j)]. Returns a new array, also
+    when d1 == 1 and the swap is a no-op."""
     rho = as_matrix(rho, "rho")
     if rho.shape != (d1 * d2, d1 * d2):
         raise DimensionMismatch(f"matrix shape {rho.shape} != ({d1 * d2}, {d1 * d2})")
-    if alpha.d != d1:
-        raise DimensionMismatch(f"map dimension {alpha.d} != first factor {d1}")
-    r4 = rho.reshape(d1, d2, d1, d2)
-    out = np.einsum("kalb,kilj->aibj", alpha.choi4, r4)
-    return out.reshape(d1 * d2, d1 * d2)
-
-
-def partial_transpose_matrix(rho: np.ndarray, d1: int, d2: int) -> np.ndarray:
-    """Transpose on the first factor of a raw matrix."""
-    return apply_tensor_id_matrix(transpose_map(d1), rho, d1, d2)
+    return rho.reshape(d1, d2, d1, d2).transpose(2, 1, 0, 3).reshape(d1 * d2, d1 * d2).copy()
 
 
 def partial_transpose(s: BipartiteState) -> np.ndarray:
-    """Transpose on the first factor, realized as (transpose (x) id)(rho)."""
-    return apply_tensor_id(transpose_map(s.space.d1), s)
+    """Transpose on the first factor, (transpose (x) id)(rho)."""
+    return partial_transpose_matrix(s.rho, s.space.d1, s.space.d2)
 
 
 def ppt_min_eigenvalue(s: BipartiteState) -> float:
-    w, _ = hermitian_eigendecompose(partial_transpose(s))
-    return float(w[0])
+    return ppt_min_eig_and_vector(s)[0]
 
 
 def ppt_min_eig_and_vector(s: BipartiteState) -> tuple[float, np.ndarray]:

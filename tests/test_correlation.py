@@ -311,3 +311,24 @@ def test_verdict_trivial_factor_separable(d1, d2):
     res = separability_verdict(state, FAST, n_observables=3)
     assert res.verdict == SEPARABLE
     assert res.max_d0 <= 1e-9
+
+
+def test_sign_straddle_closed_by_exact_mixture():
+    # a separable 2x3 state: the search sees the signed gap on both sides of
+    # zero and the witness is the zero-gap mixture of the two ensembles
+    rng = np.random.default_rng(0)
+    acc = sum(w * np.kron(random_density(2, rng), random_density(3, rng))
+              for w in rng.dirichlet(np.ones(3)))
+    state = BipartiteState(BipartiteSpace(2, 3), acc)
+    a = random_hermitian(6, rng)
+    m = 36
+    res = minimize_d0(state, a, FAST)
+    single = hjw_ensemble(state, res.argmin_params, m, res.argmin_partition)
+    assert len(res.ensemble) > len(single)
+    assert res.value <= 1e-14
+    assert res.value == d0_objective(res.ensemble, a)
+    # the closer endpoint is still an ensemble of rho and warm-starts a rerun
+    bary = sum(w * x for w, x in zip(single.weights, single.members))
+    assert np.linalg.norm(bary - state.rho) <= 1e-8
+    warm = minimize_d0(state, a, FAST, extra_starts=((res.argmin_params, res.argmin_partition),))
+    assert warm.value <= 1e-14

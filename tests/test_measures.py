@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcorr.bipartite import BipartiteSpace, BipartiteState, make_bell, make_random_state
+from qcorr.correlation import _random_partition
 from qcorr.errors import BadPartition, DimensionMismatch, RankTooSmall
 from qcorr.linalg import matrix_units
 from qcorr.measures import (
@@ -20,7 +22,7 @@ from qcorr.measures import (
 )
 from qcorr.posmaps import ppt_min_eigenvalue
 
-from helpers import SZ, random_density, singlet_proj
+from helpers import SZ, random_density, random_hermitian, singlet_proj
 
 
 def _ensemble(space, weights, members):
@@ -193,3 +195,24 @@ def test_embedding_preserves_ensemble():
                       embed_partition(singleton_partition(4), 4, 6))
     assert len(e4) == len(e6)
     assert np.allclose(np.sort(e4.weights), np.sort(e6.weights), atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from([(2, 2), (2, 3), (3, 2)]),
+       t=st.floats(0.0, 1.0))
+def test_decorrelated_term_affine_under_mixing(seed, dims, t):
+    # S(mu) = sum_i w_i Tr[(sigma_i x tau_i) A] is affine in the measure, so
+    # the mixture of two ensembles of one state has S = t S1 + (1 - t) S2
+    rng = np.random.default_rng(seed)
+    space = BipartiteSpace(*dims)
+    s = make_random_state(space, int(rng.integers(1, space.dim + 1)), seed=seed)
+    a = random_hermitian(space.dim, rng)
+    ens = []
+    for _ in range(2):
+        m = int(rng.integers(space.dim, 2 * space.dim + 1))
+        ens.append(hjw_ensemble(s, rng.standard_normal(m * m), m, _random_partition(rng, m)))
+    e1, e2 = ens
+    mix = Ensemble(space, np.concatenate([t * e1.weights, (1.0 - t) * e2.weights]),
+                   e1.members + e2.members, s)
+    s1, s2, s_mix = (evaluate_boxtimes(boxtimes(e), a).real for e in (e1, e2, mix))
+    assert abs(s_mix - (t * s1 + (1.0 - t) * s2)) <= 1e-12
