@@ -16,7 +16,6 @@ import sys
 import numpy as np
 
 from .bipartite import (
-    BipartiteSpace,
     BipartiteState,
     make_werner,
     random_full_rank_density,
@@ -51,7 +50,6 @@ from .linalg import dagger
 from .measures import boxtimes, evaluate_boxtimes
 from .posmaps import (
     PositiveMapSpec,
-    builtin_maps,
     depolarizing_map,
     identity_map,
     kadison_defect,

@@ -32,23 +32,24 @@ from .linalg import (
     matrix_units,
     operator_norm,
     psd_sqrt,
+    psd_support,
 )
 from .posmaps import PositiveMapSpec, apply_map, is_unital
 
-# Relative Gram-eigenvalue threshold separating the null space from roundoff.
-GNS_NULL_REL = 1e-12
 # Singular values below this (relative) are treated as null directions of
 # the defining data.
 SVD_CUTOFF_REL = 1e-10
 # A null direction whose target exceeds this norm signals a non-positive map.
 WELLDEF_TARGET_TOL = 1e-8
+# Scale of each summand of the doubled space; multiplied in, since dividing by
+# sqrt(2) rounds differently and would shift the certified residuals.
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
 class GnsRepresentation:
     """Cyclic representation data in orthonormal coordinates.
 
-    ``basis_map`` sends vec(a) to the coordinates of the class of a;
     ``rep(a)`` gives the (anti-)representation matrix; ``omega_vec`` is the
     class of the unit.
     """
@@ -56,7 +57,6 @@ class GnsRepresentation:
     d: int
     dim: int
     rank: int
-    basis_map: np.ndarray
     omega_vec: np.ndarray
     anti: bool
     carrier: np.ndarray  # S = V sqrt(p) (left) or T = sqrt(p) V† (right)
@@ -77,10 +77,15 @@ class GnsRepresentation:
         return (a @ self.carrier).reshape(-1)
 
 
-def _spectral_support(omega_density: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    w, v = np.linalg.eigh(omega_density)
-    keep = w > max(w[-1], 0.0) * GNS_NULL_REL
-    return w[keep], v[:, keep]
+def _gns(d: int, omega_density, anti: bool) -> GnsRepresentation:
+    """Left representation, or with ``anti`` the right anti-representation
+    (the same carrier, conjugate-transposed)."""
+    w = validate_density(omega_density, d, "omega_density")
+    p, v = psd_support(w)
+    s = v * np.sqrt(p)  # d x r, equals w^{1/2} restricted to its support
+    carrier = s.conj().T if anti else s
+    return GnsRepresentation(d=d, dim=d * p.size, rank=p.size, omega_vec=carrier.reshape(-1),
+                             anti=anti, carrier=carrier)
 
 
 def gns_left(d: int, omega_density) -> GnsRepresentation:
@@ -90,27 +95,13 @@ def gns_left(d: int, omega_density) -> GnsRepresentation:
     its positive spectrum is the spectrum of w with multiplicity d; the
     quotient keeps d * rank(w) dimensions.
     """
-    w = validate_density(omega_density, d, "omega_density")
-    p, v = _spectral_support(w)
-    r = p.size
-    s = v * np.sqrt(p)  # d x r, equals w^{1/2} restricted to its support
-    basis_map = np.kron(np.eye(d, dtype=np.complex128), s.T)
-    omega_vec = s.reshape(-1)
-    return GnsRepresentation(d=d, dim=d * r, rank=r, basis_map=basis_map,
-                             omega_vec=omega_vec, anti=False, carrier=s)
+    return _gns(d, omega_density, anti=False)
 
 
 def gns_right(d: int, omega_density) -> GnsRepresentation:
     """Anti-representation from the right form <a, b> = Tr(w b a†);
     right multiplication reverses products."""
-    w = validate_density(omega_density, d, "omega_density")
-    p, v = _spectral_support(w)
-    r = p.size
-    t = (v * np.sqrt(p)).conj().T  # r x d
-    basis_map = np.kron(t, np.eye(d, dtype=np.complex128))
-    omega_vec = t.reshape(-1)
-    return GnsRepresentation(d=d, dim=r * d, rank=r, basis_map=basis_map,
-                             omega_vec=omega_vec, anti=True, carrier=t)
+    return _gns(d, omega_density, anti=True)
 
 
 @dataclass(frozen=True)
@@ -125,14 +116,13 @@ class LocalDecomposition:
     tilde_omega: np.ndarray
     v: np.ndarray
     norm_bound: float
-    real_form: bool
     residual_max: float
     v_norm: float
     sqrt_rho_vec: np.ndarray
 
     @property
     def dim_gns(self) -> int:
-        return int(self.tilde_omega.size if not self.real_form else self.tilde_omega.size // 2)
+        return self.left.dim if self.right is None else 2 * self.left.dim
 
     def tilde_rep(self, a: np.ndarray) -> np.ndarray:
         """Representation matrix in the coordinates V acts on."""
@@ -159,6 +149,16 @@ def _tilde_rep(left: GnsRepresentation, right: GnsRepresentation | None,
     out[:n, :n] = m1
     out[n:, n:] = right.rep(a)
     return out
+
+
+def _tilde_coords(left: GnsRepresentation, right: GnsRepresentation | None,
+                  a: np.ndarray) -> np.ndarray:
+    """Coordinates of the class of a in the space ``_tilde_rep`` acts on:
+    the realified left coordinates, or with ``right`` both summands scaled
+    by 1/sqrt(2) for the 1/2-weighted inner product."""
+    if right is None:
+        return _realify_vec(left.coords(a))
+    return np.concatenate([left.coords(a) * _INV_SQRT2, right.coords(a) * _INV_SQRT2])
 
 
 def _induced_state_density(alpha: PositiveMapSpec, rho: np.ndarray) -> np.ndarray:
@@ -210,6 +210,35 @@ def _intertwining_residual(v: np.ndarray, left: GnsRepresentation,
     return res
 
 
+def _build_intertwiner(alpha: PositiveMapSpec, rho, doubled: bool) -> LocalDecomposition:
+    d = alpha.d
+    rho = validate_density(rho, d, "rho")
+    if not is_unital(alpha):
+        raise MapNotUnital(f"map {alpha.name or '<anon>'} is not unital")
+    omega_density = _induced_state_density(alpha, rho)
+    left = gns_left(d, omega_density)
+    right = gns_right(d, omega_density) if doubled else None
+    sqrt_rho = psd_sqrt(rho)
+
+    def hs_vec(m: np.ndarray) -> np.ndarray:
+        # Hilbert-Schmidt coordinates of the target side, realified with the left.
+        z = m.reshape(-1)
+        return z if doubled else _realify_vec(z)
+
+    basis = matrix_units(d) if doubled else hermitian_basis(d)
+    x = np.column_stack([_tilde_coords(left, right, a) for a in basis])
+    targets = [hs_vec(apply_map(alpha, a) @ sqrt_rho) for a in basis]
+    v = _solve_intertwiner(x, np.column_stack(targets), basis)
+
+    sr_vec = hs_vec(sqrt_rho)
+    residual = _intertwining_residual(v, left, right, sr_vec, targets, basis)
+    return LocalDecomposition(
+        left=left, right=right,
+        tilde_omega=_tilde_coords(left, right, np.eye(d, dtype=np.complex128)), v=v,
+        norm_bound=float(np.sqrt(2.0)) if doubled else 1.0,
+        residual_max=residual, v_norm=operator_norm(v), sqrt_rho_vec=sr_vec)
+
+
 def build_intertwiner_single(alpha: PositiveMapSpec, rho) -> LocalDecomposition:
     """Single-representation intertwiner, defined on the real span of the
     self-adjoint orbit and extended by zero; norm bound 1.
@@ -218,27 +247,7 @@ def build_intertwiner_single(alpha: PositiveMapSpec, rho) -> LocalDecomposition:
     real-linear. The intertwining identity is certified on a Hermitian
     basis.
     """
-    d = alpha.d
-    rho = validate_density(rho, d, "rho")
-    if not is_unital(alpha):
-        raise MapNotUnital(f"map {alpha.name or '<anon>'} is not unital")
-    omega_density = _induced_state_density(alpha, rho)
-    left = gns_left(d, omega_density)
-    sqrt_rho = psd_sqrt(rho)
-
-    basis = hermitian_basis(d)
-    x = np.column_stack([_realify_vec(left.coords(h)) for h in basis])
-    targets = [_realify_vec((apply_map(alpha, h) @ sqrt_rho).reshape(-1)) for h in basis]
-    y = np.column_stack(targets)
-    v = _solve_intertwiner(x, y, basis)
-
-    sr_vec = _realify_vec(sqrt_rho.reshape(-1))
-    residual = _intertwining_residual(v, left, None, sr_vec, targets, basis)
-    return LocalDecomposition(
-        left=left, right=None,
-        tilde_omega=_realify_vec(left.omega_vec), v=v, norm_bound=1.0,
-        real_form=True, residual_max=residual, v_norm=operator_norm(v),
-        sqrt_rho_vec=sr_vec)
+    return _build_intertwiner(alpha, rho, doubled=False)
 
 
 def build_intertwiner_doubled(alpha: PositiveMapSpec, rho) -> LocalDecomposition:
@@ -251,33 +260,7 @@ def build_intertwiner_doubled(alpha: PositiveMapSpec, rho) -> LocalDecomposition
     evaluated on the state, and is checked numerically; a violation raises
     instead of silently producing a bad intertwiner.
     """
-    d = alpha.d
-    rho = validate_density(rho, d, "rho")
-    if not is_unital(alpha):
-        raise MapNotUnital(f"map {alpha.name or '<anon>'} is not unital")
-    omega_density = _induced_state_density(alpha, rho)
-    left = gns_left(d, omega_density)
-    right = gns_right(d, omega_density)
-    sqrt_rho = psd_sqrt(rho)
-
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    basis = matrix_units(d)
-    x = np.column_stack([
-        np.concatenate([left.coords(a) * inv_sqrt2, right.coords(a) * inv_sqrt2])
-        for a in basis])
-    targets = [(apply_map(alpha, a) @ sqrt_rho).reshape(-1) for a in basis]
-    y = np.column_stack(targets)
-    v = _solve_intertwiner(x, y, basis)
-
-    tilde_omega = np.concatenate([left.omega_vec * inv_sqrt2, right.omega_vec * inv_sqrt2])
-    sr_vec = sqrt_rho.reshape(-1)
-
-    residual = _intertwining_residual(v, left, right, sr_vec, targets, basis)
-    return LocalDecomposition(
-        left=left, right=right,
-        tilde_omega=tilde_omega, v=v, norm_bound=float(np.sqrt(2.0)),
-        real_form=False, residual_max=residual, v_norm=operator_norm(v),
-        sqrt_rho_vec=sr_vec)
+    return _build_intertwiner(alpha, rho, doubled=True)
 
 
 def verification_report(ld: LocalDecomposition) -> dict:

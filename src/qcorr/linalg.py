@@ -17,6 +17,9 @@ from .errors import ConvergenceFailure, InvalidMatrix, NotHermitian, NotPSD
 HERM_ATOL = 1e-10
 # Eigenvalues in [-PSD_CLAMP, 0) are clamped to 0; below -PSD_CLAMP is an error.
 PSD_CLAMP = 1e-10
+# Relative eigenvalue threshold separating the support of a PSD matrix from
+# roundoff.
+RANK_REL_TOL = 1e-12
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -34,17 +37,6 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return m.conj().T
-
-
-def frobenius_norm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m))
-
-
-def is_hermitian(m: np.ndarray, atol: float = HERM_ATOL) -> bool:
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        return False
-    return bool(np.max(np.abs(m - dagger(m))) <= atol)
 
 
 def require_hermitian(m: np.ndarray, atol: float = HERM_ATOL, name: str = "matrix") -> np.ndarray:
@@ -84,6 +76,14 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     w = np.maximum(w, 0.0)
     r = (v * np.sqrt(w)) @ dagger(v)
     return (r + dagger(r)) / 2.0
+
+
+def psd_support(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of a validated PSD matrix,
+    restricted to eigenvalues above RANK_REL_TOL times the largest."""
+    w, v = np.linalg.eigh(m)
+    keep = w > max(w[-1], 0.0) * RANK_REL_TOL
+    return w[keep], v[:, keep]
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

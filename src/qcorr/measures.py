@@ -16,14 +16,12 @@ import numpy as np
 
 from .bipartite import BipartiteSpace, BipartiteState, restrict_first, restrict_second, validate_density
 from .errors import BadPartition, DimensionMismatch, RankTooSmall
-from .linalg import as_matrix, kron
+from .linalg import as_matrix, kron, psd_support
 
 WEIGHT_SUM_ATOL = 1e-10
 BARYCENTER_ATOL = 1e-8
 # Groups whose weight falls below this are dropped and the rest renormalized.
 ZERO_WEIGHT_TOL = 1e-14
-# Relative eigenvalue threshold defining the rank of a decomposed state.
-RANK_REL_TOL = 1e-12
 
 Partition = tuple[tuple[int, ...], ...]
 
@@ -196,10 +194,8 @@ def expm_antihermitian(params: np.ndarray, m: int) -> np.ndarray:
 def state_spectral_data(rho: BipartiteState) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors above the relative rank threshold,
     descending by weight."""
-    w, v = np.linalg.eigh(rho.rho)
-    keep = w > max(w[-1], 0.0) * RANK_REL_TOL
-    w, v = w[keep][::-1], v[:, keep][:, ::-1]
-    return w, v
+    w, v = psd_support(rho.rho)
+    return w[::-1], v[:, ::-1]
 
 
 def ensemble_from_unitary(rho: BipartiteState, u: np.ndarray, partition) -> Ensemble:
@@ -238,9 +234,7 @@ def ensemble_from_unitary(rho: BipartiteState, u: np.ndarray, partition) -> Ense
 def hjw_ensemble(rho: BipartiteState, isometry_params: np.ndarray, m: int, partition) -> Ensemble:
     """Ensemble of rho indexed by isometry parameters (anti-Hermitian
     exponential coordinates of an m x m unitary) and a coarse-graining
-    partition of the m pure pieces."""
-    p, _ = state_spectral_data(rho)
-    if m < p.size:
-        raise RankTooSmall(f"cardinality {m} below rank {p.size}")
+    partition of the m pure pieces. Raises RankTooSmall when m is below
+    the rank of rho."""
     u = expm_antihermitian(np.asarray(isometry_params, dtype=float), m)
     return ensemble_from_unitary(rho, u, partition)

@@ -182,9 +182,12 @@ def test_builtin_suite_small():
 def test_rank_deficient_rho_supported():
     alpha = transpose_map(2)
     rho = np.diag([1.0, 0.0]).astype(complex)
-    ld = build_intertwiner_doubled(alpha, rho)
-    assert ld.residual_max <= 1e-9
-    assert ld.v_norm <= np.sqrt(2.0) + 1e-9
+    for build, dim_gns, bound in ((build_intertwiner_single, 2, 1.0),
+                                  (build_intertwiner_doubled, 4, np.sqrt(2.0))):
+        ld = build(alpha, rho)
+        assert ld.residual_max <= 1e-9, build.__name__
+        assert ld.v_norm <= bound + 1e-9, build.__name__
+        assert ld.dim_gns == dim_gns, build.__name__
 
 
 def test_requires_unital_map():
@@ -207,20 +210,22 @@ def test_nonpositive_map_never_silently_succeeds():
     amp = map_from_function(2, lambda x: 2 * x - np.diag(np.diag(x)),
                             "amplify", unital_checked=True)
     rho = np.eye(2, dtype=complex) / 2
-    caught = False
-    try:
-        ld = build_intertwiner_doubled(amp, rho)
-        caught = ld.v_norm > ld.norm_bound + 1e-9
-    except WellDefinednessFailure:
-        caught = True
     e01 = np.array([[0, 1], [0, 0]], dtype=complex)
-    caught = caught or kadison_defect(amp, e01) < -1e-10
-    assert caught
+    for build in (build_intertwiner_single, build_intertwiner_doubled):
+        caught = False
+        try:
+            ld = build(amp, rho)
+            caught = ld.v_norm > ld.norm_bound + 1e-9
+        except WellDefinednessFailure:
+            caught = True
+        caught = caught or kadison_defect(amp, e01) < -1e-10
+        assert caught, build.__name__
 
 
 def test_verification_report_shape():
-    ld = build_intertwiner_doubled(identity_map(2), np.eye(2) / 2)
-    rep = verification_report(ld)
-    assert set(rep) == {"residual_max", "v_norm", "dim_gns", "bound"}
-    assert rep["dim_gns"] == 8
-    assert abs(rep["bound"] - np.sqrt(2.0)) <= 1e-12
+    for build, dim_gns, bound in ((build_intertwiner_single, 4, 1.0),
+                                  (build_intertwiner_doubled, 8, np.sqrt(2.0))):
+        rep = verification_report(build(identity_map(2), np.eye(2) / 2))
+        assert set(rep) == {"residual_max", "v_norm", "dim_gns", "bound"}
+        assert rep["dim_gns"] == dim_gns, build.__name__
+        assert abs(rep["bound"] - bound) <= 1e-12, build.__name__
