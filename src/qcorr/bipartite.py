@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidDensityMatrix, OutOfRange
-from .linalg import HERM_ATOL, as_matrix, dagger, kron
+from .errors import DimensionMismatch, InvalidDensityMatrix, NotHermitian, OutOfRange
+from .linalg import as_matrix, dagger, kron, require_hermitian
 
 TRACE_ATOL = 1e-10
 PSD_ATOL = 1e-10
@@ -21,15 +21,13 @@ PSD_ATOL = 1e-10
 
 def validate_density(rho, dim: int | None = None, name: str = "rho") -> np.ndarray:
     """Check Hermitian / PSD / unit-trace and return a read-only copy."""
-    rho = as_matrix(rho, name).copy()
+    try:
+        rho = require_hermitian(rho, name=name).copy()
+    except NotHermitian as exc:
+        raise InvalidDensityMatrix(str(exc)) from exc
     n = rho.shape[0]
-    if rho.shape[0] != rho.shape[1]:
-        raise InvalidDensityMatrix(f"{name} is not square: shape {rho.shape}")
     if dim is not None and n != dim:
         raise InvalidDensityMatrix(f"{name} has dimension {n}, expected {dim}")
-    dev = float(np.max(np.abs(rho - dagger(rho))))
-    if dev > HERM_ATOL:
-        raise InvalidDensityMatrix(f"{name} not Hermitian: deviation {dev:.3e}")
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > TRACE_ATOL:
         raise InvalidDensityMatrix(f"{name} trace {tr} != 1")

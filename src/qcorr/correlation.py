@@ -4,16 +4,22 @@ its decorrelated (marginal-product) counterpart, plus an operational
 separability verdict built on top of the minimizer.
 
 The search space is the isometry parametrization of pure-state ensembles
-(anti-Hermitian exponential coordinates theta of an m x m unitary) combined
-with coarse-graining partitions. The minimizer is a multi-start gradient
-search: L-BFGS with Armijo backtracking on |c - S(theta)|, driven by the
-closed-form gradient of the signed gap c - S(theta). That gradient reuses
-the eigendecomposition of each evaluation, so only objective evaluations
-count against the budget. The search also keeps the closest evaluation on
-each side of zero, from any partition and start. S is affine in the
-decomposition measure and the decompositions of a state form a convex set,
-so once both sides are seen the convex mixture of the two ensembles with
-the right weight has zero gap, and the search stops.
+combined with coarse-graining partitions. Every pure refinement of rho is
+phi = b V^dagger with b = psi sqrt(p) and V an m x r isometry (r = rank
+rho). The search coordinates are an unconstrained complex m x r matrix X
+(2mr reals) and V is its polar factor X (X^dagger X)^{-1/2}, so an
+evaluation needs one r x r eigendecomposition. Starts are drawn in the
+anti-Hermitian exponential coordinates theta of an m x m unitary and mapped
+once to X = exp(i H(theta))[:, :r]; ``argmin_params`` is converted back to
+them. The minimizer is a multi-start gradient search: L-BFGS with Armijo
+backtracking on |c - S(X)|, driven by the closed-form gradient of the signed
+gap c - S(X). That gradient reuses the eigendecomposition of each
+evaluation, so only objective evaluations count against the budget. The
+search also keeps the closest evaluation on each side of zero, from any
+partition and start. S is affine in the decomposition measure and the
+decompositions of a state form a convex set, so once both sides are seen
+the convex mixture of the two ensembles with the right weight has zero gap,
+and the search stops.
 
 All randomness is derived from (seed, start_index), so results are
 reproducible and do not depend on scheduling; the only state carried from
@@ -36,13 +42,13 @@ from .measures import (
     Ensemble,
     ZERO_WEIGHT_TOL,
     boxtimes,
+    ensemble_from_unitary,
     evaluate_boxtimes,
-    hermitian_from_params,
-    hjw_ensemble,
+    expm_antihermitian,
     normalize_partition,
+    params_from_unitary,
     singleton_partition,
     state_spectral_data,
-    triu_pair,
 )
 from .posmaps import partial_transpose, ppt_min_eig_and_vector
 
@@ -60,6 +66,11 @@ ARMIJO = 1e-4
 FIRST_STEP = 0.3
 MAX_BACKTRACKS = 30
 STALL_REL = 1e-12
+# Smallest admissible eigenvalue of X^dagger X relative to its largest. The
+# polar factor's V^dagger V deviates from the identity by roughly 1e-16 times
+# the condition number, so below this ratio the point is rejected (its gap is
+# nan) rather than valued from a V that is not an isometry to ~1e-10.
+GRAM_RCOND = 1e-6
 # Dimensions where the partial-transpose criterion is an exact oracle. It is
 # also exact with a trivial factor (d1 == 1 or d2 == 1), where every state
 # is a product state.
@@ -74,10 +85,12 @@ INCONCLUSIVE = "Inconclusive"
 class OptimizerConfig:
     """Multi-start search configuration.
 
-    ``m`` is the ensemble cardinality; None resolves to (d1*d2)^2.
-    ``max_iters`` counts objective evaluations per start, shared by the
-    partition searches within that start. Gradients reuse the last
-    evaluation and are not counted.
+    ``m`` is the ensemble cardinality; None resolves to (d1*d2)^2. The
+    search runs over m x r matrices X whose polar factor is the isometry
+    (r = rank rho), so its cost grows with m r, not m^2. ``max_iters``
+    counts objective evaluations per start, shared by the partition
+    searches within that start. Gradients reuse the last evaluation and are
+    not counted.
     """
 
     m: int | None = None
@@ -102,10 +115,14 @@ class OptimizerConfig:
 class CorrelationResult:
     """Best value found (upper bound on the infimum) with its witness ensemble.
 
-    ``argmin_params`` / ``argmin_partition`` are the isometry coordinates of
-    the evaluated single ensemble closest to the target, usable as warm
-    starts for continuation runs. When the witness is the zero-gap mixture
-    of two ensembles, they describe the endpoint closer to zero.
+    ``argmin_params`` / ``argmin_partition`` describe the evaluated single
+    ensemble closest to the target, usable as warm starts for continuation
+    runs and with ``hjw_ensemble`` / ``embed_params``. ``argmin_params`` are
+    the anti-Hermitian exponential coordinates (m^2 reals) of a unitary
+    whose first r columns are the polar factor the search found, taken
+    once per solve as -i log of that isometry completed to a unitary. When
+    the witness is the zero-gap mixture of two ensembles, they describe the
+    endpoint closer to zero.
     """
 
     value: float
@@ -144,13 +161,18 @@ def factored_product_value(pe, a: np.ndarray, b: np.ndarray) -> float:
 
 
 class _Engine:
-    """Signed gap g(theta) = c - S(theta, groups) for a fixed state and
-    observable, mirroring hjw_ensemble semantics exactly, and its gradient.
+    """Signed gap g(x) = c - S(x, groups) for a fixed state and observable,
+    mirroring ensemble_from_unitary semantics exactly, and its gradient.
 
-    One kernel serves every partition: the per-member marginals are summed
-    into group marginals by a 0/1 indicator matrix, built once per
-    partition. ``gradient`` differentiates the last evaluated point from
-    the cached eigendecomposition and marginals, so it costs no evaluation.
+    The coordinates x are the real and imaginary parts of an unconstrained
+    complex m x r matrix X (r = rank rho), 2mr reals. The isometry is its
+    polar factor V = X (X^dagger X)^{-1/2}, and the pure refinement is
+    phi = b V^dagger with b = psi sqrt(p), so every evaluation needs only
+    an r x r eigendecomposition. One kernel serves every partition: the
+    per-member marginals are summed into group marginals by a 0/1
+    indicator matrix, built once per partition. ``gradient``
+    differentiates the last evaluated point from the cached
+    eigendecomposition and marginals, so it costs no evaluation.
     """
 
     def __init__(self, rho: BipartiteState, a: np.ndarray, m: int):
@@ -160,16 +182,41 @@ class _Engine:
         self.r = p.size
         if m < self.r:
             raise RankTooSmall(f"cardinality {m} below rank {self.r}")
-        self.b = psi * np.sqrt(p)  # phi = b @ conj(U[:, :r]).T
+        self.b = psi * np.sqrt(p)  # phi = b @ conj(V).T
         self.c = float(np.trace(rho.rho @ a).real)
         # Marginals are stored flattened, sig[(a, b), k] and tau[(c, d), k];
         # Tr[(sig x tau) A] = conj(sig) . a_sig . tau as sig is Hermitian.
         a4 = a.reshape(d1, d2, d1, d2)
         self.a_sig = np.ascontiguousarray(a4.transpose(0, 2, 3, 1).reshape(d1 * d1, d2 * d2))
-        self.n_params = m * m
-        self.triu = triu_pair(m)
+        self.n_params = 2 * m * self.r
         self._indicators: dict[tuple, np.ndarray] = {}
         self._last = None
+
+    def coords(self, u: np.ndarray) -> np.ndarray:
+        """Coordinates of X = U[:, :r] for an m x m unitary U."""
+        x = u[:, :self.r]
+        return np.concatenate([x.real.ravel(), x.imag.ravel()])
+
+    def _matrix(self, x: np.ndarray) -> np.ndarray:
+        half = self.m * self.r
+        return (x[:half] + 1j * x[half:]).reshape(self.m, self.r)
+
+    def _polar(self, xm: np.ndarray):
+        """Polar factor V = X W of X, W = G^{-1/2}, with the
+        eigendecomposition G = X^dagger X = E diag(s) E^dagger, as
+        (V, W, s, E); None when G is numerically singular."""
+        s, e = np.linalg.eigh(xm.conj().T @ xm)
+        if not s[0] > s[-1] * GRAM_RCOND:
+            return None
+        w = (e / np.sqrt(s)) @ e.conj().T
+        return xm @ w, w, s, e
+
+    def unitary(self, x: np.ndarray) -> np.ndarray:
+        """V completed to an m x m unitary: its first r columns are V
+        exactly, the rest an orthonormal basis of the complement."""
+        v = self._polar(self._matrix(x))[0]
+        q = np.linalg.qr(v, mode="complete")[0]
+        return np.concatenate([v, q[:, self.r:]], axis=1)
 
     def _indicator(self, groups) -> np.ndarray:
         ind = self._indicators.get(groups)
@@ -180,10 +227,17 @@ class _Engine:
             self._indicators[groups] = ind
         return ind
 
-    def signed_gap(self, theta: np.ndarray, groups) -> float:
+    def signed_gap(self, x: np.ndarray, groups) -> float:
+        """c - S at x; nan when X^dagger X is numerically singular. A nan
+        never enters ``_Best`` (every comparison with it is false) and
+        fails the Armijo test, so the search backtracks away from it."""
         d1, d2, m = self.d1, self.d2, self.m
-        w, q = np.linalg.eigh(hermitian_from_params(theta, m))
-        v = (q * np.exp(1j * w)) @ q[:self.r].conj().T  # U[:, :r] of U = exp(iH)
+        xm = self._matrix(x)
+        polar = self._polar(xm)
+        if polar is None:
+            self._last = None
+            return np.nan
+        v, w, s, e = polar
         t3 = (self.b @ v.conj().T).reshape(d1, d2, m)
         ind = self._indicator(groups)
         sig = np.einsum("aej,bej->abj", t3, t3.conj()).reshape(d1 * d1, m) @ ind
@@ -195,18 +249,21 @@ class _Engine:
         quad = np.einsum("ik,ik->k", sig.conj(), g1).real
         weight = lam @ kept
         s_val = (quad @ inv) / weight
-        self._last = (w, q, t3, ind, sig, g1, inv, quad, weight, s_val)
+        self._last = (xm, w, s, e, t3, ind, sig, g1, inv, quad, weight, s_val)
         return self.c - s_val
 
     def gradient(self) -> np.ndarray:
-        """Gradient of signed_gap in theta at the last evaluated point.
+        """Gradient of signed_gap in x at the last evaluated point.
 
-        The chain runs from S through the group marginals to U[:, :r] and
-        then through exp(iH) by the Daleckii-Krein formula on the cached
-        eigendecomposition H = Q diag(w) Q^dagger.
+        The chain runs from S through the group marginals to V and then
+        through V = X W, W = G^{-1/2}, G = X^dagger X. In the cached
+        eigenbasis G = E diag(s) E^dagger, dW is E (F o E^dagger dG E)
+        E^dagger with F the divided difference of s^{-1/2}, written as
+        -1 / (sqrt(s_k s_l) (sqrt(s_k) + sqrt(s_l))) so it stays exact as
+        s_k -> s_l and gives -s^{-3/2} / 2 on the diagonal.
         """
-        d1, d2, m, r = self.d1, self.d2, self.m, self.r
-        w, q, t3, ind, sig, g1, inv, quad, weight, s_val = self._last
+        d1, d2, m = self.d1, self.d2, self.m
+        xm, w, s, e, t3, ind, sig, g1, inv, quad, weight, s_val = self._last
         # dS = sum_k Tr[x1_k dsig_k] + Tr[x2_k dtau_k] over kept groups
         x1 = g1 * (inv / weight)
         x1[::d1 + 1] -= (quad * inv * inv + s_val * (inv > 0.0)) / weight
@@ -215,37 +272,35 @@ class _Engine:
         x2 = (x2 @ ind.T).reshape(d2, d2, m)
         # dS = 2 Re sum conj(dt3) * gt
         gt = np.einsum("abj,bej->aej", x1, t3) + np.einsum("efj,afj->aej", x2, t3)
-        gv = gt.reshape(-1, m).T @ self.b.conj()  # dS = 2 Re sum dU[:, :r] * gv
-        z = q.T @ (gv @ q[:r].conj())
-        # divided difference of exp(iw), in a form stable as w_k -> w_l
-        half = 0.5 * (w[:, None] - w[None, :])
-        dexp = 1j * np.exp(1j * (w[:, None] + w[None, :]) / 2.0) * np.sinc(half / np.pi)
-        rr = q.conj() @ (z * dexp) @ q.T  # dS = 2 Re sum dH * rr
-        rows, cols = self.triu
-        up, lo = rr[rows, cols], rr[cols, rows]
-        ds = 2.0 * np.concatenate([rr.diagonal().real, (up + lo).real, (lo - up).imag])
-        return -ds
+        gam = gt.reshape(-1, m).conj().T @ self.b  # dS = 2 Re Tr[gam^dagger dV]
+        # dV = dX W + X dW gives dS = 2 Re Tr[xi^dagger dX] with
+        # xi = gam W + X E (F o (M + M^dagger)) E^dagger, M = E^dagger X^dagger gam E
+        root = np.sqrt(s)
+        f = -1.0 / (np.outer(root, root) * (root[:, None] + root[None, :]))
+        mt = e.conj().T @ (xm.conj().T @ gam) @ e
+        xi = gam @ w + xm @ (e @ (f * (mt + mt.conj().T)) @ e.conj().T)
+        return -2.0 * np.concatenate([xi.real.ravel(), xi.imag.ravel()])
 
 
 class _Best:
-    """Closest evaluation to zero (value, theta, groups), and the closest
-    evaluation on each side of zero (pos, neg), each as (g, theta, groups)."""
+    """Closest evaluation to zero (value, x, groups), and the closest
+    evaluation on each side of zero (pos, neg), each as (g, x, groups)."""
 
-    __slots__ = ("value", "theta", "groups", "pos", "neg", "improved_in_last_start")
+    __slots__ = ("value", "x", "groups", "pos", "neg", "improved_in_last_start")
 
     def __init__(self):
         self.value = np.inf
-        self.theta = self.groups = self.pos = self.neg = None
+        self.x = self.groups = self.pos = self.neg = None
         self.improved_in_last_start = True
 
-    def offer(self, g: float, theta: np.ndarray, groups):
+    def offer(self, g: float, x: np.ndarray, groups):
         if g > 0.0 and (self.pos is None or g < self.pos[0]):
-            self.pos = (g, theta.copy(), groups)
+            self.pos = (g, x.copy(), groups)
         elif g < 0.0 and (self.neg is None or g > self.neg[0]):
-            self.neg = (g, theta.copy(), groups)
+            self.neg = (g, x.copy(), groups)
         if abs(g) < self.value:
             self.value = abs(g)
-            self.theta = theta.copy()
+            self.x = x.copy()
             self.groups = groups
             self.improved_in_last_start = True
 
@@ -277,9 +332,9 @@ def _lbfgs_direction(grad: np.ndarray, memory) -> np.ndarray:
     return -q
 
 
-def _gradient_search(engine: _Engine, groups, theta0: np.ndarray, budget: int, tol: float,
+def _gradient_search(engine: _Engine, groups, x0: np.ndarray, budget: int, tol: float,
                      best: _Best) -> int:
-    """L-BFGS with Armijo backtracking on |c - S(theta)|.
+    """L-BFGS with Armijo backtracking on |c - S(x)|.
 
     Trial points along the search direction are evaluated until the Armijo
     test accepts one; only the accepted point is differentiated. The first
@@ -293,14 +348,14 @@ def _gradient_search(engine: _Engine, groups, theta0: np.ndarray, budget: int, t
     """
     evals = 0
 
-    def f(theta):
+    def f(x):
         nonlocal evals
         evals += 1
-        g = engine.signed_gap(theta, groups)
-        best.offer(g, theta, groups)
+        g = engine.signed_gap(x, groups)
+        best.offer(g, x, groups)
         return g
 
-    x, g = theta0, f(theta0)
+    x, g = x0, f(x0)
     grad, step = None, None
     memory: deque = deque(maxlen=LBFGS_MEMORY)
     while not best.done(tol):
@@ -336,7 +391,7 @@ def _gradient_search(engine: _Engine, groups, theta0: np.ndarray, budget: int, t
     return evals
 
 
-def _mixture_witness(rho: BipartiteState, a: np.ndarray, m: int, pos, neg) -> Ensemble:
+def _mixture_witness(rho: BipartiteState, a: np.ndarray, engine: _Engine, pos, neg) -> Ensemble:
     """Zero-gap witness from two points whose signed gaps straddle zero.
 
     Both ensembles are rebuilt and their gaps g_pos > 0 > g_neg recomputed
@@ -346,7 +401,8 @@ def _mixture_witness(rho: BipartiteState, a: np.ndarray, m: int, pos, neg) -> En
     [0, 1], so the weights stay a measure when a recomputed gap lands at
     roundoff on the other side of zero.
     """
-    e_pos, e_neg = (hjw_ensemble(rho, theta, m, groups) for _, theta, groups in (pos, neg))
+    e_pos, e_neg = (ensemble_from_unitary(rho, engine.unitary(x), groups)
+                    for _, x, groups in (pos, neg))
     c = expect(rho, a)
     g_pos, g_neg = ((c - evaluate_boxtimes(boxtimes(e), a)).real for e in (e_pos, e_neg))
     t = 0.5 if g_pos == g_neg else float(np.clip(-g_neg / (g_pos - g_neg), 0.0, 1.0))
@@ -363,7 +419,8 @@ def minimize_d0(rho: BipartiteState, a: np.ndarray, cfg: OptimizerConfig | None 
     """Multi-start minimization of the decomposition gap for one observable.
 
     ``extra_starts`` is an optional sequence of (theta, partition) warm
-    starts folded into the first start (used for continuation sweeps and
+    starts, theta in the exponential coordinates of ``argmin_params``,
+    folded into the first start (used for continuation sweeps and
     cardinality embeddings); it does not affect determinism.
     """
     cfg = cfg or OptimizerConfig()
@@ -375,15 +432,17 @@ def minimize_d0(rho: BipartiteState, a: np.ndarray, cfg: OptimizerConfig | None 
         raise ConfigInvalid(f"optimizer supports total dimension <= {MAX_OPT_DIM}, got {dim}")
     m = _resolve_m(cfg, rho.space)
     engine = _Engine(rho, a, m)
-    n = engine.n_params
+
+    def start(theta):  # search coordinates of the isometry exp(i H(theta))[:, :r]
+        return engine.coords(expm_antihermitian(theta, m))
 
     best = _Best()
-    zero = np.zeros(n)
+    x_id = engine.coords(np.eye(m))  # the isometry at theta = 0
 
     # The merge-everything partition gives the trivial decomposition {1, rho};
-    # its objective does not depend on theta, so evaluate it once.
+    # its objective does not depend on the isometry, so evaluate it once.
     trivial = (tuple(range(m)),)
-    best.offer(engine.signed_gap(zero, trivial), zero, trivial)
+    best.offer(engine.signed_gap(x_id, trivial), x_id, trivial)
 
     starts_used = 0
     if not best.done(cfg.tol):
@@ -391,38 +450,40 @@ def minimize_d0(rho: BipartiteState, a: np.ndarray, cfg: OptimizerConfig | None 
             rng = np.random.default_rng((cfg.seed, i))
             best.improved_in_last_start = False
             if i == 0:
-                theta0 = zero
+                x0 = x_id
             else:
-                theta0 = rng.standard_normal(n) * (np.pi / (2.0 * np.sqrt(m)))
+                x0 = start(rng.standard_normal(m * m) * (np.pi / (2.0 * np.sqrt(m))))
             work = []
             if i == 0:
                 # warm starts first so they are evaluated before the budget runs out
                 for th, pt in extra_starts:
-                    work.append((np.asarray(th, dtype=float), normalize_partition(pt, m)))
-            work.append((theta0, singleton_partition(m)))
+                    work.append((start(th), normalize_partition(pt, m)))
+            work.append((x0, singleton_partition(m)))
             if cfg.use_partitions:
-                work += [(theta0, _random_partition(rng, m)) for _ in range(N_RANDOM_PARTITIONS)]
+                work += [(x0, _random_partition(rng, m)) for _ in range(N_RANDOM_PARTITIONS)]
             spent = 0
-            for theta_init, groups in work:
+            for x_init, groups in work:
                 remaining = cfg.max_iters - spent
                 if remaining <= 0:
                     break
-                spent += _gradient_search(engine, groups, theta_init, remaining, cfg.tol, best)
+                spent += _gradient_search(engine, groups, x_init, remaining, cfg.tol, best)
                 if best.done(cfg.tol):
                     break
             starts_used = i + 1
             if best.done(cfg.tol):
                 break
 
+    u_best = engine.unitary(best.x)
     if best.pos is not None and best.neg is not None:
-        ensemble = _mixture_witness(rho, a, m, best.pos, best.neg)
+        ensemble = _mixture_witness(rho, a, engine, best.pos, best.neg)
     else:
-        ensemble = hjw_ensemble(rho, best.theta, m, best.groups)
+        ensemble = ensemble_from_unitary(rho, u_best, best.groups)
     value = d0_objective(ensemble, a)
     converged = bool(value <= cfg.tol or not best.improved_in_last_start)
     return CorrelationResult(value=value, ensemble=ensemble,
                              converged=converged, starts_used=starts_used,
-                             argmin_params=best.theta.copy(), argmin_partition=best.groups)
+                             argmin_params=params_from_unitary(u_best),
+                             argmin_partition=best.groups)
 
 
 def minimize_d_simple(rho: BipartiteState, a: np.ndarray, b: np.ndarray,

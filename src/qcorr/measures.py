@@ -10,7 +10,6 @@ from an isometry applied to the spectral decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -132,16 +131,6 @@ def singleton_partition(m: int) -> Partition:
     return tuple((j,) for j in range(m))
 
 
-@lru_cache(maxsize=None)
-def triu_pair(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the strict upper triangle of an m x m
-    matrix, in the order the isometry coordinates use; built once per m."""
-    rows, cols = np.triu_indices(m, 1)
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
-
-
 def hermitian_from_params(params: np.ndarray, m: int) -> np.ndarray:
     """Hermitian m x m matrix from m^2 real coordinates (diagonal first,
     then upper-triangle real and imaginary parts)."""
@@ -152,7 +141,7 @@ def hermitian_from_params(params: np.ndarray, m: int) -> np.ndarray:
     h.flat[::m + 1] = params[:m]
     k = m * (m - 1) // 2
     if k:
-        rows, cols = triu_pair(m)
+        rows, cols = np.triu_indices(m, 1)
         upper = params[m:m + k] + 1j * params[m + k:]
         h[rows, cols] = upper
         h[cols, rows] = upper.conj()
@@ -162,7 +151,7 @@ def hermitian_from_params(params: np.ndarray, m: int) -> np.ndarray:
 def params_from_hermitian(h: np.ndarray) -> np.ndarray:
     """Inverse of hermitian_from_params."""
     h = as_matrix(h, "h")
-    upper = h[triu_pair(h.shape[0])]
+    upper = h[np.triu_indices(h.shape[0], 1)]
     return np.concatenate([h.diagonal().real, upper.real, upper.imag])
 
 
@@ -189,6 +178,30 @@ def expm_antihermitian(params: np.ndarray, m: int) -> np.ndarray:
     h = hermitian_from_params(params, m)
     w, q = np.linalg.eigh(h)
     return (q * np.exp(1j * w)) @ q.conj().T
+
+
+def params_from_unitary(u: np.ndarray) -> np.ndarray:
+    """Inverse of expm_antihermitian: coordinates of a Hermitian H with
+    exp(iH) = U and eigenvalues in [-pi, pi).
+
+    U is rotated so the middle of the widest gap between its eigenvalue
+    angles lands on -1. The Cayley transform i (1 - U')(1 + U')^{-1} of the
+    rotated U' is then a well-conditioned Hermitian matrix with the
+    eigenvectors of U and eigenvalues tan(psi / 2), psi the rotated angles,
+    so one Hermitian eigensolve gives H.
+    """
+    u = as_matrix(u, "U")
+    m = u.shape[0]
+    phi = np.sort(np.angle(np.linalg.eigvals(u)))
+    gaps = np.diff(np.append(phi, phi[0] + 2.0 * np.pi))
+    k = int(np.argmax(gaps))
+    gamma = phi[k] + gaps[k] / 2.0
+    rotated = -np.exp(-1j * gamma) * u  # e^{i gamma} -> -1
+    eye = np.eye(m)
+    c = 1j * np.linalg.solve(eye + rotated, eye - rotated)
+    t, q = np.linalg.eigh((c + c.conj().T) / 2.0)
+    angles = (2.0 * np.arctan(t) + gamma) % (2.0 * np.pi) - np.pi
+    return params_from_hermitian((q * angles) @ q.conj().T)
 
 
 def state_spectral_data(rho: BipartiteState) -> tuple[np.ndarray, np.ndarray]:

@@ -12,8 +12,9 @@ from qcorr.bipartite import (
     random_full_rank_density,
     restrict_first,
     restrict_second,
+    validate_density,
 )
-from qcorr.errors import DimensionMismatch, InvalidDensityMatrix, OutOfRange
+from qcorr.errors import DimensionMismatch, InvalidDensityMatrix, NotHermitian, OutOfRange
 from qcorr.linalg import matrix_units
 
 from helpers import (
@@ -135,3 +136,15 @@ def test_random_full_rank_density():
     w = np.linalg.eigvalsh(rho)
     assert w[0] > 0.01
     assert abs(np.trace(rho).real - 1.0) <= 1e-10
+
+
+def test_validate_density_hermiticity_errors_are_density_errors():
+    # the Hermiticity check is linalg.require_hermitian's, re-raised as
+    # InvalidDensityMatrix so callers (and CLI exit codes) see one error type
+    bad = np.eye(4, dtype=complex) / 4
+    bad[0, 1] = 0.5
+    for rho in (bad, np.ones((2, 3)) / 2):
+        with pytest.raises(InvalidDensityMatrix) as info:
+            validate_density(rho)
+        assert not isinstance(info.value, NotHermitian)
+        assert isinstance(info.value.__cause__, NotHermitian)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcorr.bipartite import (
     BipartiteSpace,
@@ -15,6 +16,7 @@ from qcorr.correlation import (
     SEPARABLE,
     CorrelationResult,
     OptimizerConfig,
+    _Best,
     _Engine,
     _random_partition,
     canonical_pt_witness,
@@ -25,7 +27,14 @@ from qcorr.correlation import (
     separability_verdict,
 )
 from qcorr.errors import ConfigInvalid, DimensionMismatch, NotHermitian, RankTooSmall
-from qcorr.measures import Ensemble, boxtimes, evaluate_boxtimes, hjw_ensemble, singleton_partition
+from qcorr.measures import (
+    Ensemble,
+    boxtimes,
+    ensemble_from_unitary,
+    evaluate_boxtimes,
+    hjw_ensemble,
+    singleton_partition,
+)
 
 from helpers import (
     SZ,
@@ -254,36 +263,78 @@ def test_result_fields():
     assert res.ensemble.barycenter.space.dim == 4
 
 
+def _check_engine_gradient(engine, x, groups, rng):
+    """engine.gradient() against central differences of signed_gap at x."""
+    m, r, n = engine.m, engine.r, engine.n_params
+    engine.signed_gap(x, groups)
+    grad = engine.gradient()
+    h = 1e-6
+
+    def central(direction):
+        return (engine.signed_gap(x + h * direction, groups)
+                - engine.signed_gap(x - h * direction, groups)) / (2.0 * h)
+
+    # every real and imaginary coordinate of the top r x r block of X, then a
+    # sample of the other rows, then random directions through all coordinates
+    top = np.concatenate([np.arange(r * r), m * r + np.arange(r * r)])
+    rest = np.setdiff1d(np.arange(n), top)
+    coords = np.concatenate([top, rng.choice(rest, min(60, rest.size), replace=False)])
+    for i in coords:
+        e_i = np.zeros(n)
+        e_i[i] = 1.0
+        assert abs(central(e_i) - grad[i]) <= 1e-7 * max(1.0, np.abs(grad).max())
+    for _ in range(3):
+        u = rng.standard_normal(n)
+        u /= np.linalg.norm(u)
+        assert abs(central(u) - grad @ u) <= 1e-7 * max(1.0, np.linalg.norm(grad))
+
+
 @pytest.mark.parametrize("d1,d2", [(2, 2), (2, 3)])
 @pytest.mark.parametrize("partition", ["singleton", "random"])
 @pytest.mark.parametrize("at_zero", [True, False])
 def test_engine_gradient_matches_finite_differences(d1, d2, partition, at_zero):
+    # coordinates are the 2mr reals of X; at_zero is the isometry X = I[:, :r]
     rng = np.random.default_rng(100 * d2 + 10 * at_zero + (partition == "random"))
     space = BipartiteSpace(d1, d2)
     state = BipartiteState(space, random_density(space.dim, rng))
     m = space.dim ** 2
     engine = _Engine(state, random_hermitian(space.dim, rng), m)
     groups = singleton_partition(m) if partition == "singleton" else _random_partition(rng, m)
-    theta = np.zeros(m * m) if at_zero else 0.4 * rng.standard_normal(m * m)
-    engine.signed_gap(theta, groups)
-    grad = engine.gradient()
-    h = 1e-6
+    x = engine.coords(np.eye(m))
+    if not at_zero:
+        x = x + 0.4 * rng.standard_normal(engine.n_params)
+    _check_engine_gradient(engine, x, groups, rng)
 
-    def central(direction):
-        return (engine.signed_gap(theta + h * direction, groups)
-                - engine.signed_gap(theta - h * direction, groups)) / (2.0 * h)
 
-    # every diagonal coordinate, then a sample of real and imaginary
-    # off-diagonal ones, then random directions through all coordinates
-    coords = np.concatenate([np.arange(m), rng.choice(np.arange(m, m * m), 60, replace=False)])
-    for i in coords:
-        e_i = np.zeros(m * m)
-        e_i[i] = 1.0
-        assert abs(central(e_i) - grad[i]) <= 1e-7 * max(1.0, np.abs(grad).max())
-    for _ in range(3):
-        u = rng.standard_normal(m * m)
-        u /= np.linalg.norm(u)
-        assert abs(central(u) - grad @ u) <= 1e-7 * max(1.0, np.linalg.norm(grad))
+@pytest.mark.parametrize("case", ["rank2-2x3", "square-2x2"])
+def test_engine_gradient_rank_deficient_and_square(case):
+    # r < dim (a rank-2 2x3 state, m = 36), and m = r (square X)
+    rng = np.random.default_rng(11 if case == "square-2x2" else 12)
+    if case == "rank2-2x3":
+        state, m = make_random_state(BipartiteSpace(2, 3), 2, seed=12), 36
+    else:
+        state, m = BipartiteState(BipartiteSpace(2, 2), random_density(4, rng)), 4
+    engine = _Engine(state, random_hermitian(state.space.dim, rng), m)
+    assert engine.r == (2 if case == "rank2-2x3" else m)
+    for groups in (singleton_partition(m), _random_partition(rng, m)):
+        _check_engine_gradient(engine, engine.coords(np.eye(m)), groups, rng)
+        _check_engine_gradient(
+            engine, engine.coords(np.eye(m)) + 0.4 * rng.standard_normal(engine.n_params),
+            groups, rng)
+
+
+def test_engine_rejects_singular_gram():
+    # a zero column makes X^dagger X singular: the gap is nan, which _Best
+    # never stores
+    state = make_werner(0.7)
+    engine = _Engine(state, canonical_witness(), 16)
+    x = engine.coords(np.eye(16))
+    x[::engine.r] = 0.0  # real parts of column 0
+    assert np.isnan(engine.signed_gap(x, singleton_partition(16)))
+    assert np.isnan(engine.signed_gap(np.zeros(engine.n_params), singleton_partition(16)))
+    best = _Best()
+    best.offer(engine.signed_gap(x, singleton_partition(16)), x, singleton_partition(16))
+    assert best.value == np.inf and best.x is None and best.pos is None and best.neg is None
 
 
 @pytest.mark.parametrize("p,observable,max_iters", [
@@ -313,15 +364,18 @@ def test_verdict_trivial_factor_separable(d1, d2):
     assert res.max_d0 <= 1e-9
 
 
-def test_sign_straddle_closed_by_exact_mixture():
-    # a separable 2x3 state: the search sees the signed gap on both sides of
-    # zero and the witness is the zero-gap mixture of the two ensembles
+def _straddle_case():
+    # a separable 2x3 state, observable and cardinality whose search sees the
+    # signed gap on both sides of zero
     rng = np.random.default_rng(0)
     acc = sum(w * np.kron(random_density(2, rng), random_density(3, rng))
               for w in rng.dirichlet(np.ones(3)))
-    state = BipartiteState(BipartiteSpace(2, 3), acc)
-    a = random_hermitian(6, rng)
-    m = 36
+    return BipartiteState(BipartiteSpace(2, 3), acc), random_hermitian(6, rng), 36
+
+
+def test_sign_straddle_closed_by_exact_mixture():
+    # the witness is the zero-gap mixture of the two ensembles
+    state, a, m = _straddle_case()
     res = minimize_d0(state, a, FAST)
     single = hjw_ensemble(state, res.argmin_params, m, res.argmin_partition)
     assert len(res.ensemble) > len(single)
@@ -332,3 +386,57 @@ def test_sign_straddle_closed_by_exact_mixture():
     assert np.linalg.norm(bary - state.rho) <= 1e-8
     warm = minimize_d0(state, a, FAST, extra_starts=((res.argmin_params, res.argmin_partition),))
     assert warm.value <= 1e-14
+
+
+@pytest.mark.parametrize("case", ["werner-witness", "straddle-2x3"])
+def test_argmin_params_rebuild_closest_ensemble(monkeypatch, case):
+    # argmin_params are the exponential coordinates of the closest evaluated
+    # single ensemble, converted once per solve from the search's isometry
+    if case == "werner-witness":
+        state, a, m = make_werner(0.7), canonical_witness(), 16
+    else:
+        state, a, m = _straddle_case()
+    closest = [np.inf]
+    signed_gap = _Engine.signed_gap
+
+    def recorded(self, x, groups):
+        g = signed_gap(self, x, groups)
+        closest[0] = min(closest[0], abs(g))
+        return g
+
+    monkeypatch.setattr(_Engine, "signed_gap", recorded)
+    res = minimize_d0(state, a, FAST)
+    single = hjw_ensemble(state, res.argmin_params, m, res.argmin_partition)
+    assert abs(d0_objective(single, a) - closest[0]) <= 1e-10
+    warm = minimize_d0(state, a, FAST, extra_starts=((res.argmin_params, res.argmin_partition),))
+    assert warm.value <= res.value + 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from([(2, 2), (2, 3), (3, 2)]),
+       log_cond=st.floats(0.0, 2.5), scale=st.floats(1e-3, 1e3))
+def test_engine_gap_is_gap_of_completed_isometry(seed, dims, log_cond, scale):
+    # for any full-rank X, including nearly rank-deficient ones (condition
+    # number up to 10^2.5), the engine's gap is c - S of the ensemble built
+    # from its polar factor completed to a unitary, an ensemble of rho
+    rng = np.random.default_rng(seed)
+    space = BipartiteSpace(*dims)
+    state = make_random_state(space, int(rng.integers(1, space.dim + 1)), seed=seed)
+    a = random_hermitian(space.dim, rng)
+    r = np.linalg.matrix_rank(state.rho)
+    m = int(rng.integers(r, space.dim ** 2 + 1))
+    engine = _Engine(state, a, m)
+    assert engine.r == r
+    left = np.linalg.qr(rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r)))[0]
+    right = np.linalg.qr(rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)))[0]
+    xm = scale * (left * np.geomspace(1.0, 10.0 ** -log_cond, r)) @ right
+    x = np.concatenate([xm.real.ravel(), xm.imag.ravel()])
+    groups = _random_partition(rng, m)
+    g = engine.signed_gap(x, groups)
+    u = engine.unitary(x)
+    assert np.abs(u.conj().T @ u - np.eye(m)).max() <= 1e-10
+    e = ensemble_from_unitary(state, u, groups)
+    c = expect(state, a).real
+    assert abs(g - (c - evaluate_boxtimes(boxtimes(e), a).real)) <= 1e-12
+    bary = sum(w * mem for w, mem in zip(e.weights, e.members))
+    assert np.linalg.norm(bary - state.rho) <= 1e-10

@@ -18,6 +18,7 @@ from qcorr.measures import (
     hermitian_from_params,
     hjw_ensemble,
     params_from_hermitian,
+    params_from_unitary,
     singleton_partition,
 )
 from qcorr.posmaps import ppt_min_eigenvalue
@@ -185,6 +186,20 @@ def test_param_embedding_roundtrip():
     assert np.allclose(u_big[3:, 3:], np.eye(2), atol=1e-12)
     groups = embed_partition(((0, 1), (2,)), 3, 5)
     assert groups == ((0, 1), (2,), (3,), (4,))
+
+
+def test_params_from_unitary_inverts_expm():
+    rng = np.random.default_rng(30)
+    cases = [np.eye(3), -np.eye(3), np.diag([-1.0, 1.0, 1j]),
+             expm_antihermitian(embed_params(rng.standard_normal(9), 3, 8), 8)]
+    cases += [expm_antihermitian(scale * rng.standard_normal(m * m), m)
+              for m in (1, 4, 16) for scale in (0.1, 3.0)]
+    for u in cases:
+        m = u.shape[0]
+        assert np.abs(expm_antihermitian(params_from_unitary(u), m) - u).max() <= 1e-12
+    # generators with eigenvalues inside (-pi, pi) come back unchanged
+    theta = 0.1 * rng.standard_normal(25)
+    assert np.abs(params_from_unitary(expm_antihermitian(theta, 5)) - theta).max() <= 1e-12
 
 
 def test_embedding_preserves_ensemble():
