@@ -132,6 +132,8 @@ def make_random_state(space: BipartiteSpace, rank: int, seed: int) -> BipartiteS
 def random_full_rank_density(d: int, seed: int) -> np.ndarray:
     """Seeded random d x d density matrix, mixed toward the identity so the
     spectrum stays bounded away from zero."""
+    if d < 1:
+        raise OutOfRange(f"dimension must be >= 1, got {d}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = g @ dagger(g)

@@ -22,7 +22,6 @@ from .bipartite import (
     singlet_vector,
 )
 from .correlation import (
-    DECISION_THRESHOLD,
     OptimizerConfig,
     classify,
     minimize_d0,
@@ -49,6 +48,7 @@ from .gns import build_intertwiner_single, build_intertwiner_doubled, verificati
 from .linalg import dagger
 from .measures import boxtimes, evaluate_boxtimes
 from .posmaps import (
+    PPT_ATOL,
     PositiveMapSpec,
     depolarizing_map,
     identity_map,
@@ -213,7 +213,7 @@ def cmd_verdict(args) -> int:
 def cmd_ppt(args) -> int:
     state = _load_state(args.state)
     min_eig = ppt_min_eigenvalue(state)
-    psd = min_eig >= -1e-10
+    psd = min_eig >= -PPT_ATOL
     if args.format == "json":
         print(json.dumps({"ppt_min_eig": min_eig, "psd": psd}, sort_keys=True))
     else:
@@ -225,9 +225,9 @@ def cmd_ppt(args) -> int:
 def cmd_boxtimes(args) -> int:
     ensemble = serialize.ensemble_from_json(serialize.load_json(args.ensemble), args.ensemble)
     observable = _load_matrix(args.observable)
+    gap = d0_objective(ensemble, observable)  # validates the observable's shape and Hermiticity
     barycenter_term = complex(np.trace(ensemble.barycenter.rho @ observable))
     boxtimes_term = complex(evaluate_boxtimes(boxtimes(ensemble), observable))
-    gap = d0_objective(ensemble, observable)
     if args.format == "json":
         print(json.dumps({"barycenter_term": barycenter_term.real,
                           "boxtimes_term": boxtimes_term.real,
@@ -288,23 +288,14 @@ def cmd_werner_sweep(args) -> int:
     witness = _canonical_witness_2x2()
     cfg = _optimizer_config(args)
     grid = np.linspace(args.p_min, args.p_max, args.steps)
-    decision = DECISION_THRESHOLD
     warm: tuple = ()
     rows = []
     for p in grid:
         state = make_werner(float(p))
         res = minimize_d0(state, witness, cfg, extra_starts=warm)
-        if decision < res.value <= 10.0 * decision:
-            # ambiguous band: retry with a heavier budget before conceding
-            heavy = OptimizerConfig(m=cfg.m, starts=4 * cfg.starts, max_iters=4 * cfg.max_iters,
-                                    tol=cfg.tol, seed=cfg.seed, use_partitions=cfg.use_partitions)
-            retry = minimize_d0(state, witness, heavy,
-                                extra_starts=warm + ((res.argmin_params, res.argmin_partition),))
-            if retry.value < res.value:
-                res = retry
         warm = ((res.argmin_params, res.argmin_partition),)
         ppt = ppt_min_eigenvalue(state)
-        rows.append((float(p), res.value, ppt, classify(res.value, ppt, (2, 2), decision)))
+        rows.append((float(p), res.value, ppt, classify(res.value, ppt, (2, 2))))
 
     if args.format == "json":
         print(json.dumps([{"p": p, "d0_witness": v, "ppt_min_eig": e, "verdict": verdict}

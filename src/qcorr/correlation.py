@@ -19,7 +19,9 @@ search also keeps the closest evaluation on each side of zero, from any
 partition and start. S is affine in the decomposition measure and the
 decompositions of a state form a convex set, so once both sides are seen
 the convex mixture of the two ensembles with the right weight has zero gap,
-and the search stops.
+and the search stops. The mixture is the ensemble of one 2m x r isometry
+stacking the two polar factors, so every witness is one
+``ensemble_from_unitary`` call on an isometry.
 
 All randomness is derived from (seed, start_index), so results are
 reproducible and do not depend on scheduling; the only state carried from
@@ -50,7 +52,7 @@ from .measures import (
     singleton_partition,
     state_spectral_data,
 )
-from .posmaps import partial_transpose, ppt_min_eig_and_vector
+from .posmaps import PPT_ATOL, partial_transpose, ppt_min_eig_and_vector
 
 # Optimization is restricted to small total dimensions.
 MAX_OPT_DIM = 16
@@ -113,7 +115,9 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class CorrelationResult:
-    """Best value found (upper bound on the infimum) with its witness ensemble.
+    """Best value found (upper bound on the infimum), recomputed from its
+    witness ensemble: that of the closest evaluation's m x r polar factor,
+    or of the stacked 2m x r isometry of a zero-gap mixture.
 
     ``argmin_params`` / ``argmin_partition`` describe the evaluated single
     ensemble closest to the target, usable as warm starts for continuation
@@ -211,10 +215,14 @@ class _Engine:
         w = (e / np.sqrt(s)) @ e.conj().T
         return xm @ w, w, s, e
 
+    def isometry(self, x: np.ndarray) -> np.ndarray:
+        """The m x r polar factor V of X at x."""
+        return self._polar(self._matrix(x))[0]
+
     def unitary(self, x: np.ndarray) -> np.ndarray:
         """V completed to an m x m unitary: its first r columns are V
         exactly, the rest an orthonormal basis of the complement."""
-        v = self._polar(self._matrix(x))[0]
+        v = self.isometry(x)
         q = np.linalg.qr(v, mode="complete")[0]
         return np.concatenate([v, q[:, self.r:]], axis=1)
 
@@ -391,25 +399,6 @@ def _gradient_search(engine: _Engine, groups, x0: np.ndarray, budget: int, tol: 
     return evals
 
 
-def _mixture_witness(rho: BipartiteState, a: np.ndarray, engine: _Engine, pos, neg) -> Ensemble:
-    """Zero-gap witness from two points whose signed gaps straddle zero.
-
-    Both ensembles are rebuilt and their gaps g_pos > 0 > g_neg recomputed
-    from them. S is affine in the decomposition measure, so the mixture
-    with weights t = -g_neg / (g_pos - g_neg) and 1 - t is an ensemble of
-    rho with gap t g_pos + (1 - t) g_neg = 0 up to roundoff. t is clipped to
-    [0, 1], so the weights stay a measure when a recomputed gap lands at
-    roundoff on the other side of zero.
-    """
-    e_pos, e_neg = (ensemble_from_unitary(rho, engine.unitary(x), groups)
-                    for _, x, groups in (pos, neg))
-    c = expect(rho, a)
-    g_pos, g_neg = ((c - evaluate_boxtimes(boxtimes(e), a)).real for e in (e_pos, e_neg))
-    t = 0.5 if g_pos == g_neg else float(np.clip(-g_neg / (g_pos - g_neg), 0.0, 1.0))
-    weights = np.concatenate([t * e_pos.weights, (1.0 - t) * e_neg.weights])
-    return Ensemble(rho.space, weights, e_pos.members + e_neg.members, rho)
-
-
 def _resolve_m(cfg: OptimizerConfig, space: BipartiteSpace) -> int:
     return cfg.m if cfg.m is not None else (space.d1 * space.d2) ** 2
 
@@ -473,16 +462,22 @@ def minimize_d0(rho: BipartiteState, a: np.ndarray, cfg: OptimizerConfig | None 
             if best.done(cfg.tol):
                 break
 
-    u_best = engine.unitary(best.x)
     if best.pos is not None and best.neg is not None:
-        ensemble = _mixture_witness(rho, a, engine, best.pos, best.neg)
+        # g_pos > 0 > g_neg, so t g_pos + (1 - t) g_neg = 0 for t in (0, 1); the
+        # t : 1 - t mixture is the ensemble of [sqrt(t) V_pos ; sqrt(1 - t) V_neg]
+        (g_pos, x_pos, groups_pos), (g_neg, x_neg, groups_neg) = best.pos, best.neg
+        t = g_neg / (g_neg - g_pos)
+        v = np.concatenate([np.sqrt(t) * engine.isometry(x_pos),
+                            np.sqrt(1.0 - t) * engine.isometry(x_neg)])
+        groups = groups_pos + tuple(tuple(j + m for j in g) for g in groups_neg)
     else:
-        ensemble = ensemble_from_unitary(rho, u_best, best.groups)
+        v, groups = engine.isometry(best.x), best.groups
+    ensemble = ensemble_from_unitary(rho, v, groups)
     value = d0_objective(ensemble, a)
     converged = bool(value <= cfg.tol or not best.improved_in_last_start)
     return CorrelationResult(value=value, ensemble=ensemble,
                              converged=converged, starts_used=starts_used,
-                             argmin_params=params_from_unitary(u_best),
+                             argmin_params=params_from_unitary(engine.unitary(best.x)),
                              argmin_partition=best.groups)
 
 
@@ -525,29 +520,31 @@ def canonical_pt_witness(rho: BipartiteState) -> np.ndarray | None:
     return partial_transpose(proj)
 
 
-def classify(value: float, ppt_min: float, dims: tuple[int, int],
-             threshold: float = DECISION_THRESHOLD) -> str:
+def classify(value: float, ppt_min: float, dims: tuple[int, int]) -> str:
     """Verdict from the largest certified d0 over the probes and the smallest
     partial-transpose eigenvalue. Entangled needs a value above ten times
-    ``threshold``; Separable needs every value at or below it plus exact
+    DECISION_THRESHOLD; Separable needs every value at or below it plus exact
     partial-transpose agreement, which is only available at 2x2, 2x3 and
     with a trivial factor."""
-    if value > 10.0 * threshold:
+    if value > 10.0 * DECISION_THRESHOLD:
         return ENTANGLED
-    if value <= threshold and (1 in dims or dims in PPT_EXACT_DIMS) and ppt_min >= -1e-10:
+    if (value <= DECISION_THRESHOLD and (1 in dims or dims in PPT_EXACT_DIMS)
+            and ppt_min >= -PPT_ATOL):
         return SEPARABLE
     return INCONCLUSIVE
 
 
 def separability_verdict(rho: BipartiteState, cfg: OptimizerConfig | None = None,
-                         n_observables: int = 8,
-                         decision_threshold: float = DECISION_THRESHOLD) -> VerdictResult:
-    """Aggregate the minimizer over a probe set of Hermitian observables.
+                         n_observables: int = 8) -> VerdictResult:
+    """Aggregate the minimizer over a probe set of Hermitian observables:
+    the canonical partial-transpose witness when one exists,
+    ``n_observables`` (>= 0) seeded random probes, and the identity.
 
     The infimum is taken independently per probe; the verdict never assumes
-    a decomposition shared across observables. ``decision_threshold``
-    separates numerical convergence from verdict logic; see ``classify``.
+    a decomposition shared across observables. See ``classify``.
     """
+    if n_observables < 0:
+        raise ConfigInvalid(f"n_observables must be >= 0, got {n_observables}")
     cfg = cfg or OptimizerConfig()
     dim = rho.space.dim
     pt_min, _ = ppt_min_eig_and_vector(rho)
@@ -569,6 +566,6 @@ def separability_verdict(rho: BipartiteState, cfg: OptimizerConfig | None = None
         if res.value > max_d0:
             max_d0, max_probe = res.value, probe
 
-    verdict = classify(max_d0, pt_min, (rho.space.d1, rho.space.d2), decision_threshold)
+    verdict = classify(max_d0, pt_min, (rho.space.d1, rho.space.d2))
     return VerdictResult(verdict=verdict, max_d0=float(max_d0),
                          witness=max_probe, probes=tuple(results))

@@ -212,20 +212,23 @@ def state_spectral_data(rho: BipartiteState) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ensemble_from_unitary(rho: BipartiteState, u: np.ndarray, partition) -> Ensemble:
-    """Ensemble of rho from an m x m unitary applied to its spectral
-    decomposition, coarse-grained by the index partition.
+    """Ensemble of rho from an m x n matrix U, n >= r = rank rho, applied to
+    its spectral decomposition and coarse-grained by the index partition.
+    Only the first r columns, an isometry, are read. Stacking two
+    isometries as [sqrt(t) V1 ; sqrt(1 - t) V2] gives the t : 1 - t mixture
+    of their ensembles.
 
     Unnormalized vectors phi_j = sum_k conj(U[j, k]) sqrt(p_k) psi_k; each
     group G becomes one member with weight sum_{j in G} <phi_j|phi_j>.
     """
     u = as_matrix(u, "U")
     m = u.shape[0]
-    if u.shape != (m, m):
-        raise DimensionMismatch("U must be square")
     p, psi = state_spectral_data(rho)
     r = p.size
     if m < r:
         raise RankTooSmall(f"cardinality {m} below rank {r}")
+    if u.shape[1] < r:
+        raise DimensionMismatch(f"U has {u.shape[1]} columns, fewer than rank {r}")
     groups = normalize_partition(partition, m)
     phi = psi @ (np.sqrt(p)[:, None] * u[:, :r].conj().T)  # (dim, m)
     weights, members = [], []

@@ -15,11 +15,13 @@ from typing import Callable
 import numpy as np
 
 from .bipartite import BipartiteState
-from .errors import DimensionMismatch, MapNotUnital
+from .errors import DimensionMismatch, MapNotUnital, OutOfRange
 from .linalg import as_matrix, dagger, hermitian_eigendecompose
 
 UNITAL_ATOL = 1e-10
 POSITIVITY_ATOL = 1e-9
+# A partial transpose whose smallest eigenvalue is at least -PPT_ATOL is PSD.
+PPT_ATOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -33,6 +35,8 @@ class PositiveMapSpec:
     positive_checked: bool = False
 
     def __post_init__(self):
+        if self.d < 1:
+            raise OutOfRange(f"map dimension must be >= 1, got {self.d}")
         choi = as_matrix(self.choi, "choi").copy()
         n = self.d * self.d
         if choi.shape != (n, n):
@@ -94,9 +98,8 @@ def reduction_map(d: int) -> PositiveMapSpec:
 
 def depolarizing_map(d: int, lam: float) -> PositiveMapSpec:
     """x -> lam x + (1 - lam) Tr(x) 1/d; positive and unital for lam in [0, 1]."""
-    eye = np.eye(d, dtype=np.complex128)
     return map_from_function(
-        d, lambda x: lam * x + (1.0 - lam) * np.trace(x) * eye / d,
+        d, lambda x: lam * x + (1.0 - lam) * np.trace(x) * np.eye(d, dtype=np.complex128) / d,
         f"depolarizing({lam:g})", True, 0.0 <= lam <= 1.0)
 
 

@@ -188,6 +188,28 @@ def test_exit_code_3_on_bad_range(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["boxtimes", "{ensemble}", "{observable_3x3}"],
+    ["kadison", "transpose", "-d", "-1"],
+    ["kadison", "depolarizing:0.5", "-d", "-1"],
+    ["gns-verify", "transpose", "random:-2:1"],
+    ["verdict", "{state}", "--n-observables", "-3", "--starts", "1", "--max-iters", "10"],
+], ids=["boxtimes-3x3-observable", "kadison-transpose-d-1", "kadison-depolarizing-d-1",
+        "gns-verify-random-d-2", "verdict-negative-probes"])
+def test_malformed_arguments_exit_3(tmp_path, capsys, argv):
+    # negative sizes and a mis-shaped observable are domain errors, reported on stderr
+    paths = {"ensemble": tmp_path / "ens.json", "observable_3x3": tmp_path / "obs.json",
+             "state": tmp_path / "state.json"}
+    serialize.dump_json(str(paths["ensemble"]),
+                        serialize.ensemble_to_json(werner_third_product_ensemble()))
+    serialize.dump_json(str(paths["observable_3x3"]), serialize.matrix_to_json(np.eye(3)))
+    serialize.dump_json(str(paths["state"]), serialize.state_to_json(make_werner(0.2)))
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_determinism_byte_identical(capsys, bell_path, proj_path):
     args = ["d0", bell_path, proj_path, "--starts", "3", "--max-iters", "150", "--seed", "11"]
     _, out1, _ = run(capsys, *args)

@@ -364,18 +364,29 @@ def test_verdict_trivial_factor_separable(d1, d2):
     assert res.max_d0 <= 1e-9
 
 
-def _straddle_case():
-    # a separable 2x3 state, observable and cardinality whose search sees the
-    # signed gap on both sides of zero
-    rng = np.random.default_rng(0)
-    acc = sum(w * np.kron(random_density(2, rng), random_density(3, rng))
+def _straddle_case(d1=2, d2=3, seed=0):
+    # a separable state, observable and default cardinality whose search sees
+    # the signed gap on both sides of zero
+    rng = np.random.default_rng(seed)
+    acc = sum(w * np.kron(random_density(d1, rng), random_density(d2, rng))
               for w in rng.dirichlet(np.ones(3)))
-    return BipartiteState(BipartiteSpace(2, 3), acc), random_hermitian(6, rng), 36
+    dim = d1 * d2
+    return BipartiteState(BipartiteSpace(d1, d2), acc), random_hermitian(dim, rng), dim ** 2
 
 
 def test_sign_straddle_closed_by_exact_mixture():
-    # the witness is the zero-gap mixture of the two ensembles
-    state, a, m = _straddle_case()
+    _check_straddle_closed(2, 3, 0)
+
+
+@pytest.mark.parametrize("d1,d2,seed", [(2, 2, 0), (2, 2, 1), (3, 2, 0), (3, 2, 1)])
+def test_sign_straddle_closed_by_exact_mixture_cases(d1, d2, seed):
+    _check_straddle_closed(d1, d2, seed)
+
+
+def _check_straddle_closed(d1, d2, seed):
+    # the witness is the zero-gap mixture of the two ensembles, built from
+    # the stacked isometry
+    state, a, m = _straddle_case(d1, d2, seed)
     res = minimize_d0(state, a, FAST)
     single = hjw_ensemble(state, res.argmin_params, m, res.argmin_partition)
     assert len(res.ensemble) > len(single)
@@ -436,6 +447,13 @@ def test_engine_gap_is_gap_of_completed_isometry(seed, dims, log_cond, scale):
     u = engine.unitary(x)
     assert np.abs(u.conj().T @ u - np.eye(m)).max() <= 1e-10
     e = ensemble_from_unitary(state, u, groups)
+    # the m x r isometry alone builds the same ensemble
+    v = engine.isometry(x)
+    assert v.shape == (m, r)
+    e_iso = ensemble_from_unitary(state, v, groups)
+    assert len(e_iso) == len(e)
+    assert np.abs(e_iso.weights - e.weights).max() <= 1e-12
+    assert max(np.abs(iso - full).max() for iso, full in zip(e_iso.members, e.members)) <= 1e-12
     c = expect(state, a).real
     assert abs(g - (c - evaluate_boxtimes(boxtimes(e), a).real)) <= 1e-12
     bary = sum(w * mem for w, mem in zip(e.weights, e.members))

@@ -154,6 +154,31 @@ def test_hjw_errors():
         hjw_ensemble(s, np.zeros(16), 4, ((0, 1),))
 
 
+def test_ensemble_from_unitary_reads_first_r_columns():
+    rng = np.random.default_rng(31)
+    s = make_random_state(BipartiteSpace(2, 2), 2, seed=37)
+    u1, u2 = (expm_antihermitian(rng.standard_normal(16), 4) for _ in range(2))
+    g1, g2 = ((0, 1), (2,), (3,)), ((0,), (1, 2, 3))
+    # fewer than r = 2 columns, or fewer than r rows, cannot carry an isometry
+    with pytest.raises(DimensionMismatch, match="columns"):
+        ensemble_from_unitary(s, u1[:, :1], g1)
+    with pytest.raises(RankTooSmall):
+        ensemble_from_unitary(s, u1[:1, :2], ((0,),))
+    # the m x r isometry gives the ensemble of its completion
+    e1, e2 = ensemble_from_unitary(s, u1, g1), ensemble_from_unitary(s, u2, g2)
+    e_iso = ensemble_from_unitary(s, u1[:, :2], g1)
+    assert np.abs(e_iso.weights - e1.weights).max() <= 1e-12
+    assert max(np.abs(a - b).max() for a, b in zip(e_iso.members, e1.members)) <= 1e-12
+    # the stacked isometry [sqrt(t) V1 ; sqrt(1 - t) V2] gives the t : 1 - t mixture
+    t = 0.3
+    stacked = np.concatenate([np.sqrt(t) * u1[:, :2], np.sqrt(1.0 - t) * u2[:, :2]])
+    mix = ensemble_from_unitary(s, stacked, g1 + tuple(tuple(j + 4 for j in g) for g in g2))
+    weights = np.concatenate([t * e1.weights, (1.0 - t) * e2.weights])
+    assert np.abs(mix.weights - weights).max() <= 1e-12
+    members = e1.members + e2.members
+    assert max(np.abs(a - b).max() for a, b in zip(mix.members, members)) <= 1e-12
+
+
 def test_boxtimes_barycenter_always_ppt():
     rng = np.random.default_rng(23)
     for seed in range(5):
