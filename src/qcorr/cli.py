@@ -293,7 +293,7 @@ def cmd_werner_sweep(args) -> int:
     for p in grid:
         state = make_werner(float(p))
         res = minimize_d0(state, witness, cfg, extra_starts=warm)
-        warm = ((res.argmin_params, res.argmin_partition),)
+        warm = ((res.argmin_isometry, res.argmin_partition),)
         ppt = ppt_min_eigenvalue(state)
         rows.append((float(p), res.value, ppt, classify(res.value, ppt, (2, 2))))
 

@@ -8,10 +8,11 @@ combined with coarse-graining partitions. Every pure refinement of rho is
 phi = b V^dagger with b = psi sqrt(p) and V an m x r isometry (r = rank
 rho). The search coordinates are an unconstrained complex m x r matrix X
 (2mr reals) and V is its polar factor X (X^dagger X)^{-1/2}, so an
-evaluation needs one r x r eigendecomposition. Starts are drawn in the
-anti-Hermitian exponential coordinates theta of an m x m unitary and mapped
-once to X = exp(i H(theta))[:, :r]; ``argmin_params`` is converted back to
-them. The minimizer is a multi-start gradient search: L-BFGS with Armijo
+evaluation needs one r x r eigendecomposition. Random starts are drawn in
+the anti-Hermitian exponential coordinates theta of an m x m unitary and
+mapped once to X = exp(i H(theta))[:, :r]. Warm starts enter, and the
+closest evaluation leaves as ``argmin_isometry``, as m x r isometries. The
+minimizer is a multi-start gradient search: L-BFGS with Armijo
 backtracking on |c - S(X)|, driven by the closed-form gradient of the signed
 gap c - S(X). That gradient reuses the eigendecomposition of each
 evaluation, so only objective evaluations count against the budget. The
@@ -48,7 +49,6 @@ from .measures import (
     evaluate_boxtimes,
     expm_antihermitian,
     normalize_partition,
-    params_from_unitary,
     singleton_partition,
     state_spectral_data,
 )
@@ -73,6 +73,9 @@ STALL_REL = 1e-12
 # the condition number, so below this ratio the point is rejected (its gap is
 # nan) rather than valued from a V that is not an isometry to ~1e-10.
 GRAM_RCOND = 1e-6
+# Largest entry of V^dagger V - 1 accepted for the first r columns of a
+# start point V; the polar factors the search returns meet it by ~1e-10.
+ISOMETRY_ATOL = 1e-8
 # Dimensions where the partial-transpose criterion is an exact oracle. It is
 # also exact with a trivial factor (d1 == 1 or d2 == 1), where every state
 # is a product state.
@@ -119,21 +122,20 @@ class CorrelationResult:
     witness ensemble: that of the closest evaluation's m x r polar factor,
     or of the stacked 2m x r isometry of a zero-gap mixture.
 
-    ``argmin_params`` / ``argmin_partition`` describe the evaluated single
-    ensemble closest to the target, usable as warm starts for continuation
-    runs and with ``hjw_ensemble`` / ``embed_params``. ``argmin_params`` are
-    the anti-Hermitian exponential coordinates (m^2 reals) of a unitary
-    whose first r columns are the polar factor the search found, taken
-    once per solve as -i log of that isometry completed to a unitary. When
-    the witness is the zero-gap mixture of two ensembles, they describe the
-    endpoint closer to zero.
+    ``argmin_isometry`` (the m x r polar factor) and ``argmin_partition``
+    describe the evaluated single ensemble closest to the target:
+    ``ensemble_from_unitary(rho, argmin_isometry, argmin_partition)``
+    rebuilds it, and the pair is a warm start for ``minimize_d0``. Zero
+    rows appended to the isometry, with ``embed_partition``, carry it to a
+    larger cardinality. When the witness is the zero-gap mixture of two
+    ensembles, they describe the endpoint closer to zero.
     """
 
     value: float
     ensemble: Ensemble
     converged: bool
     starts_used: int
-    argmin_params: np.ndarray
+    argmin_isometry: np.ndarray
     argmin_partition: tuple
 
 
@@ -196,9 +198,16 @@ class _Engine:
         self._indicators: dict[tuple, np.ndarray] = {}
         self._last = None
 
-    def coords(self, u: np.ndarray) -> np.ndarray:
-        """Coordinates of X = U[:, :r] for an m x m unitary U."""
-        x = u[:, :self.r]
+    def coords(self, v) -> np.ndarray:
+        """Coordinates of X = V[:, :r] for an m x n matrix V, n >= r, whose
+        first r columns are orthonormal; DimensionMismatch otherwise."""
+        v = np.asarray(v, dtype=np.complex128)
+        if v.ndim != 2 or v.shape[0] != self.m or v.shape[1] < self.r:
+            raise DimensionMismatch(f"warm start of shape {v.shape} needs {self.m} rows "
+                                    f"and at least {self.r} columns")
+        x = v[:, :self.r]
+        if not np.abs(x.conj().T @ x - np.eye(self.r)).max() <= ISOMETRY_ATOL:
+            raise DimensionMismatch(f"the first {self.r} columns of a warm start must be orthonormal")
         return np.concatenate([x.real.ravel(), x.imag.ravel()])
 
     def _matrix(self, x: np.ndarray) -> np.ndarray:
@@ -218,13 +227,6 @@ class _Engine:
     def isometry(self, x: np.ndarray) -> np.ndarray:
         """The m x r polar factor V of X at x."""
         return self._polar(self._matrix(x))[0]
-
-    def unitary(self, x: np.ndarray) -> np.ndarray:
-        """V completed to an m x m unitary: its first r columns are V
-        exactly, the rest an orthonormal basis of the complement."""
-        v = self.isometry(x)
-        q = np.linalg.qr(v, mode="complete")[0]
-        return np.concatenate([v, q[:, self.r:]], axis=1)
 
     def _indicator(self, groups) -> np.ndarray:
         ind = self._indicators.get(groups)
@@ -407,10 +409,12 @@ def minimize_d0(rho: BipartiteState, a: np.ndarray, cfg: OptimizerConfig | None 
                 extra_starts=()) -> CorrelationResult:
     """Multi-start minimization of the decomposition gap for one observable.
 
-    ``extra_starts`` is an optional sequence of (theta, partition) warm
-    starts, theta in the exponential coordinates of ``argmin_params``,
-    folded into the first start (used for continuation sweeps and
-    cardinality embeddings); it does not affect determinism.
+    ``extra_starts`` is an optional sequence of (isometry, partition) warm
+    starts, each searched first within the first start (used for
+    continuation sweeps and cardinality embeddings); it does not affect
+    determinism. An isometry is an m x n matrix, n >= r = rank rho, read
+    like ``ensemble_from_unitary`` reads it: only its first r columns,
+    which must be orthonormal. A malformed one raises DimensionMismatch.
     """
     cfg = cfg or OptimizerConfig()
     a = require_hermitian(as_matrix(a, "A"), name="A")
@@ -421,10 +425,7 @@ def minimize_d0(rho: BipartiteState, a: np.ndarray, cfg: OptimizerConfig | None 
         raise ConfigInvalid(f"optimizer supports total dimension <= {MAX_OPT_DIM}, got {dim}")
     m = _resolve_m(cfg, rho.space)
     engine = _Engine(rho, a, m)
-
-    def start(theta):  # search coordinates of the isometry exp(i H(theta))[:, :r]
-        return engine.coords(expm_antihermitian(theta, m))
-
+    warm = [(engine.coords(v), normalize_partition(pt, m)) for v, pt in extra_starts]
     best = _Best()
     x_id = engine.coords(np.eye(m))  # the isometry at theta = 0
 
@@ -441,12 +442,10 @@ def minimize_d0(rho: BipartiteState, a: np.ndarray, cfg: OptimizerConfig | None 
             if i == 0:
                 x0 = x_id
             else:
-                x0 = start(rng.standard_normal(m * m) * (np.pi / (2.0 * np.sqrt(m))))
-            work = []
-            if i == 0:
-                # warm starts first so they are evaluated before the budget runs out
-                for th, pt in extra_starts:
-                    work.append((start(th), normalize_partition(pt, m)))
+                theta = rng.standard_normal(m * m) * (np.pi / (2.0 * np.sqrt(m)))
+                x0 = engine.coords(expm_antihermitian(theta, m))
+            # warm starts first so they are evaluated before the budget runs out
+            work = list(warm) if i == 0 else []
             work.append((x0, singleton_partition(m)))
             if cfg.use_partitions:
                 work += [(x0, _random_partition(rng, m)) for _ in range(N_RANDOM_PARTITIONS)]
@@ -477,7 +476,7 @@ def minimize_d0(rho: BipartiteState, a: np.ndarray, cfg: OptimizerConfig | None 
     converged = bool(value <= cfg.tol or not best.improved_in_last_start)
     return CorrelationResult(value=value, ensemble=ensemble,
                              converged=converged, starts_used=starts_used,
-                             argmin_params=params_from_unitary(engine.unitary(best.x)),
+                             argmin_isometry=engine.isometry(best.x),
                              argmin_partition=best.groups)
 
 

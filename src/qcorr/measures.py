@@ -148,26 +148,9 @@ def hermitian_from_params(params: np.ndarray, m: int) -> np.ndarray:
     return h
 
 
-def params_from_hermitian(h: np.ndarray) -> np.ndarray:
-    """Inverse of hermitian_from_params."""
-    h = as_matrix(h, "h")
-    upper = h[np.triu_indices(h.shape[0], 1)]
-    return np.concatenate([h.diagonal().real, upper.real, upper.imag])
-
-
-def embed_params(params: np.ndarray, m_from: int, m_to: int) -> np.ndarray:
-    """Pad the generator with zero rows/columns so the induced ensemble is
-    unchanged when the cardinality grows from m_from to m_to."""
-    if m_to < m_from:
-        raise DimensionMismatch(f"cannot embed cardinality {m_from} into {m_to}")
-    h = hermitian_from_params(np.asarray(params, dtype=float), m_from)
-    big = np.zeros((m_to, m_to), dtype=np.complex128)
-    big[:m_from, :m_from] = h
-    return params_from_hermitian(big)
-
-
 def embed_partition(partition, m_from: int, m_to: int) -> Partition:
-    """Extend a partition of range(m_from) with singleton groups."""
+    """Extend a partition of range(m_from) with singleton groups, the
+    partition of an isometry padded with m_to - m_from zero rows."""
     groups = normalize_partition(partition, m_from)
     return groups + tuple((j,) for j in range(m_from, m_to))
 
@@ -178,30 +161,6 @@ def expm_antihermitian(params: np.ndarray, m: int) -> np.ndarray:
     h = hermitian_from_params(params, m)
     w, q = np.linalg.eigh(h)
     return (q * np.exp(1j * w)) @ q.conj().T
-
-
-def params_from_unitary(u: np.ndarray) -> np.ndarray:
-    """Inverse of expm_antihermitian: coordinates of a Hermitian H with
-    exp(iH) = U and eigenvalues in [-pi, pi).
-
-    U is rotated so the middle of the widest gap between its eigenvalue
-    angles lands on -1. The Cayley transform i (1 - U')(1 + U')^{-1} of the
-    rotated U' is then a well-conditioned Hermitian matrix with the
-    eigenvectors of U and eigenvalues tan(psi / 2), psi the rotated angles,
-    so one Hermitian eigensolve gives H.
-    """
-    u = as_matrix(u, "U")
-    m = u.shape[0]
-    phi = np.sort(np.angle(np.linalg.eigvals(u)))
-    gaps = np.diff(np.append(phi, phi[0] + 2.0 * np.pi))
-    k = int(np.argmax(gaps))
-    gamma = phi[k] + gaps[k] / 2.0
-    rotated = -np.exp(-1j * gamma) * u  # e^{i gamma} -> -1
-    eye = np.eye(m)
-    c = 1j * np.linalg.solve(eye + rotated, eye - rotated)
-    t, q = np.linalg.eigh((c + c.conj().T) / 2.0)
-    angles = (2.0 * np.arctan(t) + gamma) % (2.0 * np.pi) - np.pi
-    return params_from_hermitian((q * angles) @ q.conj().T)
 
 
 def state_spectral_data(rho: BipartiteState) -> tuple[np.ndarray, np.ndarray]:

@@ -9,6 +9,7 @@ state-encoded members.
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 
@@ -69,7 +70,7 @@ def state_to_json(s: BipartiteState) -> dict:
 def state_from_json(obj, where: str = "state") -> BipartiteState:
     d1 = _field(obj, "d1", where)
     d2 = _field(obj, "d2", where)
-    if not isinstance(d1, int) or not isinstance(d2, int) or d1 < 1 or d2 < 1:
+    if type(d1) is not int or type(d2) is not int or d1 < 1 or d2 < 1:
         raise ParseError(f"{where}: fields 'd1'/'d2' must be positive integers")
     rho = matrix_from_json(obj, where)
     return BipartiteState(BipartiteSpace(d1, d2), rho)
@@ -81,7 +82,7 @@ def map_to_json(alpha: PositiveMapSpec) -> dict:
 
 def map_from_json(obj, where: str = "map") -> PositiveMapSpec:
     d = _field(obj, "d", where)
-    if not isinstance(d, int) or d < 1:
+    if type(d) is not int or d < 1:
         raise ParseError(f"{where}: field 'd' must be a positive integer")
     choi = matrix_from_json(_field(obj, "choi", where), f"{where}.choi")
     name = obj.get("name", "")
@@ -108,6 +109,8 @@ def ensemble_from_json(obj, where: str = "ensemble") -> Ensemble:
     for i, s in enumerate(states):
         if s.space != space:
             raise ParseError(f"{where}.members[{i}]: inconsistent factor dimensions")
+    if not all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in weights):
+        raise ParseError(f"{where}: 'weights' must be finite numbers")
     w = np.asarray(weights, dtype=float)
     bary = sum(wi * s.rho for wi, s in zip(w, states))
     return Ensemble(space, w, tuple(s.rho for s in states), BipartiteState(space, bary))

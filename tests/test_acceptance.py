@@ -27,7 +27,6 @@ from qcorr.linalg import dagger
 from qcorr.measures import (
     boxtimes,
     boxtimes_barycenter,
-    embed_params,
     embed_partition,
     hjw_ensemble,
     singleton_partition,
@@ -135,7 +134,8 @@ def test_criterion_3_entangled_werner_certified_bounds():
                 extra = ()
                 if prev is not None:
                     prev_res, prev_m = prev
-                    extra = ((embed_params(prev_res.argmin_params, prev_m, mm),
+                    # zero rows carry the isometry to the larger cardinality
+                    extra = ((np.pad(prev_res.argmin_isometry, ((0, mm - prev_m), (0, 0))),
                               embed_partition(prev_res.argmin_partition, prev_m, mm)),)
                 cfg_m = OptimizerConfig(m=mm)
                 r = minimize_d0(state, witness, cfg_m, extra_starts=extra)

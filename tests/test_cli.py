@@ -6,6 +6,7 @@ import pytest
 from qcorr.bipartite import make_bell, make_product, make_werner
 from qcorr.cli import main
 from qcorr import serialize
+from qcorr.posmaps import transpose_map
 
 from helpers import canonical_witness, random_density, singlet_proj, werner_third_product_ensemble
 
@@ -206,6 +207,32 @@ def test_malformed_arguments_exit_3(tmp_path, capsys, argv):
     serialize.dump_json(str(paths["state"]), serialize.state_to_json(make_werner(0.2)))
     code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv,kind,edit", [
+    (["boxtimes", "{path}", "{observable}"], "ensemble", {"weights": ["a"] + [1 / 6] * 5}),
+    (["boxtimes", "{path}", "{observable}"], "ensemble", {"weights": [None] + [1 / 6] * 5}),
+    (["boxtimes", "{path}", "{observable}"], "ensemble", {"weights": [float("nan")] + [1 / 6] * 5}),
+    (["ppt", "{path}"], "state", {"d1": True}),
+    (["boxtimes", "{path}", "{observable}"], "ensemble-member", {"d2": True}),
+    (["kadison", "{path}"], "map", {"d": True}),
+], ids=["boxtimes-string-weight", "boxtimes-null-weight", "boxtimes-nan-weight", "ppt-bool-d1",
+        "boxtimes-bool-member-d2", "kadison-bool-map-d"])
+def test_malformed_json_exit_2(tmp_path, capsys, argv, kind, edit):
+    # non-numeric or non-finite weights and boolean dimensions are parse errors,
+    # reported on stderr
+    obj = {"ensemble": serialize.ensemble_to_json(werner_third_product_ensemble()),
+           "ensemble-member": serialize.ensemble_to_json(werner_third_product_ensemble()),
+           "state": serialize.state_to_json(make_werner(0.2)),
+           "map": serialize.map_to_json(transpose_map(2))}[kind]
+    (obj["members"][0] if kind == "ensemble-member" else obj).update(edit)
+    paths = {"path": tmp_path / "input.json", "observable": tmp_path / "obs.json"}
+    serialize.dump_json(str(paths["path"]), obj)
+    serialize.dump_json(str(paths["observable"]), serialize.matrix_to_json(singlet_proj()))
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
     assert out == ""
     assert err.startswith("error: ")
 

@@ -386,23 +386,23 @@ def test_sign_straddle_closed_by_exact_mixture_cases(d1, d2, seed):
 def _check_straddle_closed(d1, d2, seed):
     # the witness is the zero-gap mixture of the two ensembles, built from
     # the stacked isometry
-    state, a, m = _straddle_case(d1, d2, seed)
+    state, a, _ = _straddle_case(d1, d2, seed)
     res = minimize_d0(state, a, FAST)
-    single = hjw_ensemble(state, res.argmin_params, m, res.argmin_partition)
+    single = ensemble_from_unitary(state, res.argmin_isometry, res.argmin_partition)
     assert len(res.ensemble) > len(single)
     assert res.value <= 1e-14
     assert res.value == d0_objective(res.ensemble, a)
     # the closer endpoint is still an ensemble of rho and warm-starts a rerun
     bary = sum(w * x for w, x in zip(single.weights, single.members))
     assert np.linalg.norm(bary - state.rho) <= 1e-8
-    warm = minimize_d0(state, a, FAST, extra_starts=((res.argmin_params, res.argmin_partition),))
+    warm = minimize_d0(state, a, FAST, extra_starts=((res.argmin_isometry, res.argmin_partition),))
     assert warm.value <= 1e-14
 
 
 @pytest.mark.parametrize("case", ["werner-witness", "straddle-2x3"])
 def test_argmin_params_rebuild_closest_ensemble(monkeypatch, case):
-    # argmin_params are the exponential coordinates of the closest evaluated
-    # single ensemble, converted once per solve from the search's isometry
+    # argmin_isometry is the search's own m x r polar factor of the closest
+    # evaluated single ensemble
     if case == "werner-witness":
         state, a, m = make_werner(0.7), canonical_witness(), 16
     else:
@@ -417,10 +417,30 @@ def test_argmin_params_rebuild_closest_ensemble(monkeypatch, case):
 
     monkeypatch.setattr(_Engine, "signed_gap", recorded)
     res = minimize_d0(state, a, FAST)
-    single = hjw_ensemble(state, res.argmin_params, m, res.argmin_partition)
+    assert res.argmin_isometry.shape == (m, np.linalg.matrix_rank(state.rho))
+    single = ensemble_from_unitary(state, res.argmin_isometry, res.argmin_partition)
     assert abs(d0_objective(single, a) - closest[0]) <= 1e-10
-    warm = minimize_d0(state, a, FAST, extra_starts=((res.argmin_params, res.argmin_partition),))
+    warm = minimize_d0(state, a, FAST, extra_starts=((res.argmin_isometry, res.argmin_partition),))
     assert warm.value <= res.value + 1e-12
+
+
+@pytest.mark.parametrize("case,match", [
+    ("rows", "rows"), ("columns", "columns"), ("rank-deficient", "orthonormal"),
+    ("scaled", "orthonormal"), ("not-finite", "orthonormal")],
+    ids=["rows", "columns", "rank-deficient", "scaled", "not-finite"])
+def test_extra_starts_reject_malformed_isometry(case, match):
+    # Werner p = 0.7 has r = 4 at m = 16. A warm start is read like
+    # ensemble_from_unitary reads it: m rows, at least r columns, of which only
+    # the first r are read and must be orthonormal
+    state, a = make_werner(0.7), canonical_witness()
+    v = np.linalg.qr(np.random.default_rng(5).standard_normal((16, 4)))[0]
+    groups = singleton_partition(16)
+    wide = np.concatenate([v, np.ones((16, 1))], axis=1)  # the fifth column is not read
+    assert minimize_d0(state, a, FAST, extra_starts=((wide, groups),)).argmin_isometry.shape == (16, 4)
+    bad = {"rows": v[:15], "columns": v[:, :3], "rank-deficient": v[:, [0, 0, 1, 2]],
+           "scaled": (1.0 + 1e-6) * v, "not-finite": np.where(np.eye(16, 4) > 0, np.nan, v)}[case]
+    with pytest.raises(DimensionMismatch, match=match):
+        minimize_d0(state, a, FAST, extra_starts=((bad, groups),))
 
 
 @settings(max_examples=40, deadline=None)
@@ -429,7 +449,8 @@ def test_argmin_params_rebuild_closest_ensemble(monkeypatch, case):
 def test_engine_gap_is_gap_of_completed_isometry(seed, dims, log_cond, scale):
     # for any full-rank X, including nearly rank-deficient ones (condition
     # number up to 10^2.5), the engine's gap is c - S of the ensemble built
-    # from its polar factor completed to a unitary, an ensemble of rho
+    # from its polar factor completed to a unitary (by QR here, as the
+    # reference), an ensemble of rho
     rng = np.random.default_rng(seed)
     space = BipartiteSpace(*dims)
     state = make_random_state(space, int(rng.integers(1, space.dim + 1)), seed=seed)
@@ -444,12 +465,12 @@ def test_engine_gap_is_gap_of_completed_isometry(seed, dims, log_cond, scale):
     x = np.concatenate([xm.real.ravel(), xm.imag.ravel()])
     groups = _random_partition(rng, m)
     g = engine.signed_gap(x, groups)
-    u = engine.unitary(x)
+    v = engine.isometry(x)
+    assert v.shape == (m, r)
+    u = np.concatenate([v, np.linalg.qr(v, mode="complete")[0][:, r:]], axis=1)
     assert np.abs(u.conj().T @ u - np.eye(m)).max() <= 1e-10
     e = ensemble_from_unitary(state, u, groups)
     # the m x r isometry alone builds the same ensemble
-    v = engine.isometry(x)
-    assert v.shape == (m, r)
     e_iso = ensemble_from_unitary(state, v, groups)
     assert len(e_iso) == len(e)
     assert np.abs(e_iso.weights - e.weights).max() <= 1e-12

@@ -3,22 +3,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcorr.bipartite import BipartiteSpace, BipartiteState, make_bell, make_random_state
-from qcorr.correlation import _random_partition
+from qcorr.correlation import _Engine, _random_partition
 from qcorr.errors import BadPartition, DimensionMismatch, RankTooSmall
 from qcorr.linalg import matrix_units
 from qcorr.measures import (
     Ensemble,
     boxtimes,
     boxtimes_barycenter,
-    embed_params,
     embed_partition,
     ensemble_from_unitary,
     evaluate_boxtimes,
     expm_antihermitian,
-    hermitian_from_params,
     hjw_ensemble,
-    params_from_hermitian,
-    params_from_unitary,
     singleton_partition,
 )
 from qcorr.posmaps import ppt_min_eigenvalue
@@ -199,42 +195,25 @@ def test_ensemble_validation():
         Ensemble(space, np.array([1.0]), (other,), state)  # barycenter mismatch
 
 
-def test_param_embedding_roundtrip():
-    rng = np.random.default_rng(29)
-    theta = rng.standard_normal(9)
-    h = hermitian_from_params(theta, 3)
-    assert np.allclose(params_from_hermitian(h), theta, atol=1e-14)
-    big = embed_params(theta, 3, 5)
-    u_small = expm_antihermitian(theta, 3)
-    u_big = expm_antihermitian(big, 5)
-    assert np.allclose(u_big[:3, :3], u_small, atol=1e-12)
-    assert np.allclose(u_big[3:, 3:], np.eye(2), atol=1e-12)
-    groups = embed_partition(((0, 1), (2,)), 3, 5)
-    assert groups == ((0, 1), (2,), (3,), (4,))
-
-
-def test_params_from_unitary_inverts_expm():
-    rng = np.random.default_rng(30)
-    cases = [np.eye(3), -np.eye(3), np.diag([-1.0, 1.0, 1j]),
-             expm_antihermitian(embed_params(rng.standard_normal(9), 3, 8), 8)]
-    cases += [expm_antihermitian(scale * rng.standard_normal(m * m), m)
-              for m in (1, 4, 16) for scale in (0.1, 3.0)]
-    for u in cases:
-        m = u.shape[0]
-        assert np.abs(expm_antihermitian(params_from_unitary(u), m) - u).max() <= 1e-12
-    # generators with eigenvalues inside (-pi, pi) come back unchanged
-    theta = 0.1 * rng.standard_normal(25)
-    assert np.abs(params_from_unitary(expm_antihermitian(theta, 5)) - theta).max() <= 1e-12
-
-
 def test_embedding_preserves_ensemble():
-    s = make_random_state(BipartiteSpace(2, 2), 4, seed=31)
-    theta = np.random.default_rng(2).standard_normal(16)
-    e4 = hjw_ensemble(s, theta, 4, singleton_partition(4))
-    e6 = hjw_ensemble(s, embed_params(theta, 4, 6), 6,
-                      embed_partition(singleton_partition(4), 4, 6))
-    assert len(e4) == len(e6)
-    assert np.allclose(np.sort(e4.weights), np.sort(e6.weights), atol=1e-12)
+    # k zero rows appended to an isometry, with the partition extended by
+    # singletons, add only zero-weight pieces: X^dagger X, the ensemble and
+    # the engine's gap are unchanged
+    assert embed_partition(((0, 1), (2,)), 3, 5) == ((0, 1), (2,), (3,), (4,))
+    rng = np.random.default_rng(2)
+    for dims, rank, m, k in [((2, 2), 4, 4, 2), ((2, 2), 2, 5, 11), ((2, 3), 3, 6, 30)]:
+        s = make_random_state(BipartiteSpace(*dims), rank, seed=31)
+        a = random_hermitian(s.space.dim, rng)
+        v = expm_antihermitian(rng.standard_normal(m * m), m)[:, :rank]
+        groups = _random_partition(rng, m)
+        padded, big = np.pad(v, ((0, k), (0, 0))), embed_partition(groups, m, m + k)
+        e, e_pad = ensemble_from_unitary(s, v, groups), ensemble_from_unitary(s, padded, big)
+        assert len(e_pad) == len(e)
+        assert np.abs(e_pad.weights - e.weights).max() <= 1e-15
+        assert max(np.abs(x - y).max() for x, y in zip(e_pad.members, e.members)) <= 1e-15
+        gaps = [engine.signed_gap(engine.coords(w), g)
+                for engine, w, g in [(_Engine(s, a, m), v, groups), (_Engine(s, a, m + k), padded, big)]]
+        assert abs(gaps[0] - gaps[1]) <= 1e-14
 
 
 @settings(max_examples=40, deadline=None)
