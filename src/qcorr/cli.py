@@ -92,7 +92,6 @@ def _optimizer_config(args) -> OptimizerConfig:
         max_iters=args.max_iters,
         tol=args.tol,
         seed=_default_seed(args),
-        use_partitions=not args.no_partitions,
     )
 
 
@@ -102,7 +101,6 @@ def _add_optimizer_args(p: argparse.ArgumentParser, starts: int = 32, max_iters:
     p.add_argument("--max-iters", type=int, default=max_iters)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--seed", type=int, default=None, help="PRNG seed (falls back to QCORR_SEED)")
-    p.add_argument("--no-partitions", action="store_true")
 
 
 def _print_table(rows: list[tuple[str, str]]) -> None:
@@ -164,13 +162,11 @@ def _emit_result(res, args) -> None:
     if args.dump_ensemble:
         serialize.dump_json(args.dump_ensemble, serialize.ensemble_to_json(res.ensemble))
     if args.format == "json":
-        print(json.dumps({"value": res.value, "converged": res.converged,
-                          "starts_used": res.starts_used,
+        print(json.dumps({"value": res.value, "starts_used": res.starts_used,
                           "ensemble": serialize.ensemble_to_json(res.ensemble)},
                          sort_keys=True))
     else:
         _print_table([("value", _fmt(res.value)),
-                      ("converged", str(res.converged).lower()),
                       ("starts_used", str(res.starts_used))])
 
 

@@ -58,7 +58,7 @@ from .posmaps import PPT_ATOL, partial_transpose, ppt_min_eig_and_vector
 MAX_OPT_DIM = 16
 # Decision threshold separating numerical convergence from verdict logic.
 DECISION_THRESHOLD = 1e-4
-# Random coarse-graining partitions tried per start when use_partitions.
+# Random coarse-graining partitions tried per start.
 N_RANDOM_PARTITIONS = 2
 # L-BFGS search: curvature pairs kept, Armijo constant, length of the first
 # (steepest-descent) step, backtracking halvings per iteration, and the
@@ -103,7 +103,6 @@ class OptimizerConfig:
     max_iters: int = 2000
     tol: float = 1e-9
     seed: int = 0
-    use_partitions: bool = True
 
     def __post_init__(self):
         if self.m is not None and self.m < 1:
@@ -133,7 +132,6 @@ class CorrelationResult:
 
     value: float
     ensemble: Ensemble
-    converged: bool
     starts_used: int
     argmin_isometry: np.ndarray
     argmin_partition: tuple
@@ -296,12 +294,11 @@ class _Best:
     """Closest evaluation to zero (value, x, groups), and the closest
     evaluation on each side of zero (pos, neg), each as (g, x, groups)."""
 
-    __slots__ = ("value", "x", "groups", "pos", "neg", "improved_in_last_start")
+    __slots__ = ("value", "x", "groups", "pos", "neg")
 
     def __init__(self):
         self.value = np.inf
         self.x = self.groups = self.pos = self.neg = None
-        self.improved_in_last_start = True
 
     def offer(self, g: float, x: np.ndarray, groups):
         if g > 0.0 and (self.pos is None or g < self.pos[0]):
@@ -312,7 +309,6 @@ class _Best:
             self.value = abs(g)
             self.x = x.copy()
             self.groups = groups
-            self.improved_in_last_start = True
 
     def done(self, tol: float) -> bool:
         """Within tol, or both sides of zero seen (a zero-gap mixture exists)."""
@@ -438,7 +434,6 @@ def minimize_d0(rho: BipartiteState, a: np.ndarray, cfg: OptimizerConfig | None 
     if not best.done(cfg.tol):
         for i in range(cfg.starts):
             rng = np.random.default_rng((cfg.seed, i))
-            best.improved_in_last_start = False
             if i == 0:
                 x0 = x_id
             else:
@@ -447,8 +442,7 @@ def minimize_d0(rho: BipartiteState, a: np.ndarray, cfg: OptimizerConfig | None 
             # warm starts first so they are evaluated before the budget runs out
             work = list(warm) if i == 0 else []
             work.append((x0, singleton_partition(m)))
-            if cfg.use_partitions:
-                work += [(x0, _random_partition(rng, m)) for _ in range(N_RANDOM_PARTITIONS)]
+            work += [(x0, _random_partition(rng, m)) for _ in range(N_RANDOM_PARTITIONS)]
             spent = 0
             for x_init, groups in work:
                 remaining = cfg.max_iters - spent
@@ -472,11 +466,8 @@ def minimize_d0(rho: BipartiteState, a: np.ndarray, cfg: OptimizerConfig | None 
     else:
         v, groups = engine.isometry(best.x), best.groups
     ensemble = ensemble_from_unitary(rho, v, groups)
-    value = d0_objective(ensemble, a)
-    converged = bool(value <= cfg.tol or not best.improved_in_last_start)
-    return CorrelationResult(value=value, ensemble=ensemble,
-                             converged=converged, starts_used=starts_used,
-                             argmin_isometry=engine.isometry(best.x),
+    return CorrelationResult(value=d0_objective(ensemble, a), ensemble=ensemble,
+                             starts_used=starts_used, argmin_isometry=engine.isometry(best.x),
                              argmin_partition=best.groups)
 
 

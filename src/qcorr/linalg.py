@@ -39,13 +39,13 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
-def require_hermitian(m: np.ndarray, atol: float = HERM_ATOL, name: str = "matrix") -> np.ndarray:
+def require_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     m = as_matrix(m, name)
     if m.shape[0] != m.shape[1]:
         raise NotHermitian(f"{name} is not square: shape {m.shape}")
     dev = float(np.max(np.abs(m - dagger(m))))
-    if dev > atol:
-        raise NotHermitian(f"{name} deviates from Hermiticity by {dev:.3e} (> {atol:.1e})")
+    if dev > HERM_ATOL:
+        raise NotHermitian(f"{name} deviates from Hermiticity by {dev:.3e} (> {HERM_ATOL:.1e})")
     return m
 
 

@@ -20,19 +20,20 @@ from .linalg import as_matrix, dagger, hermitian_eigendecompose
 
 UNITAL_ATOL = 1e-10
 POSITIVITY_ATOL = 1e-9
+# Alternating eigenvector refinements per positivity probe.
+REFINE_STEPS = 30
 # A partial transpose whose smallest eigenvalue is at least -PPT_ATOL is PSD.
 PPT_ATOL = 1e-10
 
 
 @dataclass(frozen=True)
 class PositiveMapSpec:
-    """Linear map on M_d given by its Choi matrix plus verification flags."""
+    """Linear map on M_d given by its Choi matrix; unitality is read off the
+    Choi matrix by ``is_unital``."""
 
     d: int
     choi: np.ndarray
     name: str = ""
-    unital_checked: bool = False
-    positive_checked: bool = False
 
     def __post_init__(self):
         if self.d < 1:
@@ -49,8 +50,7 @@ class PositiveMapSpec:
         return self.choi.reshape(self.d, self.d, self.d, self.d)
 
 
-def map_from_function(d: int, fn: Callable[[np.ndarray], np.ndarray], name: str = "",
-                      unital_checked: bool = False, positive_checked: bool = False) -> PositiveMapSpec:
+def map_from_function(d: int, fn: Callable[[np.ndarray], np.ndarray], name: str = "") -> PositiveMapSpec:
     """Build the Choi matrix of x -> fn(x) by evaluating fn on matrix units."""
     c = np.zeros((d * d, d * d), dtype=np.complex128)
     for k in range(d):
@@ -58,7 +58,7 @@ def map_from_function(d: int, fn: Callable[[np.ndarray], np.ndarray], name: str 
             e = np.zeros((d, d), dtype=np.complex128)
             e[k, l] = 1.0
             c[k * d:(k + 1) * d, l * d:(l + 1) * d] = as_matrix(fn(e), "fn(E_kl)")
-    return PositiveMapSpec(d, c, name, unital_checked, positive_checked)
+    return PositiveMapSpec(d, c, name)
 
 
 def apply_map(alpha: PositiveMapSpec, x: np.ndarray) -> np.ndarray:
@@ -80,11 +80,11 @@ def apply_tensor_id(alpha: PositiveMapSpec, s: BipartiteState) -> np.ndarray:
 
 
 def identity_map(d: int) -> PositiveMapSpec:
-    return map_from_function(d, lambda x: x, "identity", True, True)
+    return map_from_function(d, lambda x: x, "identity")
 
 
 def transpose_map(d: int) -> PositiveMapSpec:
-    return map_from_function(d, lambda x: x.T, "transpose", True, True)
+    return map_from_function(d, lambda x: x.T, "transpose")
 
 
 def reduction_map(d: int) -> PositiveMapSpec:
@@ -93,14 +93,14 @@ def reduction_map(d: int) -> PositiveMapSpec:
     if d < 2:
         raise DimensionMismatch("reduction map needs d >= 2")
     eye = np.eye(d, dtype=np.complex128)
-    return map_from_function(d, lambda x: (np.trace(x) * eye - x) / (d - 1), "reduction", True, True)
+    return map_from_function(d, lambda x: (np.trace(x) * eye - x) / (d - 1), "reduction")
 
 
 def depolarizing_map(d: int, lam: float) -> PositiveMapSpec:
     """x -> lam x + (1 - lam) Tr(x) 1/d; positive and unital for lam in [0, 1]."""
     return map_from_function(
         d, lambda x: lam * x + (1.0 - lam) * np.trace(x) * np.eye(d, dtype=np.complex128) / d,
-        f"depolarizing({lam:g})", True, 0.0 <= lam <= 1.0)
+        f"depolarizing({lam:g})")
 
 
 def convex_combination(a: PositiveMapSpec, b: PositiveMapSpec, t: float, name: str = "") -> PositiveMapSpec:
@@ -109,9 +109,7 @@ def convex_combination(a: PositiveMapSpec, b: PositiveMapSpec, t: float, name: s
     if not (0.0 <= t <= 1.0):
         raise DimensionMismatch(f"mixing weight must lie in [0, 1], got {t}")
     choi = t * a.choi + (1.0 - t) * b.choi
-    return PositiveMapSpec(a.d, choi, name or f"mix({a.name},{b.name},{t:g})",
-                           a.unital_checked and b.unital_checked,
-                           a.positive_checked and b.positive_checked)
+    return PositiveMapSpec(a.d, choi, name or f"mix({a.name},{b.name},{t:g})")
 
 
 def builtin_maps(d: int) -> list[PositiveMapSpec]:
@@ -127,9 +125,9 @@ def builtin_maps(d: int) -> list[PositiveMapSpec]:
     return maps
 
 
-def is_unital(alpha: PositiveMapSpec, atol: float = UNITAL_ATOL) -> bool:
+def is_unital(alpha: PositiveMapSpec) -> bool:
     eye = np.eye(alpha.d, dtype=np.complex128)
-    return bool(np.max(np.abs(apply_map(alpha, eye) - eye)) <= atol)
+    return bool(np.max(np.abs(apply_map(alpha, eye) - eye)) <= UNITAL_ATOL)
 
 
 def partial_transpose_matrix(rho: np.ndarray, d1: int, d2: int) -> np.ndarray:
@@ -162,8 +160,8 @@ def kadison_defect(alpha: PositiveMapSpec, a: np.ndarray) -> float:
 
     Nonnegative (to -1e-10) for genuinely positive unital maps.
     """
-    if not (alpha.unital_checked and is_unital(alpha)):
-        raise MapNotUnital(f"map {alpha.name or '<anon>'} is not verified unital")
+    if not is_unital(alpha):
+        raise MapNotUnital(f"map {alpha.name or '<anon>'} is not unital")
     a = as_matrix(a, "a")
     if a.shape != (alpha.d, alpha.d):
         raise DimensionMismatch(f"element shape {a.shape} != ({alpha.d}, {alpha.d})")
@@ -176,8 +174,8 @@ def kadison_defect(alpha: PositiveMapSpec, a: np.ndarray) -> float:
     return float(w[0])
 
 
-def find_positivity_violation(alpha: PositiveMapSpec, n_samples: int = 200, seed: int = 0,
-                              refine_steps: int = 30) -> tuple[float, np.ndarray, np.ndarray] | None:
+def find_positivity_violation(alpha: PositiveMapSpec, n_samples: int = 200,
+                              seed: int = 0) -> tuple[float, np.ndarray, np.ndarray] | None:
     """Search for pure vectors with <phi| alpha(|psi><psi|) |phi> < -1e-9.
 
     Random sampling plus alternating eigenvector refinement: for fixed psi
@@ -192,7 +190,7 @@ def find_positivity_violation(alpha: PositiveMapSpec, n_samples: int = 200, seed
 
     def min_pair(psi):
         best_val, best = np.inf, None
-        for _ in range(refine_steps):
+        for _ in range(REFINE_STEPS):
             m = np.einsum("k,l,kalb->ab", psi, psi.conj(), c4)
             w, v = np.linalg.eigh((m + dagger(m)) / 2.0)
             phi = v[:, 0]

@@ -16,7 +16,7 @@ import numpy as np
 from .bipartite import BipartiteSpace, BipartiteState
 from .errors import ParseError
 from .measures import Ensemble
-from .posmaps import PositiveMapSpec, is_unital
+from .posmaps import PositiveMapSpec
 
 
 def load_json(path: str):
@@ -27,6 +27,8 @@ def load_json(path: str):
         raise ParseError(f"{path}: file not found") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: cannot read ({exc})") from exc
 
 
 def dump_json(path: str, obj) -> None:
@@ -48,17 +50,19 @@ def _field(obj, key, where):
     return obj[key]
 
 
+def _finite_number(x) -> bool:
+    """A JSON int or float, not a bool, of finite double value."""
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+
+
 def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
-    re = _field(obj, "re", where)
-    im = _field(obj, "im", where)
-    try:
-        re_a = np.asarray(re, dtype=float)
-        im_a = np.asarray(im, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: fields 're'/'im' must be numeric arrays") from exc
-    if re_a.ndim != 2 or re_a.shape != im_a.shape:
+    re = np.asarray(_field(obj, "re", where), dtype=object)
+    im = np.asarray(_field(obj, "im", where), dtype=object)
+    if not all(_finite_number(x) for x in (*re.flat, *im.flat)):
+        raise ParseError(f"{where}: fields 're'/'im' must be arrays of finite numbers")
+    if re.ndim != 2 or re.shape != im.shape:
         raise ParseError(f"{where}: 're' and 'im' must be equal-shape 2-D arrays")
-    return re_a + 1j * im_a
+    return re.astype(float) + 1j * im.astype(float)
 
 
 def state_to_json(s: BipartiteState) -> dict:
@@ -85,11 +89,7 @@ def map_from_json(obj, where: str = "map") -> PositiveMapSpec:
     if type(d) is not int or d < 1:
         raise ParseError(f"{where}: field 'd' must be a positive integer")
     choi = matrix_from_json(_field(obj, "choi", where), f"{where}.choi")
-    name = obj.get("name", "")
-    spec = PositiveMapSpec(d, choi, str(name))
-    if is_unital(spec):
-        spec = PositiveMapSpec(d, choi, str(name), unital_checked=True)
-    return spec
+    return PositiveMapSpec(d, choi, str(obj.get("name", "")))
 
 
 def ensemble_to_json(e: Ensemble) -> dict:
@@ -109,7 +109,7 @@ def ensemble_from_json(obj, where: str = "ensemble") -> Ensemble:
     for i, s in enumerate(states):
         if s.space != space:
             raise ParseError(f"{where}.members[{i}]: inconsistent factor dimensions")
-    if not all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in weights):
+    if not all(_finite_number(x) for x in weights):
         raise ParseError(f"{where}: 'weights' must be finite numbers")
     w = np.asarray(weights, dtype=float)
     bary = sum(wi * s.rho for wi, s in zip(w, states))

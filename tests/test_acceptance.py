@@ -204,8 +204,7 @@ def test_criterion_5_kadison_inequality():
     assert worst >= -1e-10
 
     # non-positive control: a violation must be found
-    amp = map_from_function(2, lambda x: 2 * x - np.diag(np.diag(x)), "amplify",
-                            unital_checked=True)
+    amp = map_from_function(2, lambda x: 2 * x - np.diag(np.diag(x)), "amplify")
     rng = np.random.default_rng(99)
     control = min(kadison_defect(amp, rng.standard_normal((2, 2))
                                  + 1j * rng.standard_normal((2, 2))) for _ in range(200))

@@ -218,11 +218,16 @@ def test_malformed_arguments_exit_3(tmp_path, capsys, argv):
     (["ppt", "{path}"], "state", {"d1": True}),
     (["boxtimes", "{path}", "{observable}"], "ensemble-member", {"d2": True}),
     (["kadison", "{path}"], "map", {"d": True}),
+    (["ppt", "{path}"], "state", {"d1": 1, "d2": 1, "re": [["1"]], "im": [[0]]}),
+    (["ppt", "{path}"], "state", {"d1": 1, "d2": 1, "re": [[1]], "im": [[False]]}),
+    (["ppt", "{path}"], "state", {"d1": 1, "d2": 1, "re": [[10 ** 400]], "im": [[0]]}),
+    (["ppt", "{path}"], "state", {"d1": 1, "d2": 1, "re": [[float("inf")]], "im": [[0]]}),
 ], ids=["boxtimes-string-weight", "boxtimes-null-weight", "boxtimes-nan-weight", "ppt-bool-d1",
-        "boxtimes-bool-member-d2", "kadison-bool-map-d"])
+        "boxtimes-bool-member-d2", "kadison-bool-map-d", "ppt-string-entry", "ppt-bool-entry",
+        "ppt-huge-int-entry", "ppt-infinite-entry"])
 def test_malformed_json_exit_2(tmp_path, capsys, argv, kind, edit):
-    # non-numeric or non-finite weights and boolean dimensions are parse errors,
-    # reported on stderr
+    # non-numeric or non-finite weights and matrix entries and boolean dimensions
+    # are parse errors, reported on stderr
     obj = {"ensemble": serialize.ensemble_to_json(werner_third_product_ensemble()),
            "ensemble-member": serialize.ensemble_to_json(werner_third_product_ensemble()),
            "state": serialize.state_to_json(make_werner(0.2)),
@@ -235,6 +240,20 @@ def test_malformed_json_exit_2(tmp_path, capsys, argv, kind, edit):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+def test_unreadable_input_exit_2(tmp_path, capsys, kind):
+    path = tmp_path / "input.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"d1": "\xff"}')
+    code, out, err = run(capsys, "ppt", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "input.json" in err
 
 
 def test_determinism_byte_identical(capsys, bell_path, proj_path):
@@ -270,7 +289,7 @@ def test_json_format_output(capsys, bell_path, proj_path):
     assert code == 0
     data = json.loads(out)
     assert abs(data["value"] - 0.75) <= 1e-6
-    assert set(data) == {"value", "converged", "starts_used", "ensemble"}
+    assert set(data) == {"value", "starts_used", "ensemble"}
     assert set(data["ensemble"]) == {"weights", "members"}
     # witness ensemble round-trips and matches the reported value
     ens = serialize.ensemble_from_json(data["ensemble"])

@@ -197,8 +197,7 @@ def test_requires_unital_map():
 
 
 def test_nonpositive_map_detected_by_state_construction():
-    sharp = map_from_function(2, lambda x: 2 * x - np.trace(x) * np.eye(2) / 2,
-                              "sharpen", unital_checked=True)
+    sharp = map_from_function(2, lambda x: 2 * x - np.trace(x) * np.eye(2) / 2, "sharpen")
     with pytest.raises(WellDefinednessFailure):
         build_intertwiner_doubled(sharp, np.diag([0.95, 0.05]).astype(complex))
     with pytest.raises(WellDefinednessFailure):
@@ -207,8 +206,7 @@ def test_nonpositive_map_detected_by_state_construction():
 
 def test_nonpositive_map_never_silently_succeeds():
     # coherence amplifier: unital, not positive, induced state can be valid
-    amp = map_from_function(2, lambda x: 2 * x - np.diag(np.diag(x)),
-                            "amplify", unital_checked=True)
+    amp = map_from_function(2, lambda x: 2 * x - np.diag(np.diag(x)), "amplify")
     rho = np.eye(2, dtype=complex) / 2
     e01 = np.array([[0, 1], [0, 0]], dtype=complex)
     for build in (build_intertwiner_single, build_intertwiner_doubled):

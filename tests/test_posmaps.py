@@ -84,7 +84,7 @@ def test_choi_roundtrip():
 
 def test_unital_flags():
     for alpha in builtin_maps(2) + builtin_maps(3):
-        assert alpha.unital_checked and is_unital(alpha)
+        assert is_unital(alpha)
 
 
 def test_apply_tensor_id_identity():
@@ -189,10 +189,19 @@ def test_kadison_requires_unital_flag():
         kadison_defect(identity_map(2), np.eye(3, dtype=complex))
 
 
+def test_kadison_reads_unitality_from_choi():
+    # a map built without any flag is unital by its Choi matrix alone
+    transpose = map_from_function(2, lambda x: x.T)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        assert kadison_defect(transpose, a) >= -1e-10
+
+
 def test_is_positive_map_examples():
     assert is_positive_map(transpose_map(2), n_samples=40, seed=0)
     sz = np.diag([1.0, -1.0]).astype(complex)
-    conj = map_from_function(2, lambda x: sz @ x @ sz, "sz-conjugation", True, True)
+    conj = map_from_function(2, lambda x: sz @ x @ sz, "sz-conjugation")
     assert is_positive_map(conj, n_samples=40, seed=0)
     bad = map_from_function(2, lambda x: x - np.trace(x) * np.eye(2) / 4, "shrink")
     assert not is_positive_map(bad, n_samples=40, seed=0)

@@ -4,7 +4,7 @@ import pytest
 from qcorr.bipartite import make_bell, make_werner
 from qcorr.errors import ParseError
 from qcorr.measures import Ensemble
-from qcorr.posmaps import reduction_map
+from qcorr.posmaps import is_unital, reduction_map
 from qcorr import serialize
 
 from helpers import werner_third_product_ensemble
@@ -28,7 +28,7 @@ def test_map_roundtrip():
     back = serialize.map_from_json(serialize.map_to_json(alpha))
     assert back.d == 3
     assert back.name == "reduction"
-    assert back.unital_checked
+    assert is_unital(back)
     assert np.allclose(back.choi, alpha.choi, atol=0)
 
 
