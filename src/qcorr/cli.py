@@ -24,10 +24,10 @@ from .bipartite import (
 from .correlation import (
     OptimizerConfig,
     classify,
+    decomposition_terms,
     minimize_d0,
     minimize_d_simple,
     separability_verdict,
-    d0_objective,
 )
 from .errors import (
     BadPartition,
@@ -46,7 +46,6 @@ from .errors import (
 )
 from .gns import build_intertwiner_single, build_intertwiner_doubled, verification_report
 from .linalg import dagger
-from .measures import boxtimes, evaluate_boxtimes
 from .posmaps import (
     PPT_ATOL,
     PositiveMapSpec,
@@ -221,9 +220,9 @@ def cmd_ppt(args) -> int:
 def cmd_boxtimes(args) -> int:
     ensemble = serialize.ensemble_from_json(serialize.load_json(args.ensemble), args.ensemble)
     observable = _load_matrix(args.observable)
-    gap = d0_objective(ensemble, observable)  # validates the observable's shape and Hermiticity
-    barycenter_term = complex(np.trace(ensemble.barycenter.rho @ observable))
-    boxtimes_term = complex(evaluate_boxtimes(boxtimes(ensemble), observable))
+    # checks the observable's shape and Hermiticity
+    barycenter_term, boxtimes_term, _ = decomposition_terms(ensemble, observable)
+    gap = abs(barycenter_term - boxtimes_term)
     if args.format == "json":
         print(json.dumps({"barycenter_term": barycenter_term.real,
                           "boxtimes_term": boxtimes_term.real,

@@ -15,20 +15,27 @@ closest evaluation leaves as ``argmin_isometry``, as m x r isometries. The
 minimizer is a multi-start gradient search: L-BFGS with Armijo
 backtracking on |c - S(X)|, driven by the closed-form gradient of the signed
 gap c - S(X). That gradient reuses the eigendecomposition of each
-evaluation, so only objective evaluations count against the budget. The
-search also keeps the closest evaluation on each side of zero, from any
-partition and start. S is affine in the decomposition measure and the
-decompositions of a state form a convex set, so once both sides are seen
-the convex mixture of the two ensembles with the right weight has zero gap,
-and the search stops. The mixture is the ensemble of one 2m x r isometry
-stacking the two polar factors, so every witness is one
-``ensemble_from_unitary`` call on an isometry.
+evaluation, so only objective evaluations count against the budget. Start 0
+runs alone, after any warm starts, so that an instance it resolves stops
+inside it; starts 1..S-1 then run in lockstep as lanes of one search. Every
+step evaluates all live lanes with one call of the gap and gradient kernel,
+which takes a leading lane axis (a single point is the one-lane case of the
+same code), and each lane keeps its own step length, L-BFGS memory, budget
+and partition queue. The search also keeps the closest evaluation on each
+side of zero, from any partition and start. S is affine in the
+decomposition measure and the decompositions of a state form a convex set,
+so once both sides are seen the convex mixture of the two ensembles with
+the right weight has zero gap, and the search stops. The mixture is the
+ensemble of one 2m x r isometry stacking the two polar factors, so every
+witness is one ``ensemble_from_unitary`` call on an isometry.
 
 All randomness is derived from (seed, start_index), so results are
-reproducible and do not depend on scheduling; the only state carried from
-one start to the next is the closest point overall and on each side of
-zero. The returned value is recomputed from the witness ensemble, so it is
-always a certified upper bound on the true infimum.
+reproducible and do not depend on scheduling. No lane reads another lane's
+state, so a start's trajectory does not depend on the starts batched with
+it; the only state the starts share is the closest point overall and on
+each side of zero, with ties going to the lower start index. The returned
+value is recomputed from the witness ensemble, so it is always a certified
+upper bound on the true infimum.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from .errors import ConfigInvalid, DimensionMismatch, QcorrError, RankTooSmall
 from .linalg import as_matrix, operator_norm, require_hermitian
 from .measures import (
     Ensemble,
+    ProductEnsemble,
     ZERO_WEIGHT_TOL,
     boxtimes,
     ensemble_from_unitary,
@@ -94,8 +102,8 @@ class OptimizerConfig:
     search runs over m x r matrices X whose polar factor is the isometry
     (r = rank rho), so its cost grows with m r, not m^2. ``max_iters``
     counts objective evaluations per start, shared by the partition
-    searches within that start. Gradients reuse the last evaluation and are
-    not counted.
+    searches within that start, whether the start runs alone or as a lane.
+    Gradients reuse the last evaluation and are not counted.
     """
 
     m: int | None = None
@@ -128,6 +136,11 @@ class CorrelationResult:
     rows appended to the isometry, with ``embed_partition``, carry it to a
     larger cardinality. When the witness is the zero-gap mixture of two
     ensembles, they describe the endpoint closer to zero.
+
+    ``starts_used`` is 0 when the trivial decomposition {1, rho} already
+    decides the value, 1 when the search ends within start 0 (with the
+    warm starts), and ``cfg.starts`` once starts 1..S-1 have run as lanes,
+    even if the search ended partway through them.
     """
 
     value: float
@@ -145,15 +158,34 @@ class VerdictResult:
     probes: tuple[tuple[str, float], ...]
 
 
-def d0_objective(e: Ensemble, a: np.ndarray) -> float:
-    """|expectation on the barycenter - decorrelated expectation| for one
-    fixed decomposition."""
+def decomposition_terms(e: Ensemble, a: np.ndarray) -> tuple[complex, complex, ProductEnsemble]:
+    """Both sides of the decomposition gap for one fixed decomposition: the
+    expectation on the barycenter, the decorrelated (marginal-product)
+    expectation, and the marginal-product ensemble the latter is evaluated
+    on. A must be Hermitian and match the ensemble's dimension."""
     a = require_hermitian(as_matrix(a, "A"), name="A")
     if a.shape != (e.space.dim, e.space.dim):
         raise DimensionMismatch(f"observable shape {a.shape} != {(e.space.dim, e.space.dim)}")
-    lhs = expect(e.barycenter, a)
-    rhs = evaluate_boxtimes(boxtimes(e), a)
+    pe = boxtimes(e)
+    return expect(e.barycenter, a), evaluate_boxtimes(pe, a), pe
+
+
+def d0_objective(e: Ensemble, a: np.ndarray) -> float:
+    """|expectation on the barycenter - decorrelated expectation| for one
+    fixed decomposition."""
+    lhs, rhs, _ = decomposition_terms(e, a)
     return abs(lhs - rhs)
+
+
+def _adj(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray):
+    """Dot product over the last axis: one for two vectors, one per row for
+    two stacks of rows."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def factored_product_value(pe, a: np.ndarray, b: np.ndarray) -> float:
@@ -192,6 +224,7 @@ class _Engine:
         # Tr[(sig x tau) A] = conj(sig) . a_sig . tau as sig is Hermitian.
         a4 = a.reshape(d1, d2, d1, d2)
         self.a_sig = np.ascontiguousarray(a4.transpose(0, 2, 3, 1).reshape(d1 * d1, d2 * d2))
+        self.a_sig_h = np.ascontiguousarray(self.a_sig.conj().T)
         self.n_params = 2 * m * self.r
         self._indicators: dict[tuple, np.ndarray] = {}
         self._last = None
@@ -210,23 +243,23 @@ class _Engine:
 
     def _matrix(self, x: np.ndarray) -> np.ndarray:
         half = self.m * self.r
-        return (x[:half] + 1j * x[half:]).reshape(self.m, self.r)
+        return (x[..., :half] + 1j * x[..., half:]).reshape(*x.shape[:-1], self.m, self.r)
 
-    def _polar(self, xm: np.ndarray):
-        """Polar factor V = X W of X, W = G^{-1/2}, with the
-        eigendecomposition G = X^dagger X = E diag(s) E^dagger, as
-        (V, W, s, E); None when G is numerically singular."""
-        s, e = np.linalg.eigh(xm.conj().T @ xm)
-        if not s[0] > s[-1] * GRAM_RCOND:
-            return None
-        w = (e / np.sqrt(s)) @ e.conj().T
-        return xm @ w, w, s, e
+    @staticmethod
+    def _polar(xm: np.ndarray, s: np.ndarray, e: np.ndarray):
+        """Polar factor V = X W of X, or of each X in a stack, with
+        W = G^{-1/2} from the eigendecomposition G = X^dagger X =
+        E diag(s) E^dagger, as (V, W)."""
+        w = (e / np.sqrt(s)[..., None, :]) @ _adj(e)
+        return xm @ w, w
 
     def isometry(self, x: np.ndarray) -> np.ndarray:
         """The m x r polar factor V of X at x."""
-        return self._polar(self._matrix(x))[0]
+        xm = self._matrix(x)
+        return self._polar(xm, *np.linalg.eigh(_adj(xm) @ xm))[0]
 
     def _indicator(self, groups) -> np.ndarray:
+        """The m x len(groups) 0/1 matrix summing members into groups."""
         ind = self._indicators.get(groups)
         if ind is None:
             ind = np.zeros((self.m, len(groups)), dtype=np.complex128)
@@ -235,33 +268,49 @@ class _Engine:
             self._indicators[groups] = ind
         return ind
 
-    def signed_gap(self, x: np.ndarray, groups) -> float:
-        """c - S at x; nan when X^dagger X is numerically singular. A nan
+    def signed_gap(self, x: np.ndarray, groups):
+        """c - S at x; nan where X^dagger X is numerically singular. A nan
         never enters ``_Best`` (every comparison with it is false) and
-        fails the Armijo test, so the search backtracks away from it."""
+        fails the Armijo test, so the search backtracks away from it.
+
+        x is one point (2mr,) with groups a partition, giving one gap; or
+        L lanes (L, 2mr) with groups an (L, m, k) stack of 0/1 indicator
+        matrices, one partition per lane, giving L gaps. A zero indicator
+        column is a group of weight 0, which is dropped like any group
+        below ZERO_WEIGHT_TOL. Every step below acts on each lane alone.
+        """
         d1, d2, m = self.d1, self.d2, self.m
+        lead = x.shape[:-1]
+        ind = groups if lead else self._indicator(groups)
         xm = self._matrix(x)
-        polar = self._polar(xm)
-        if polar is None:
-            self._last = None
-            return np.nan
-        v, w, s, e = polar
-        t3 = (self.b @ v.conj().T).reshape(d1, d2, m)
-        ind = self._indicator(groups)
-        sig = np.einsum("aej,bej->abj", t3, t3.conj()).reshape(d1 * d1, m) @ ind
-        tau = np.einsum("eaj,ebj->abj", t3, t3.conj()).reshape(d2 * d2, m) @ ind
-        lam = sig[::d1 + 1].real.sum(axis=0)
+        s, e = np.linalg.eigh(_adj(xm) @ xm)
+        ok = s.T[0] > s.T[-1] * GRAM_RCOND  # one flag for a point, one per lane
+        singular = not ok if not lead else not ok.all()
+        if singular:
+            if not lead:
+                self._last = None
+                return np.nan
+            s = np.where(ok[:, None], s, 1.0)
+        v, w = self._polar(xm, s, e)
+        t3 = (self.b @ _adj(v)).reshape(*lead, d1, d2, m)
+        sig = np.einsum("...aej,...bej->...abj", t3, t3.conj()).reshape(*lead, d1 * d1, m) @ ind
+        tau = np.einsum("...eaj,...ebj->...abj", t3, t3.conj()).reshape(*lead, d2 * d2, m) @ ind
+        lam = sig[..., ::d1 + 1, :].real.sum(axis=-2)
         kept = lam >= ZERO_WEIGHT_TOL
         inv = kept / np.maximum(lam, ZERO_WEIGHT_TOL)
         g1 = self.a_sig @ tau  # derivative of Tr[(sig x tau) A] in sig^T
-        quad = np.einsum("ik,ik->k", sig.conj(), g1).real
-        weight = lam @ kept
-        s_val = (quad @ inv) / weight
+        quad = np.einsum("...ik,...ik->...k", sig.conj(), g1).real
+        weight = _rowdot(lam, kept)
+        s_val = _rowdot(quad, inv) / weight
         self._last = (xm, w, s, e, t3, ind, sig, g1, inv, quad, weight, s_val)
-        return self.c - s_val
+        gap = self.c - s_val
+        if singular:
+            gap[~ok] = np.nan
+        return gap
 
     def gradient(self) -> np.ndarray:
-        """Gradient of signed_gap in x at the last evaluated point.
+        """Gradient of signed_gap in x at the last evaluated point, or at
+        each lane of the last evaluated stack.
 
         The chain runs from S through the group marginals to V and then
         through V = X W, W = G^{-1/2}, G = X^dagger X. In the cached
@@ -272,43 +321,61 @@ class _Engine:
         """
         d1, d2, m = self.d1, self.d2, self.m
         xm, w, s, e, t3, ind, sig, g1, inv, quad, weight, s_val = self._last
+        lead = xm.shape[:-2]
         # dS = sum_k Tr[x1_k dsig_k] + Tr[x2_k dtau_k] over kept groups
-        x1 = g1 * (inv / weight)
-        x1[::d1 + 1] -= (quad * inv * inv + s_val * (inv > 0.0)) / weight
-        x2 = (self.a_sig.conj().T @ sig) * (inv / weight)
-        x1 = (x1 @ ind.T).reshape(d1, d1, m)  # per member
-        x2 = (x2 @ ind.T).reshape(d2, d2, m)
+        weight, s_val = weight[..., None], s_val[..., None]
+        scale = (inv / weight)[..., None, :]
+        x1 = g1 * scale
+        x1[..., ::d1 + 1, :] -= ((quad * inv * inv + s_val * (inv > 0.0)) / weight)[..., None, :]
+        x2 = (self.a_sig_h @ sig) * scale
+        ind_t = ind.swapaxes(-1, -2)
+        x1 = (x1 @ ind_t).reshape(*lead, d1, d1, m)  # per member
+        x2 = (x2 @ ind_t).reshape(*lead, d2, d2, m)
         # dS = 2 Re sum conj(dt3) * gt
-        gt = np.einsum("abj,bej->aej", x1, t3) + np.einsum("efj,afj->aej", x2, t3)
-        gam = gt.reshape(-1, m).conj().T @ self.b  # dS = 2 Re Tr[gam^dagger dV]
+        gt = (np.einsum("...abj,...bej->...aej", x1, t3)
+              + np.einsum("...efj,...afj->...aej", x2, t3))
+        gam = _adj(gt.reshape(*lead, d1 * d2, m)) @ self.b  # dS = 2 Re Tr[gam^dagger dV]
         # dV = dX W + X dW gives dS = 2 Re Tr[xi^dagger dX] with
         # xi = gam W + X E (F o (M + M^dagger)) E^dagger, M = E^dagger X^dagger gam E
         root = np.sqrt(s)
-        f = -1.0 / (np.outer(root, root) * (root[:, None] + root[None, :]))
-        mt = e.conj().T @ (xm.conj().T @ gam) @ e
-        xi = gam @ w + xm @ (e @ (f * (mt + mt.conj().T)) @ e.conj().T)
-        return -2.0 * np.concatenate([xi.real.ravel(), xi.imag.ravel()])
+        f = -1.0 / ((root[..., :, None] * root[..., None, :])
+                    * (root[..., :, None] + root[..., None, :]))
+        e_h = _adj(e)
+        mt = e_h @ (_adj(xm) @ gam) @ e
+        xi = (gam @ w + xm @ (e @ (f * (mt + _adj(mt))) @ e_h)).reshape(*lead, -1)
+        return -2.0 * np.concatenate([xi.real, xi.imag], axis=-1)
 
 
 class _Best:
     """Closest evaluation to zero (value, x, groups), and the closest
-    evaluation on each side of zero (pos, neg), each as (g, x, groups)."""
+    evaluation on each side of zero (pos, neg), each as (g, start, x,
+    groups). Equal values go to the lower start index, and within a start
+    to the earlier evaluation, so the choice does not depend on the order in
+    which lockstep lanes offer their evaluations."""
 
-    __slots__ = ("value", "x", "groups", "pos", "neg")
+    __slots__ = ("value", "start", "x", "groups", "pos", "neg")
 
     def __init__(self):
-        self.value = np.inf
+        self.value, self.start = np.inf, 0
         self.x = self.groups = self.pos = self.neg = None
 
-    def offer(self, g: float, x: np.ndarray, groups):
-        if g > 0.0 and (self.pos is None or g < self.pos[0]):
-            self.pos = (g, x.copy(), groups)
-        elif g < 0.0 and (self.neg is None or g > self.neg[0]):
-            self.neg = (g, x.copy(), groups)
-        if abs(g) < self.value:
-            self.value = abs(g)
+    def offer(self, g: float, x: np.ndarray, groups, start: int = 0):
+        if g > 0.0 and (self.pos is None or (g, start) < self.pos[:2]):
+            self.pos = (g, start, x.copy(), groups)
+        elif g < 0.0 and (self.neg is None or (-g, start) < (-self.neg[0], self.neg[1])):
+            self.neg = (g, start, x.copy(), groups)
+        if (abs(g), start) < (self.value, self.start):
+            self.value, self.start = abs(g), start
             self.x = x.copy()
             self.groups = groups
+
+    def offer_lanes(self, g: np.ndarray, x: np.ndarray, groups, starts: np.ndarray):
+        """Offer one evaluation per lane, lanes in start order. Only the
+        smallest g >= 0 and the largest g < 0 can change anything, and
+        argmin and argmax return the first, lowest-start lane of a tie."""
+        for k in (int(np.argmin(np.where(g >= 0.0, g, np.inf))),
+                  int(np.argmax(np.where(g < 0.0, g, -np.inf)))):
+            self.offer(g[k], x[k], groups[k], int(starts[k]))
 
     def done(self, tol: float) -> bool:
         """Within tol, or both sides of zero seen (a zero-gap mixture exists)."""
@@ -397,6 +464,117 @@ def _gradient_search(engine: _Engine, groups, x0: np.ndarray, budget: int, tol: 
     return evals
 
 
+def _compact(arrays, rows: np.ndarray) -> list:
+    """Move the given rows of each array to its front, in place, and return
+    views of them."""
+    for a in arrays:
+        a[:rows.size] = a[rows]
+    return [a[:rows.size] for a in arrays]
+
+
+def _lane_search(engine: _Engine, lanes, max_iters: int, tol: float, best: _Best) -> None:
+    """``_gradient_search`` for many starts at once, each a lane, stepped in
+    lockstep.
+
+    ``lanes`` holds (start index, x0, partitions) in start order. As in one
+    start of ``minimize_d0``, a lane searches its partitions from x0 in turn,
+    and they share ``max_iters`` evaluations. Every step evaluates one point
+    per live lane with one lane-axis kernel call and offers the evaluations
+    to ``best``. Each lane then applies the rules of ``_gradient_search`` to
+    its own state: accepted point, Armijo step and backtrack count, L-BFGS
+    memory (newest pair in slot 0; rho = 0 marks an empty slot, on which the
+    two-loop recursion changes nothing), spent budget and partition queue.
+    No lane reads another lane's state, so a lane's trajectory does not
+    depend on the lanes beside it; they share only ``best``, and all stop
+    once it is done. A lane out of partitions or budget leaves the arrays.
+    """
+    m, n = engine.m, engine.n_params
+    size = len(lanes)
+    start = np.array([i for i, _, _ in lanes])
+    x0 = np.array([x for _, x, _ in lanes])
+    queue = [list(parts) for _, _, parts in lanes]
+    groups = [parts.pop(0) for parts in queue]
+    ind = np.zeros((size, m, m), dtype=np.complex128)
+    for k, gr in enumerate(groups):
+        ind[k, :, :len(gr)] = engine._indicator(gr)
+    pt, x, d, grad = x0.copy(), x0.copy(), np.zeros((size, n)), np.zeros((size, n))
+    g, t, slope, gamma = (np.zeros(size) for _ in range(4))
+    back, spent, count = (np.zeros(size, dtype=int) for _ in range(3))
+    fresh = np.ones(size, dtype=bool)  # pt is the first point of a partition search
+    mem_s, mem_y = np.zeros((size, LBFGS_MEMORY, n)), np.zeros((size, LBFGS_MEMORY, n))
+    mem_rho = np.zeros((size, LBFGS_MEMORY))
+    while groups:
+        gap = engine.signed_gap(pt, ind)
+        spent += 1
+        best.offer_lanes(gap, pt, groups, start)
+        if best.done(tol):
+            return
+        old, new = np.abs(g), np.abs(gap)
+        stall = ~fresh & (np.abs(new - old) <= STALL_REL * old)
+        accept = fresh | (~stall & (new <= old + ARMIJO * t * slope))
+        ended = stall.copy()
+        if accept.any():
+            new_grad = np.sign(gap)[:, None] * engine.gradient()
+            step, y = t[:, None] * d, new_grad - grad
+            sy = _rowdot(step, y)
+            push = accept & ~fresh & (sy > 0.0)
+            if push.any():  # the new pair goes to slot 0, the oldest off the end
+                for mem, pair in ((mem_s, step), (mem_y, y)):
+                    np.copyto(mem[:, 1:], mem[:, :-1], where=push[:, None, None])
+                    np.copyto(mem[:, 0], pair, where=push[:, None])
+                np.copyto(mem_rho[:, 1:], mem_rho[:, :-1], where=push[:, None])
+                np.divide(1.0, sy, out=mem_rho[:, 0], where=push)
+                np.divide(sy, _rowdot(y, y), out=gamma, where=push)
+                count += push & (count < LBFGS_MEMORY)
+            np.copyto(x, pt, where=accept[:, None])
+            np.copyto(g, gap, where=accept)
+            np.copyto(grad, new_grad, where=accept[:, None])
+            # two-loop recursion, -H grad
+            q, alphas = grad.copy(), []
+            for j in range(count.max()):
+                alphas.append(mem_rho[:, j] * _rowdot(mem_s[:, j], q))
+                q -= alphas[j][:, None] * mem_y[:, j]
+            q *= gamma[:, None]
+            for j in reversed(range(len(alphas))):
+                q -= (mem_rho[:, j] * _rowdot(mem_y[:, j], q) - alphas[j])[:, None] * mem_s[:, j]
+            q = -q
+            # steepest descent of length FIRST_STEP on an empty memory or an
+            # ascent direction, which also resets the memory
+            steep = accept & ((count == 0) | (_rowdot(grad, q) >= 0.0))
+            norm = np.sqrt(_rowdot(grad, grad))
+            count[steep], mem_rho[steep] = 0, 0.0
+            ended |= steep & (norm == 0.0)
+            steep &= norm > 0.0
+            q[steep] = grad[steep] * (-FIRST_STEP / norm[steep, None])
+            np.copyto(d, q, where=accept[:, None])
+            np.copyto(slope, _rowdot(grad, d), where=accept)
+            t[accept], back[accept] = 1.0, 0
+        fail = ~accept & ~stall
+        t[fail] *= 0.5
+        back += fail
+        ended |= (back >= MAX_BACKTRACKS) | (spent >= max_iters)
+        fresh[:] = False
+        np.multiply(d, t[:, None], out=pt)
+        pt += x
+        if not ended.any():
+            continue
+        for k in np.flatnonzero(ended):
+            if queue[k] and spent[k] < max_iters:  # the lane's next partition search
+                groups[k] = queue[k].pop(0)
+                ind[k] = 0.0
+                ind[k, :, :len(groups[k])] = engine._indicator(groups[k])
+                pt[k], fresh[k], ended[k] = x0[k], True, False
+                count[k], mem_rho[k] = 0, 0.0
+        if ended.any():  # retire: the live lanes move to the front, in place
+            live = np.flatnonzero(~ended)
+            (start, x0, ind, pt, x, d, grad, g, t, slope, gamma, back, spent, count, fresh,
+             mem_s, mem_y, mem_rho) = _compact((
+                start, x0, ind, pt, x, d, grad, g, t, slope, gamma, back, spent, count, fresh,
+                mem_s, mem_y, mem_rho), live)
+            groups = [groups[k] for k in live]
+            queue = [queue[k] for k in live]
+
+
 def _resolve_m(cfg: OptimizerConfig, space: BipartiteSpace) -> int:
     return cfg.m if cfg.m is not None else (space.d1 * space.d2) ** 2
 
@@ -404,6 +582,7 @@ def _resolve_m(cfg: OptimizerConfig, space: BipartiteSpace) -> int:
 def minimize_d0(rho: BipartiteState, a: np.ndarray, cfg: OptimizerConfig | None = None,
                 extra_starts=()) -> CorrelationResult:
     """Multi-start minimization of the decomposition gap for one observable.
+    Start 0 runs alone; starts 1..S-1 then run in lockstep as lanes.
 
     ``extra_starts`` is an optional sequence of (isometry, partition) warm
     starts, each searched first within the first start (used for
@@ -412,6 +591,13 @@ def minimize_d0(rho: BipartiteState, a: np.ndarray, cfg: OptimizerConfig | None 
     like ``ensemble_from_unitary`` reads it: only its first r columns,
     which must be orthonormal. A malformed one raises DimensionMismatch.
     """
+    ensemble, found = _search(rho, a, cfg, extra_starts)
+    return CorrelationResult(value=d0_objective(ensemble, a), ensemble=ensemble, **found)
+
+
+def _search(rho: BipartiteState, a: np.ndarray, cfg: OptimizerConfig | None, extra_starts):
+    """The search of ``minimize_d0``: its witness ensemble, and the other
+    ``CorrelationResult`` fields by name."""
     cfg = cfg or OptimizerConfig()
     a = require_hermitian(as_matrix(a, "A"), name="A")
     dim = rho.space.dim
@@ -430,35 +616,38 @@ def minimize_d0(rho: BipartiteState, a: np.ndarray, cfg: OptimizerConfig | None 
     trivial = (tuple(range(m)),)
     best.offer(engine.signed_gap(x_id, trivial), x_id, trivial)
 
+    def partitions(rng):
+        return [singleton_partition(m)] + [_random_partition(rng, m)
+                                           for _ in range(N_RANDOM_PARTITIONS)]
+
+    # Start 0, from the identity isometry after the warm starts, runs alone,
+    # so that an instance it resolves stops inside it. The evaluation budget
+    # is shared by the partition searches of a start.
     starts_used = 0
     if not best.done(cfg.tol):
-        for i in range(cfg.starts):
-            rng = np.random.default_rng((cfg.seed, i))
-            if i == 0:
-                x0 = x_id
-            else:
-                theta = rng.standard_normal(m * m) * (np.pi / (2.0 * np.sqrt(m)))
-                x0 = engine.coords(expm_antihermitian(theta, m))
-            # warm starts first so they are evaluated before the budget runs out
-            work = list(warm) if i == 0 else []
-            work.append((x0, singleton_partition(m)))
-            work += [(x0, _random_partition(rng, m)) for _ in range(N_RANDOM_PARTITIONS)]
-            spent = 0
-            for x_init, groups in work:
-                remaining = cfg.max_iters - spent
-                if remaining <= 0:
-                    break
-                spent += _gradient_search(engine, groups, x_init, remaining, cfg.tol, best)
-                if best.done(cfg.tol):
-                    break
-            starts_used = i + 1
+        spent = 0
+        work = warm + [(x_id, gr) for gr in partitions(np.random.default_rng((cfg.seed, 0)))]
+        for x_init, groups in work:
+            remaining = cfg.max_iters - spent
+            if remaining <= 0:
+                break
+            spent += _gradient_search(engine, groups, x_init, remaining, cfg.tol, best)
             if best.done(cfg.tol):
                 break
+        starts_used = 1
+    if not best.done(cfg.tol) and cfg.starts > 1:
+        lanes = []
+        for i in range(1, cfg.starts):
+            rng = np.random.default_rng((cfg.seed, i))
+            theta = rng.standard_normal(m * m) * (np.pi / (2.0 * np.sqrt(m)))
+            lanes.append((i, engine.coords(expm_antihermitian(theta, m)), partitions(rng)))
+        _lane_search(engine, lanes, cfg.max_iters, cfg.tol, best)
+        starts_used = cfg.starts
 
     if best.pos is not None and best.neg is not None:
         # g_pos > 0 > g_neg, so t g_pos + (1 - t) g_neg = 0 for t in (0, 1); the
         # t : 1 - t mixture is the ensemble of [sqrt(t) V_pos ; sqrt(1 - t) V_neg]
-        (g_pos, x_pos, groups_pos), (g_neg, x_neg, groups_neg) = best.pos, best.neg
+        (g_pos, _, x_pos, groups_pos), (g_neg, _, x_neg, groups_neg) = best.pos, best.neg
         t = g_neg / (g_neg - g_pos)
         v = np.concatenate([np.sqrt(t) * engine.isometry(x_pos),
                             np.sqrt(1.0 - t) * engine.isometry(x_neg)])
@@ -466,9 +655,8 @@ def minimize_d0(rho: BipartiteState, a: np.ndarray, cfg: OptimizerConfig | None 
     else:
         v, groups = engine.isometry(best.x), best.groups
     ensemble = ensemble_from_unitary(rho, v, groups)
-    return CorrelationResult(value=d0_objective(ensemble, a), ensemble=ensemble,
-                             starts_used=starts_used, argmin_isometry=engine.isometry(best.x),
-                             argmin_partition=best.groups)
+    return ensemble, {"starts_used": starts_used, "argmin_isometry": engine.isometry(best.x),
+                      "argmin_partition": best.groups}
 
 
 def minimize_d_simple(rho: BipartiteState, a: np.ndarray, b: np.ndarray,
@@ -484,13 +672,13 @@ def minimize_d_simple(rho: BipartiteState, a: np.ndarray, b: np.ndarray,
         raise DimensionMismatch(f"a shape {a.shape} != first factor {rho.space.d1}")
     if b.shape != (rho.space.d2, rho.space.d2):
         raise DimensionMismatch(f"b shape {b.shape} != second factor {rho.space.d2}")
-    res = minimize_d0(rho, np.kron(a, b), cfg)
-    pe = boxtimes(res.ensemble)
+    ab = np.kron(a, b)
+    ensemble, found = _search(rho, ab, cfg, ())
+    lhs, joint, pe = decomposition_terms(ensemble, ab)
     fact = factored_product_value(pe, a, b)
-    joint = complex(evaluate_boxtimes(pe, np.kron(a, b))).real
-    if abs(fact - joint) > 1e-12 * max(1.0, abs(joint)):
-        raise QcorrError(f"factored form {fact} disagrees with joint evaluation {joint}")
-    return res
+    if abs(fact - joint.real) > 1e-12 * max(1.0, abs(joint.real)):
+        raise QcorrError(f"factored form {fact} disagrees with joint evaluation {joint.real}")
+    return CorrelationResult(value=abs(lhs - joint), ensemble=ensemble, **found)
 
 
 def random_hermitian_probe(rng: np.random.Generator, dim: int) -> np.ndarray:

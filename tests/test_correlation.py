@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qcorr.bipartite import (
     BipartiteSpace,
@@ -16,8 +16,11 @@ from qcorr.correlation import (
     SEPARABLE,
     CorrelationResult,
     OptimizerConfig,
+    N_RANDOM_PARTITIONS,
     _Best,
     _Engine,
+    _gradient_search,
+    _lane_search,
     _random_partition,
     canonical_pt_witness,
     d0_objective,
@@ -32,6 +35,7 @@ from qcorr.measures import (
     boxtimes,
     ensemble_from_unitary,
     evaluate_boxtimes,
+    expm_antihermitian,
     hjw_ensemble,
     singleton_partition,
 )
@@ -336,6 +340,33 @@ def test_engine_rejects_singular_gram():
     assert best.value == np.inf and best.x is None and best.pos is None and best.neg is None
 
 
+@pytest.mark.parametrize("d1,d2", [(2, 2), (2, 3)])
+def test_lane_kernel_matches_point_kernel(d1, d2):
+    # a stack of lanes, each with its own partition zero-padded to m columns,
+    # gives each lane the gap and gradient of the one-point call; a lane with
+    # a singular X^dagger X is nan and leaves the others alone
+    rng = np.random.default_rng(31 + d2)
+    space = BipartiteSpace(d1, d2)
+    state = BipartiteState(space, random_density(space.dim, rng))
+    m = space.dim ** 2
+    engine = _Engine(state, random_hermitian(space.dim, rng), m)
+    parts = [singleton_partition(m), (tuple(range(m)),)] + [_random_partition(rng, m) for _ in range(3)]
+    x = engine.coords(np.eye(m)) + 0.4 * rng.standard_normal((len(parts), engine.n_params))
+    x[1, ::engine.r] = 0.0  # real parts of column 0 of lane 1's X
+    x[1, m * engine.r::engine.r] = 0.0  # and its imaginary parts
+    ind = np.zeros((len(parts), m, m), dtype=np.complex128)
+    for k, groups in enumerate(parts):
+        for col, g in enumerate(groups):
+            ind[k, list(g), col] = 1.0
+    gaps = engine.signed_gap(x, ind)
+    grads = engine.gradient()
+    assert gaps.shape == (len(parts),) and grads.shape == x.shape
+    assert np.isnan(gaps[1]) and np.isnan(engine.signed_gap(x[1], parts[1]))
+    for k in (0, 2, 3, 4):
+        assert abs(gaps[k] - engine.signed_gap(x[k], parts[k])) <= 1e-12
+        assert np.abs(grads[k] - engine.gradient()).max() <= 1e-12 * max(1.0, np.abs(grads[k]).max())
+
+
 @pytest.mark.parametrize("p,observable,max_iters", [
     (0.25, "random", 40), (0.25, "random", 150), (0.8, "random", 25), (0.8, "random", 90),
     (0.8, "witness", 5), (0.8, "witness", 60)])
@@ -353,6 +384,151 @@ def test_one_start_never_exceeds_max_iters(monkeypatch, p, observable, max_iters
     # one evaluation of the theta-independent trivial partition, then one start
     assert res.starts_used == 1
     assert 1 < calls[0] <= 1 + max_iters
+
+
+@pytest.mark.parametrize("p,observable,max_iters", [
+    (0.25, "random", 40), (0.8, "random", 25), (0.8, "random", 90), (0.8, "witness", 5),
+    (0.8, "witness", 60)])
+def test_lanes_never_exceed_max_iters(monkeypatch, p, observable, max_iters):
+    # starts 1..3 run as lanes: every lane-axis call evaluates each live lane
+    # once, and a lane leaves the batch for good, so no lane spends more
+    # evaluations than there are lane-axis calls
+    scalar, lane_calls, lane_evals = [0], [0], [0]
+    signed_gap = _Engine.signed_gap
+
+    def counted(self, x, groups):
+        if x.ndim == 2:
+            lane_calls[0] += 1
+            lane_evals[0] += len(x)
+        else:
+            scalar[0] += 1
+        return signed_gap(self, x, groups)
+
+    monkeypatch.setattr(_Engine, "signed_gap", counted)
+    a = random_hermitian(4, np.random.default_rng(8)) if observable == "random" else canonical_witness()
+    res = minimize_d0(make_werner(p), a, OptimizerConfig(starts=4, max_iters=max_iters))
+    assert 1 < scalar[0] <= 1 + max_iters
+    assert lane_calls[0] <= max_iters
+    assert lane_evals[0] <= 3 * max_iters
+    assert res.starts_used == (4 if lane_calls[0] else 1)
+
+
+def _sequential_starts(state, a, cfg):
+    """The per-start loop the lockstep lanes replace: each start in turn,
+    its partition searches sharing max_iters evaluations."""
+    m = state.space.dim ** 2
+    engine, best = _Engine(state, a, m), _Best()
+    x_id = engine.coords(np.eye(m))
+    trivial = (tuple(range(m)),)
+    best.offer(engine.signed_gap(x_id, trivial), x_id, trivial)
+    for i in range(cfg.starts):
+        rng = np.random.default_rng((cfg.seed, i))
+        x0 = x_id
+        if i > 0:
+            theta = rng.standard_normal(m * m) * (np.pi / (2.0 * np.sqrt(m)))
+            x0 = engine.coords(expm_antihermitian(theta, m))
+        work = [singleton_partition(m)] + [_random_partition(rng, m) for _ in range(N_RANDOM_PARTITIONS)]
+        spent = 0
+        for groups in work:
+            if spent >= cfg.max_iters:
+                break
+            spent += _gradient_search(engine, groups, x0, cfg.max_iters - spent, cfg.tol, best)
+    return best
+
+
+def _npt_2x3_state():
+    rng = np.random.default_rng(21)
+    while True:
+        state = BipartiteState(BipartiteSpace(2, 3), random_density(6, rng, rank=2))
+        witness = canonical_pt_witness(state)
+        if witness is not None:
+            return state, witness
+
+
+@pytest.mark.parametrize("case", ["werner-witness", "npt-2x3"])
+def test_lockstep_matches_sequential_starts(case, monkeypatch):
+    # on entangled instances no search stops early, so the lockstep result is
+    # the per-start loop's, and every lane spends at most max_iters
+    state, a = (make_werner(0.7), canonical_witness()) if case == "werner-witness" else _npt_2x3_state()
+    cfg = OptimizerConfig(starts=5, max_iters=150, seed=3)
+    ref = _sequential_starts(state, a, cfg)
+    assert not ref.done(cfg.tol)
+    lane_calls = [0]
+    signed_gap = _Engine.signed_gap
+
+    def counted(self, x, groups):
+        lane_calls[0] += x.ndim == 2
+        return signed_gap(self, x, groups)
+
+    monkeypatch.setattr(_Engine, "signed_gap", counted)
+    res = minimize_d0(state, a, cfg)
+    assert abs(res.value - ref.value) <= 1e-12
+    assert res.starts_used == cfg.starts
+    assert 0 < lane_calls[0] <= cfg.max_iters
+
+
+class _Trajectories(_Best):
+    """Records each start's evaluations as raw bytes; never done, so every
+    lane runs until its own budget or partitions end."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = {}
+
+    def offer_lanes(self, g, x, groups, starts):
+        for k, start in enumerate(starts):
+            self.seen.setdefault(int(start), []).append((g[k].tobytes(), x[k].tobytes()))
+        super().offer_lanes(g, x, groups, starts)
+
+    def done(self, tol):
+        return False
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from([(2, 2), (2, 3), (3, 2)]),
+       n_lanes=st.integers(2, 5), max_iters=st.integers(3, 80))
+@example(seed=6, dims=(2, 2), n_lanes=4, max_iters=60)  # lanes spend 19, 29, 33 and 2
+@example(seed=6, dims=(2, 3), n_lanes=4, max_iters=60)  # 26, 60, 18 and 54
+@example(seed=6, dims=(3, 2), n_lanes=4, max_iters=60)  # 37, 60, 29 and 60
+def test_lane_trajectory_independent_of_batch(seed, dims, n_lanes, max_iters):
+    # a lane evaluates the same points, with the same gaps to the bit, alone
+    # and beside other random lanes, some of which run out of partitions and
+    # leave the batch early
+    rng = np.random.default_rng(seed)
+    space = BipartiteSpace(*dims)
+    state = make_random_state(space, int(rng.integers(1, space.dim + 1)), seed=seed)
+    r = np.linalg.matrix_rank(state.rho)
+    m = int(rng.integers(r, space.dim ** 2 + 1))
+    engine = _Engine(state, random_hermitian(space.dim, rng), m)
+    lanes = [(i, engine.coords(expm_antihermitian(rng.standard_normal(m * m), m)),
+              [_random_partition(rng, m) for _ in range(int(rng.integers(1, 4)))])
+             for i in range(1, n_lanes + 1)]
+    batch = _Trajectories()
+    _lane_search(engine, [(i, x0, list(parts)) for i, x0, parts in lanes], max_iters, 1e-9, batch)
+    for i, x0, parts in lanes:
+        alone = _Trajectories()
+        _lane_search(engine, [(i, x0, list(parts))], max_iters, 1e-9, alone)
+        assert 0 < len(alone.seen[i]) <= max_iters
+        assert alone.seen[i] == batch.seen[i]
+
+
+def test_best_ties_go_to_lower_start():
+    # equal |g| from a later step keeps the lower start index, and the two
+    # candidates of a lockstep step are offered in lane order
+    x = np.zeros(2)
+    best = _Best()
+    best.offer(0.5, x + 3, ("c",), 3)
+    best.offer(-0.5, x + 1, ("a",), 1)
+    best.offer(0.5, x + 2, ("b",), 2)
+    assert (best.value, best.start, best.groups) == (0.5, 1, ("a",))
+    assert best.pos[:2] == (0.5, 2) and best.neg[:2] == (-0.5, 1)
+    lanes = _Best()
+    lanes.offer_lanes(np.array([0.25, -0.25, 0.25, -0.5]), np.arange(8.0).reshape(4, 2),
+                      ["p", "q", "r", "s"], np.array([4, 5, 6, 7]))
+    lanes.offer_lanes(np.array([-0.25, 0.25]), np.zeros((2, 2)), ["t", "u"], np.array([2, 3]))
+    assert (lanes.value, lanes.start, lanes.groups) == (0.25, 2, "t")
+    assert lanes.pos[1] == 3 and lanes.neg[1] == 2
+    assert np.array_equal(lanes.x, np.zeros(2))
 
 
 @pytest.mark.parametrize("d1,d2", [(1, 3), (3, 1)])
@@ -411,7 +587,7 @@ def test_argmin_params_rebuild_closest_ensemble(monkeypatch, case):
 
     def recorded(self, x, groups):
         g = signed_gap(self, x, groups)
-        closest[0] = min(closest[0], abs(g))
+        closest[0] = min(closest[0], np.min(np.abs(g)))  # one gap, or one per lane
         return g
 
     monkeypatch.setattr(_Engine, "signed_gap", recorded)
