@@ -15,17 +15,18 @@ closest evaluation leaves as ``argmin_isometry``, as m x r isometries. The
 minimizer is a multi-start gradient search: L-BFGS with Armijo
 backtracking on |c - S(X)|, driven by the closed-form gradient of the signed
 gap c - S(X). That gradient reuses the eigendecomposition of each
-evaluation, so only objective evaluations count against the budget. Start 0
-runs alone, after any warm starts, so that an instance it resolves stops
-inside it; starts 1..S-1 then run in lockstep as lanes of one search. Every
-step evaluates all live lanes with one call of the gap and gradient kernel,
-which takes a leading lane axis (a single point is the one-lane case of the
-same code), and each lane keeps its own step length, L-BFGS memory, budget
-and partition queue. The search also keeps the closest evaluation on each
-side of zero, from any partition and start. S is affine in the
-decomposition measure and the decompositions of a state form a convex set,
-so once both sides are seen the convex mixture of the two ensembles with
-the right weight has zero gap, and the search stops. The mixture is the
+evaluation, so only objective evaluations count against the budget. One
+driver runs every start as a lane: start 0, with any warm starts ahead of
+its own searches, runs first as a lane alone, so that an instance it
+resolves stops inside it; starts 1..S-1 then run in lockstep as lanes of one
+call. Every step evaluates all live lanes with one call of the gap and
+gradient kernel, which takes a leading lane axis, and each lane keeps its
+own step length, L-BFGS memory, budget and queue of searches. The search
+also keeps the closest evaluation on each side of zero, from any partition
+and start. S is affine in the decomposition measure and the decompositions
+of a state form a convex set, so once both sides are seen the convex
+mixture of the two ensembles with the right weight has zero gap, and the
+search stops. The mixture is the
 ensemble of one 2m x r isometry stacking the two polar factors, so every
 witness is one ``ensemble_from_unitary`` call on an isometry.
 
@@ -40,14 +41,13 @@ upper bound on the true infimum.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bipartite import BipartiteSpace, BipartiteState, expect
 from .errors import ConfigInvalid, DimensionMismatch, QcorrError, RankTooSmall
-from .linalg import as_matrix, operator_norm, require_hermitian
+from .linalg import as_matrix, dagger, operator_norm, require_hermitian
 from .measures import (
     Ensemble,
     ProductEnsemble,
@@ -70,7 +70,7 @@ DECISION_THRESHOLD = 1e-4
 N_RANDOM_PARTITIONS = 2
 # L-BFGS search: curvature pairs kept, Armijo constant, length of the first
 # (steepest-descent) step, backtracking halvings per iteration, and the
-# relative change of |c - S| at or below which the search has stalled.
+# relative change of |c - S| below which the search has stalled.
 LBFGS_MEMORY = 8
 ARMIJO = 1e-4
 FIRST_STEP = 0.3
@@ -101,9 +101,10 @@ class OptimizerConfig:
     ``m`` is the ensemble cardinality; None resolves to (d1*d2)^2. The
     search runs over m x r matrices X whose polar factor is the isometry
     (r = rank rho), so its cost grows with m r, not m^2. ``max_iters``
-    counts objective evaluations per start, shared by the partition
-    searches within that start, whether the start runs alone or as a lane.
-    Gradients reuse the last evaluation and are not counted.
+    counts objective evaluations per start, shared by the searches within
+    that start (for start 0, the warm starts too); start 0 runs as a lane
+    alone, the others as lanes of one batch. Gradients reuse the last
+    evaluation and are not counted.
     """
 
     m: int | None = None
@@ -177,17 +178,6 @@ def d0_objective(e: Ensemble, a: np.ndarray) -> float:
     return abs(lhs - rhs)
 
 
-def _adj(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of each matrix in a stack."""
-    return a.conj().swapaxes(-1, -2)
-
-
-def _rowdot(a: np.ndarray, b: np.ndarray):
-    """Dot product over the last axis: one for two vectors, one per row for
-    two stacks of rows."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
 def factored_product_value(pe, a: np.ndarray, b: np.ndarray) -> float:
     """sum_i w_i Tr(sigma_i a) Tr(tau_i b), the factored decorrelated form."""
     total = 0.0 + 0.0j
@@ -250,13 +240,13 @@ class _Engine:
         """Polar factor V = X W of X, or of each X in a stack, with
         W = G^{-1/2} from the eigendecomposition G = X^dagger X =
         E diag(s) E^dagger, as (V, W)."""
-        w = (e / np.sqrt(s)[..., None, :]) @ _adj(e)
+        w = (e / np.sqrt(s)[..., None, :]) @ dagger(e)
         return xm @ w, w
 
     def isometry(self, x: np.ndarray) -> np.ndarray:
         """The m x r polar factor V of X at x."""
         xm = self._matrix(x)
-        return self._polar(xm, *np.linalg.eigh(_adj(xm) @ xm))[0]
+        return self._polar(xm, *np.linalg.eigh(dagger(xm) @ xm))[0]
 
     def _indicator(self, groups) -> np.ndarray:
         """The m x len(groups) 0/1 matrix summing members into groups."""
@@ -283,7 +273,7 @@ class _Engine:
         lead = x.shape[:-1]
         ind = groups if lead else self._indicator(groups)
         xm = self._matrix(x)
-        s, e = np.linalg.eigh(_adj(xm) @ xm)
+        s, e = np.linalg.eigh(dagger(xm) @ xm)
         ok = s.T[0] > s.T[-1] * GRAM_RCOND  # one flag for a point, one per lane
         singular = not ok if not lead else not ok.all()
         if singular:
@@ -292,7 +282,7 @@ class _Engine:
                 return np.nan
             s = np.where(ok[:, None], s, 1.0)
         v, w = self._polar(xm, s, e)
-        t3 = (self.b @ _adj(v)).reshape(*lead, d1, d2, m)
+        t3 = (self.b @ dagger(v)).reshape(*lead, d1, d2, m)
         sig = np.einsum("...aej,...bej->...abj", t3, t3.conj()).reshape(*lead, d1 * d1, m) @ ind
         tau = np.einsum("...eaj,...ebj->...abj", t3, t3.conj()).reshape(*lead, d2 * d2, m) @ ind
         lam = sig[..., ::d1 + 1, :].real.sum(axis=-2)
@@ -300,8 +290,8 @@ class _Engine:
         inv = kept / np.maximum(lam, ZERO_WEIGHT_TOL)
         g1 = self.a_sig @ tau  # derivative of Tr[(sig x tau) A] in sig^T
         quad = np.einsum("...ik,...ik->...k", sig.conj(), g1).real
-        weight = _rowdot(lam, kept)
-        s_val = _rowdot(quad, inv) / weight
+        weight = np.vecdot(lam, kept)
+        s_val = np.vecdot(quad, inv) / weight
         self._last = (xm, w, s, e, t3, ind, sig, g1, inv, quad, weight, s_val)
         gap = self.c - s_val
         if singular:
@@ -334,15 +324,15 @@ class _Engine:
         # dS = 2 Re sum conj(dt3) * gt
         gt = (np.einsum("...abj,...bej->...aej", x1, t3)
               + np.einsum("...efj,...afj->...aej", x2, t3))
-        gam = _adj(gt.reshape(*lead, d1 * d2, m)) @ self.b  # dS = 2 Re Tr[gam^dagger dV]
+        gam = dagger(gt.reshape(*lead, d1 * d2, m)) @ self.b  # dS = 2 Re Tr[gam^dagger dV]
         # dV = dX W + X dW gives dS = 2 Re Tr[xi^dagger dX] with
         # xi = gam W + X E (F o (M + M^dagger)) E^dagger, M = E^dagger X^dagger gam E
         root = np.sqrt(s)
         f = -1.0 / ((root[..., :, None] * root[..., None, :])
                     * (root[..., :, None] + root[..., None, :]))
-        e_h = _adj(e)
-        mt = e_h @ (_adj(xm) @ gam) @ e
-        xi = (gam @ w + xm @ (e @ (f * (mt + _adj(mt))) @ e_h)).reshape(*lead, -1)
+        e_h = dagger(e)
+        mt = e_h @ (dagger(xm) @ gam) @ e
+        xi = (gam @ w + xm @ (e @ (f * (mt + dagger(mt))) @ e_h)).reshape(*lead, -1)
         return -2.0 * np.concatenate([xi.real, xi.imag], axis=-1)
 
 
@@ -371,11 +361,12 @@ class _Best:
 
     def offer_lanes(self, g: np.ndarray, x: np.ndarray, groups, starts: np.ndarray):
         """Offer one evaluation per lane, lanes in start order. Only the
-        smallest g >= 0 and the largest g < 0 can change anything, and
-        argmin and argmax return the first, lowest-start lane of a tie."""
-        for k in (int(np.argmin(np.where(g >= 0.0, g, np.inf))),
-                  int(np.argmax(np.where(g < 0.0, g, -np.inf)))):
-            self.offer(g[k], x[k], groups[k], int(starts[k]))
+        smallest g >= 0 and the largest g < 0 can change anything, and min
+        and max return the first, lowest-start lane of a tie."""
+        vals, lanes = g.tolist(), range(len(g))
+        for k in {min(lanes, key=lambda k: vals[k] if vals[k] >= 0.0 else np.inf),
+                  max(lanes, key=lambda k: vals[k] if vals[k] < 0.0 else -np.inf)}:
+            self.offer(vals[k], x[k], groups[k], int(starts[k]))
 
     def done(self, tol: float) -> bool:
         """Within tol, or both sides of zero seen (a zero-gap mixture exists)."""
@@ -390,80 +381,6 @@ def _random_partition(rng: np.random.Generator, m: int):
     return normalize_partition(groups, m)
 
 
-def _lbfgs_direction(grad: np.ndarray, memory) -> np.ndarray:
-    """Two-loop recursion: -H grad for the L-BFGS inverse-Hessian estimate."""
-    q = grad.copy()
-    alphas = []
-    for s, y, rho in reversed(memory):
-        alpha = rho * (s @ q)
-        q -= alpha * y
-        alphas.append(alpha)
-    s, y, _ = memory[-1]
-    q *= (s @ y) / (y @ y)
-    for (s, y, rho), alpha in zip(memory, reversed(alphas)):
-        q += (alpha - rho * (y @ q)) * s
-    return -q
-
-
-def _gradient_search(engine: _Engine, groups, x0: np.ndarray, budget: int, tol: float,
-                     best: _Best) -> int:
-    """L-BFGS with Armijo backtracking on |c - S(x)|.
-
-    Trial points along the search direction are evaluated until the Armijo
-    test accepts one; only the accepted point is differentiated. The first
-    step, and any step after the memory is reset, has length FIRST_STEP
-    along the steepest descent. The search ends once ``best`` is done
-    (within ``tol``, or evaluations seen on both sides of zero, which
-    includes any zero crossing of this search), on spending ``budget``
-    evaluations, or when a trial changes the objective by at most STALL_REL
-    of its value. Every test compares terms of equal degree in A, so each
-    decision is invariant under A -> cA.
-    """
-    evals = 0
-
-    def f(x):
-        nonlocal evals
-        evals += 1
-        g = engine.signed_gap(x, groups)
-        best.offer(g, x, groups)
-        return g
-
-    x, g = x0, f(x0)
-    grad, step = None, None
-    memory: deque = deque(maxlen=LBFGS_MEMORY)
-    while not best.done(tol):
-        new_grad = np.sign(g) * engine.gradient()
-        if grad is not None:
-            y = new_grad - grad
-            sy = step @ y
-            if sy > 0.0:
-                memory.append((step, y, 1.0 / sy))
-        grad = new_grad
-        d = _lbfgs_direction(grad, memory) if memory else None
-        if d is None or grad @ d >= 0.0:
-            memory.clear()
-            norm = np.linalg.norm(grad)
-            if norm == 0.0:
-                break
-            d = grad * (-FIRST_STEP / norm)
-        slope = grad @ d
-        t = 1.0
-        for _ in range(MAX_BACKTRACKS):
-            if evals >= budget:
-                return evals
-            g_new = f(x + t * d)
-            if best.done(tol) or abs(abs(g_new) - abs(g)) <= STALL_REL * abs(g):
-                return evals
-            if abs(g_new) <= abs(g) + ARMIJO * t * slope:
-                break
-            t *= 0.5
-        else:
-            return evals
-        step = t * d
-        x, g = x + step, g_new
-    return evals
-
-
 def _compact(arrays, rows: np.ndarray) -> list:
     """Move the given rows of each array to its front, in place, and return
     views of them."""
@@ -473,104 +390,115 @@ def _compact(arrays, rows: np.ndarray) -> list:
 
 
 def _lane_search(engine: _Engine, lanes, max_iters: int, tol: float, best: _Best) -> None:
-    """``_gradient_search`` for many starts at once, each a lane, stepped in
-    lockstep.
+    """L-BFGS with Armijo backtracking on |c - S(x)|, for one or many starts
+    at once, each a lane, stepped in lockstep.
 
-    ``lanes`` holds (start index, x0, partitions) in start order. As in one
-    start of ``minimize_d0``, a lane searches its partitions from x0 in turn,
-    and they share ``max_iters`` evaluations. Every step evaluates one point
-    per live lane with one lane-axis kernel call and offers the evaluations
-    to ``best``. Each lane then applies the rules of ``_gradient_search`` to
-    its own state: accepted point, Armijo step and backtrack count, L-BFGS
-    memory (newest pair in slot 0; rho = 0 marks an empty slot, on which the
-    two-loop recursion changes nothing), spent budget and partition queue.
-    No lane reads another lane's state, so a lane's trajectory does not
-    depend on the lanes beside it; they share only ``best``, and all stop
-    once it is done. A lane out of partitions or budget leaves the arrays.
+    ``lanes`` holds (start index, searches) in start order; searches is a
+    queue of (x0, partition), which the lane runs in turn, each from its own
+    x0, sharing ``max_iters`` evaluations. Every step evaluates one point per
+    live lane with one lane-axis kernel call and offers the evaluations to
+    ``best``. Trial points along a lane's search direction are evaluated
+    until the Armijo test accepts one; only the accepted point is
+    differentiated. The first step of a search, and any step after its
+    memory is reset, has length FIRST_STEP along the steepest descent. A
+    search ends when a trial changes |c - S| by less than STALL_REL of its
+    value, after MAX_BACKTRACKS rejected trials, or at a zero gradient.
+    Every live lane spends one evaluation per step, from the first step on,
+    so ``max_iters`` steps spend every lane's budget; every lane stops once
+    ``best`` is done (within ``tol``, or evaluations seen on both sides of
+    zero). Every test compares terms of equal degree in A, so each decision
+    is invariant under A -> cA.
+
+    Each lane keeps its own accepted point, step length, L-BFGS memory and
+    search queue. No lane reads another lane's state, so a lane's
+    trajectory does not depend on the lanes beside it; they share only
+    ``best``. A lane out of searches leaves the arrays.
     """
     m, n = engine.m, engine.n_params
     size = len(lanes)
-    start = np.array([i for i, _, _ in lanes])
-    x0 = np.array([x for _, x, _ in lanes])
-    queue = [list(parts) for _, _, parts in lanes]
-    groups = [parts.pop(0) for parts in queue]
+    start = np.array([i for i, _ in lanes])
+    queue = [list(searches) for _, searches in lanes]
+    pt, groups = np.empty((size, n)), [None] * size
     ind = np.zeros((size, m, m), dtype=np.complex128)
-    for k, gr in enumerate(groups):
-        ind[k, :, :len(gr)] = engine._indicator(gr)
-    pt, x, d, grad = x0.copy(), x0.copy(), np.zeros((size, n)), np.zeros((size, n))
-    g, t, slope, gamma = (np.zeros(size) for _ in range(4))
-    back, spent, count = (np.zeros(size, dtype=int) for _ in range(3))
-    fresh = np.ones(size, dtype=bool)  # pt is the first point of a partition search
-    mem_s, mem_y = np.zeros((size, LBFGS_MEMORY, n)), np.zeros((size, LBFGS_MEMORY, n))
-    mem_rho = np.zeros((size, LBFGS_MEMORY))
-    while groups:
+    # f = |g| at the accepted point x; f = inf with d = 0 marks the first point
+    # of a search, which the Armijo test accepts and no stall test ends
+    f, x, d, grad = np.empty(size), np.empty((size, n)), np.empty((size, n)), np.zeros((size, n))
+    t, slope, gamma, count = np.ones(size), np.zeros(size), np.zeros(size), np.zeros(size, dtype=int)
+    # L-BFGS memory: slot j of a lane holds (s, y, rho), newest pair in slot
+    # 0; rho = 0 marks an empty slot, on which the two-loop recursion changes
+    # nothing, and count bounds the filled slots. ``slots`` views each slot
+    # across the lanes.
+    mem = np.zeros((size, LBFGS_MEMORY, 2 * n + 1))
+    slots = [(mem[:, j, :n], mem[:, j, n:-1], mem[:, j, -1:]) for j in range(LBFGS_MEMORY)]
+
+    def begin(k):  # lane k's next search, from its own x0 with an empty memory
+        pt[k], groups[k] = queue[k].pop(0)
+        ind[k] = 0.0
+        ind[k, :, :len(groups[k])] = engine._indicator(groups[k])
+        f[k], x[k], d[k], gamma[k], count[k], mem[k, :, -1] = np.inf, pt[k], 0.0, 0.0, 0, 0.0
+
+    for k in range(size):
+        begin(k)
+    for _ in range(max_iters):
         gap = engine.signed_gap(pt, ind)
-        spent += 1
         best.offer_lanes(gap, pt, groups, start)
         if best.done(tol):
             return
-        old, new = np.abs(g), np.abs(gap)
-        stall = ~fresh & (np.abs(new - old) <= STALL_REL * old)
-        accept = fresh | (~stall & (new <= old + ARMIJO * t * slope))
+        new = np.abs(gap)
+        stall = np.abs(new - f) < STALL_REL * f
+        accept = ~stall & (new <= f + ARMIJO * t * slope)
         ended = stall.copy()
         if accept.any():
             new_grad = np.sign(gap)[:, None] * engine.gradient()
-            step, y = t[:, None] * d, new_grad - grad
-            sy = _rowdot(step, y)
-            push = accept & ~fresh & (sy > 0.0)
+            y = new_grad - grad
+            sy = t * np.vecdot(d, y)
+            push = accept & (sy > 0.0)  # d = 0 at a first point, so it pushes nothing
             if push.any():  # the new pair goes to slot 0, the oldest off the end
-                for mem, pair in ((mem_s, step), (mem_y, y)):
-                    np.copyto(mem[:, 1:], mem[:, :-1], where=push[:, None, None])
-                    np.copyto(mem[:, 0], pair, where=push[:, None])
-                np.copyto(mem_rho[:, 1:], mem_rho[:, :-1], where=push[:, None])
-                np.divide(1.0, sy, out=mem_rho[:, 0], where=push)
-                np.divide(sy, _rowdot(y, y), out=gamma, where=push)
-                count += push & (count < LBFGS_MEMORY)
+                np.copyto(mem[:, 1:], mem[:, :-1], where=push[:, None, None])
+                (s0, y0, rho0), row = slots[0], push[:, None]
+                np.multiply(t[:, None], d, out=s0, where=row)
+                np.copyto(y0, y, where=row)
+                np.divide(1.0, sy[:, None], out=rho0, where=row)
+                np.divide(sy, np.vecdot(y, y), out=gamma, where=push)
+                count += push
             np.copyto(x, pt, where=accept[:, None])
-            np.copyto(g, gap, where=accept)
+            np.copyto(f, new, where=accept)
             np.copyto(grad, new_grad, where=accept[:, None])
-            # two-loop recursion, -H grad
+            # two-loop recursion for -H grad; an empty memory has gamma = 0 and
+            # gives 0, which the ascent test below turns into steepest descent
             q, alphas = grad.copy(), []
-            for j in range(count.max()):
-                alphas.append(mem_rho[:, j] * _rowdot(mem_s[:, j], q))
-                q -= alphas[j][:, None] * mem_y[:, j]
-            q *= gamma[:, None]
-            for j in reversed(range(len(alphas))):
-                q -= (mem_rho[:, j] * _rowdot(mem_y[:, j], q) - alphas[j])[:, None] * mem_s[:, j]
-            q = -q
-            # steepest descent of length FIRST_STEP on an empty memory or an
-            # ascent direction, which also resets the memory
-            steep = accept & ((count == 0) | (_rowdot(grad, q) >= 0.0))
-            norm = np.sqrt(_rowdot(grad, grad))
-            count[steep], mem_rho[steep] = 0, 0.0
-            ended |= steep & (norm == 0.0)
-            steep &= norm > 0.0
-            q[steep] = grad[steep] * (-FIRST_STEP / norm[steep, None])
+            for s_j, y_j, rho_j in slots[:count.max()]:
+                alphas.append(rho_j * np.vecdot(s_j, q, keepdims=True))
+                q -= alphas[-1] * y_j
+            q *= -gamma[:, None]
+            for (s_j, y_j, rho_j), alpha in zip(reversed(slots[:len(alphas)]), reversed(alphas)):
+                q -= (rho_j * np.vecdot(y_j, q, keepdims=True) + alpha) * s_j
+            steep = accept & (np.vecdot(grad, q) >= 0.0)
+            if steep.any():  # steepest descent of length FIRST_STEP; resets the memory
+                norm = np.sqrt(np.vecdot(grad[steep], grad[steep]))
+                ended[steep] |= norm == 0.0  # a stationary point ends the search
+                q[steep] = grad[steep] * (-FIRST_STEP / np.where(norm > 0.0, norm, 1.0))[:, None]
+                gamma[steep], count[steep], mem[steep, :, -1] = 0.0, 0, 0.0
             np.copyto(d, q, where=accept[:, None])
-            np.copyto(slope, _rowdot(grad, d), where=accept)
-            t[accept], back[accept] = 1.0, 0
-        fail = ~accept & ~stall
-        t[fail] *= 0.5
-        back += fail
-        ended |= (back >= MAX_BACKTRACKS) | (spent >= max_iters)
-        fresh[:] = False
+            np.copyto(slope, np.vecdot(grad, d), where=accept)
+        # t halves on each rejected trial, so 2^-MAX_BACKTRACKS ends the search
+        t = np.where(accept, 1.0, 0.5 * t)
+        ended |= t <= 0.5 ** MAX_BACKTRACKS
         np.multiply(d, t[:, None], out=pt)
         pt += x
         if not ended.any():
             continue
         for k in np.flatnonzero(ended):
-            if queue[k] and spent[k] < max_iters:  # the lane's next partition search
-                groups[k] = queue[k].pop(0)
-                ind[k] = 0.0
-                ind[k, :, :len(groups[k])] = engine._indicator(groups[k])
-                pt[k], fresh[k], ended[k] = x0[k], True, False
-                count[k], mem_rho[k] = 0, 0.0
+            if queue[k]:
+                begin(k)
+                ended[k] = False
         if ended.any():  # retire: the live lanes move to the front, in place
             live = np.flatnonzero(~ended)
-            (start, x0, ind, pt, x, d, grad, g, t, slope, gamma, back, spent, count, fresh,
-             mem_s, mem_y, mem_rho) = _compact((
-                start, x0, ind, pt, x, d, grad, g, t, slope, gamma, back, spent, count, fresh,
-                mem_s, mem_y, mem_rho), live)
+            if not live.size:
+                return
+            start, ind, pt, x, d, grad, f, t, slope, gamma, count, mem = _compact(
+                (start, ind, pt, x, d, grad, f, t, slope, gamma, count, mem), live)
+            slots = [tuple(v[:live.size] for v in slot) for slot in slots]
             groups = [groups[k] for k in live]
             queue = [queue[k] for k in live]
 
@@ -582,11 +510,12 @@ def _resolve_m(cfg: OptimizerConfig, space: BipartiteSpace) -> int:
 def minimize_d0(rho: BipartiteState, a: np.ndarray, cfg: OptimizerConfig | None = None,
                 extra_starts=()) -> CorrelationResult:
     """Multi-start minimization of the decomposition gap for one observable.
-    Start 0 runs alone; starts 1..S-1 then run in lockstep as lanes.
+    One L-BFGS driver runs every start as a lane: start 0 as a lane alone,
+    then, unless it finished the search, starts 1..S-1 as lanes of one batch.
 
     ``extra_starts`` is an optional sequence of (isometry, partition) warm
-    starts, each searched first within the first start (used for
-    continuation sweeps and cardinality embeddings); it does not affect
+    starts, each searched first within start 0 and sharing its budget (used
+    for continuation sweeps and cardinality embeddings); it does not affect
     determinism. An isometry is an m x n matrix, n >= r = rank rho, read
     like ``ensemble_from_unitary`` reads it: only its first r columns,
     which must be orthonormal. A malformed one raises DimensionMismatch.
@@ -620,27 +549,22 @@ def _search(rho: BipartiteState, a: np.ndarray, cfg: OptimizerConfig | None, ext
         return [singleton_partition(m)] + [_random_partition(rng, m)
                                            for _ in range(N_RANDOM_PARTITIONS)]
 
-    # Start 0, from the identity isometry after the warm starts, runs alone,
-    # so that an instance it resolves stops inside it. The evaluation budget
-    # is shared by the partition searches of a start.
+    # Start 0, from the identity isometry after the warm starts, runs as a
+    # lane alone, so that an instance it resolves stops inside it; starts
+    # 1..S-1 then run as lanes of one call. The searches of a start share its
+    # evaluation budget.
     starts_used = 0
     if not best.done(cfg.tol):
-        spent = 0
         work = warm + [(x_id, gr) for gr in partitions(np.random.default_rng((cfg.seed, 0)))]
-        for x_init, groups in work:
-            remaining = cfg.max_iters - spent
-            if remaining <= 0:
-                break
-            spent += _gradient_search(engine, groups, x_init, remaining, cfg.tol, best)
-            if best.done(cfg.tol):
-                break
+        _lane_search(engine, [(0, work)], cfg.max_iters, cfg.tol, best)
         starts_used = 1
     if not best.done(cfg.tol) and cfg.starts > 1:
         lanes = []
         for i in range(1, cfg.starts):
             rng = np.random.default_rng((cfg.seed, i))
             theta = rng.standard_normal(m * m) * (np.pi / (2.0 * np.sqrt(m)))
-            lanes.append((i, engine.coords(expm_antihermitian(theta, m)), partitions(rng)))
+            x0 = engine.coords(expm_antihermitian(theta, m))
+            lanes.append((i, [(x0, gr) for gr in partitions(rng)]))
         _lane_search(engine, lanes, cfg.max_iters, cfg.tol, best)
         starts_used = cfg.starts
 

@@ -35,8 +35,8 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
+    """Conjugate transpose, of one matrix or of each matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def require_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:

@@ -2,14 +2,19 @@
 
 The oracles here (loop-based partial trace/transpose, the anti-aligned
 twirl decomposition of Werner states) deliberately avoid the library code
-paths they are used to check.
+paths they are used to check. ``_gradient_search`` is the one-point L-BFGS
+search, one start's partition search at a time, that the lane driver
+``_lane_search`` must reproduce.
 """
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 from qcorr.bipartite import BipartiteSpace, BipartiteState
+from qcorr.correlation import ARMIJO, FIRST_STEP, LBFGS_MEMORY, MAX_BACKTRACKS, STALL_REL, _Best, _Engine
 from qcorr.measures import Ensemble
 
 SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -168,3 +173,77 @@ def werner_third_product_ensemble(extra_identity_weight: float = 0.0) -> Ensembl
     space = BipartiteSpace(2, 2)
     bary = BipartiteState(space, sum(w * m for w, m in zip(weights, members)))
     return Ensemble(space, np.asarray(weights), tuple(members), bary)
+
+
+def _lbfgs_direction(grad: np.ndarray, memory) -> np.ndarray:
+    """Two-loop recursion: -H grad for the L-BFGS inverse-Hessian estimate."""
+    q = grad.copy()
+    alphas = []
+    for s, y, rho in reversed(memory):
+        alpha = rho * (s @ q)
+        q -= alpha * y
+        alphas.append(alpha)
+    s, y, _ = memory[-1]
+    q *= (s @ y) / (y @ y)
+    for (s, y, rho), alpha in zip(memory, reversed(alphas)):
+        q += (alpha - rho * (y @ q)) * s
+    return -q
+
+
+def _gradient_search(engine: _Engine, groups, x0: np.ndarray, budget: int, tol: float,
+                     best: _Best) -> int:
+    """L-BFGS with Armijo backtracking on |c - S(x)|.
+
+    Trial points along the search direction are evaluated until the Armijo
+    test accepts one; only the accepted point is differentiated. The first
+    step, and any step after the memory is reset, has length FIRST_STEP
+    along the steepest descent. The search ends once ``best`` is done
+    (within ``tol``, or evaluations seen on both sides of zero, which
+    includes any zero crossing of this search), on spending ``budget``
+    evaluations, or when a trial changes the objective by at most STALL_REL
+    of its value. Every test compares terms of equal degree in A, so each
+    decision is invariant under A -> cA.
+    """
+    evals = 0
+
+    def f(x):
+        nonlocal evals
+        evals += 1
+        g = engine.signed_gap(x, groups)
+        best.offer(g, x, groups)
+        return g
+
+    x, g = x0, f(x0)
+    grad, step = None, None
+    memory: deque = deque(maxlen=LBFGS_MEMORY)
+    while not best.done(tol):
+        new_grad = np.sign(g) * engine.gradient()
+        if grad is not None:
+            y = new_grad - grad
+            sy = step @ y
+            if sy > 0.0:
+                memory.append((step, y, 1.0 / sy))
+        grad = new_grad
+        d = _lbfgs_direction(grad, memory) if memory else None
+        if d is None or grad @ d >= 0.0:
+            memory.clear()
+            norm = np.linalg.norm(grad)
+            if norm == 0.0:
+                break
+            d = grad * (-FIRST_STEP / norm)
+        slope = grad @ d
+        t = 1.0
+        for _ in range(MAX_BACKTRACKS):
+            if evals >= budget:
+                return evals
+            g_new = f(x + t * d)
+            if best.done(tol) or abs(abs(g_new) - abs(g)) <= STALL_REL * abs(g):
+                return evals
+            if abs(g_new) <= abs(g) + ARMIJO * t * slope:
+                break
+            t *= 0.5
+        else:
+            return evals
+        step = t * d
+        x, g = x + step, g_new
+    return evals

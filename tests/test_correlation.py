@@ -19,7 +19,6 @@ from qcorr.correlation import (
     N_RANDOM_PARTITIONS,
     _Best,
     _Engine,
-    _gradient_search,
     _lane_search,
     _random_partition,
     canonical_pt_witness,
@@ -42,6 +41,7 @@ from qcorr.measures import (
 
 from helpers import (
     SZ,
+    _gradient_search,
     canonical_witness,
     random_density,
     random_hermitian,
@@ -367,55 +367,72 @@ def test_lane_kernel_matches_point_kernel(d1, d2):
         assert np.abs(grads[k] - engine.gradient()).max() <= 1e-12 * max(1.0, np.abs(grads[k]).max())
 
 
-@pytest.mark.parametrize("p,observable,max_iters", [
-    (0.25, "random", 40), (0.25, "random", 150), (0.8, "random", 25), (0.8, "random", 90),
-    (0.8, "witness", 5), (0.8, "witness", 60)])
-def test_one_start_never_exceeds_max_iters(monkeypatch, p, observable, max_iters):
-    calls = [0]
-    signed_gap = _Engine.signed_gap
+class _Recorder(_Best):
+    """Records each start's evaluations as raw bytes."""
 
-    def counted(self, theta, groups):
-        calls[0] += 1
-        return signed_gap(self, theta, groups)
+    def __init__(self):
+        super().__init__()
+        self.seen = {}
 
-    monkeypatch.setattr(_Engine, "signed_gap", counted)
+    def offer_lanes(self, g, x, groups, starts):
+        for k, start in enumerate(starts):
+            self.seen.setdefault(int(start), []).append((g[k].tobytes(), x[k].tobytes()))
+        super().offer_lanes(g, x, groups, starts)
+
+
+class _Trajectories(_Recorder):
+    """Never done, so every lane runs until its own budget or searches end."""
+
+    def done(self, tol):
+        return False
+
+
+def _budget_row(p, observable, max_iters, starts=1, warm=0):
+    tags = ([f"{starts}-starts"] if starts > 1 else []) + ([f"{warm}-warm"] if warm else [])
+    return pytest.param(p, observable, max_iters, starts, warm,
+                        id="-".join([str(p), observable, str(max_iters)] + tags))
+
+
+@pytest.mark.parametrize("p,observable,max_iters,starts,warm", [
+    _budget_row(0.25, "random", 40), _budget_row(0.25, "random", 150), _budget_row(0.8, "random", 25),
+    _budget_row(0.8, "random", 90), _budget_row(0.8, "witness", 5), _budget_row(0.8, "witness", 60),
+    _budget_row(0.25, "random", 40, 4), _budget_row(0.8, "random", 25, 4), _budget_row(0.8, "random", 90, 4),
+    _budget_row(0.8, "witness", 5, 4), _budget_row(0.8, "witness", 60, 4),
+    _budget_row(0.8, "witness", 60, 4, 2)])
+def test_one_start_never_exceeds_max_iters(monkeypatch, p, observable, max_iters, starts, warm):
+    # after the one point evaluation of the isometry-independent trivial
+    # partition, every evaluation is a lane evaluation, and no one start, start
+    # 0 with its warm starts included, spends more than max_iters
     a = random_hermitian(4, np.random.default_rng(8)) if observable == "random" else canonical_witness()
-    res = minimize_d0(make_werner(p), a, OptimizerConfig(starts=1, max_iters=max_iters))
-    # one evaluation of the theta-independent trivial partition, then one start
-    assert res.starts_used == 1
-    assert 1 < calls[0] <= 1 + max_iters
-
-
-@pytest.mark.parametrize("p,observable,max_iters", [
-    (0.25, "random", 40), (0.8, "random", 25), (0.8, "random", 90), (0.8, "witness", 5),
-    (0.8, "witness", 60)])
-def test_lanes_never_exceed_max_iters(monkeypatch, p, observable, max_iters):
-    # starts 1..3 run as lanes: every lane-axis call evaluates each live lane
-    # once, and a lane leaves the batch for good, so no lane spends more
-    # evaluations than there are lane-axis calls
-    scalar, lane_calls, lane_evals = [0], [0], [0]
+    state, extra = make_werner(p), ()
+    if warm:  # warm starts from an earlier solve, searched first within start 0
+        prev = minimize_d0(state, a, OptimizerConfig(starts=1, max_iters=20))
+        extra = ((prev.argmin_isometry, prev.argmin_partition),) * warm
+    records, kernel_ndim = [], []
     signed_gap = _Engine.signed_gap
 
-    def counted(self, x, groups):
-        if x.ndim == 2:
-            lane_calls[0] += 1
-            lane_evals[0] += len(x)
-        else:
-            scalar[0] += 1
+    def recorded(self, x, groups):
+        kernel_ndim.append(x.ndim)
         return signed_gap(self, x, groups)
 
-    monkeypatch.setattr(_Engine, "signed_gap", counted)
-    a = random_hermitian(4, np.random.default_rng(8)) if observable == "random" else canonical_witness()
-    res = minimize_d0(make_werner(p), a, OptimizerConfig(starts=4, max_iters=max_iters))
-    assert 1 < scalar[0] <= 1 + max_iters
-    assert lane_calls[0] <= max_iters
-    assert lane_evals[0] <= 3 * max_iters
-    assert res.starts_used == (4 if lane_calls[0] else 1)
+    def recorder():
+        records.append(_Recorder())
+        return records[-1]
+
+    monkeypatch.setattr(_Engine, "signed_gap", recorded)
+    monkeypatch.setattr("qcorr.correlation._Best", recorder)
+    res = minimize_d0(state, a, OptimizerConfig(starts=starts, max_iters=max_iters), extra_starts=extra)
+    (best,) = records
+    assert kernel_ndim[0] == 1 and set(kernel_ndim[1:]) == {2}
+    assert sorted(best.seen) == list(range(res.starts_used))
+    assert res.starts_used in (1, starts)
+    assert all(0 < len(evals) <= max_iters for evals in best.seen.values())
 
 
-def _sequential_starts(state, a, cfg):
-    """The per-start loop the lockstep lanes replace: each start in turn,
-    its partition searches sharing max_iters evaluations."""
+def _sequential_starts(state, a, cfg, extra_starts=()):
+    """The scalar per-start loop the lane driver replaces: each start in turn,
+    start 0 with the warm starts first, its searches sharing max_iters
+    evaluations."""
     m = state.space.dim ** 2
     engine, best = _Engine(state, a, m), _Best()
     x_id = engine.coords(np.eye(m))
@@ -427,12 +444,15 @@ def _sequential_starts(state, a, cfg):
         if i > 0:
             theta = rng.standard_normal(m * m) * (np.pi / (2.0 * np.sqrt(m)))
             x0 = engine.coords(expm_antihermitian(theta, m))
-        work = [singleton_partition(m)] + [_random_partition(rng, m) for _ in range(N_RANDOM_PARTITIONS)]
+        work = [(x0, singleton_partition(m))] + [(x0, _random_partition(rng, m))
+                                                 for _ in range(N_RANDOM_PARTITIONS)]
+        if i == 0:
+            work = [(engine.coords(v), groups) for v, groups in extra_starts] + work
         spent = 0
-        for groups in work:
+        for x_init, groups in work:
             if spent >= cfg.max_iters:
                 break
-            spent += _gradient_search(engine, groups, x0, cfg.max_iters - spent, cfg.tol, best)
+            spent += _gradient_search(engine, groups, x_init, cfg.max_iters - spent, cfg.tol, best)
     return best
 
 
@@ -445,71 +465,50 @@ def _npt_2x3_state():
             return state, witness
 
 
-@pytest.mark.parametrize("case", ["werner-witness", "npt-2x3"])
-def test_lockstep_matches_sequential_starts(case, monkeypatch):
-    # on entangled instances no search stops early, so the lockstep result is
-    # the per-start loop's, and every lane spends at most max_iters
-    state, a = (make_werner(0.7), canonical_witness()) if case == "werner-witness" else _npt_2x3_state()
+@pytest.mark.parametrize("case", ["werner-witness", "npt-2x3", "werner-witness-warm", "npt-2x3-warm"])
+def test_lockstep_matches_sequential_starts(case):
+    # on entangled instances no search stops early, so the lane driver's
+    # result, start 0 alone and then starts 1..S-1 as lanes, is the scalar
+    # per-start loop's; a warm start from an earlier solve runs first in start 0
+    state, a = (make_werner(0.7), canonical_witness()) if case.startswith("werner") else _npt_2x3_state()
+    extra = ()
+    if case.endswith("-warm"):
+        prev = minimize_d0(state, a, OptimizerConfig(starts=2, max_iters=40, seed=11))
+        extra = ((prev.argmin_isometry, prev.argmin_partition),)
     cfg = OptimizerConfig(starts=5, max_iters=150, seed=3)
-    ref = _sequential_starts(state, a, cfg)
+    ref = _sequential_starts(state, a, cfg, extra)
     assert not ref.done(cfg.tol)
-    lane_calls = [0]
-    signed_gap = _Engine.signed_gap
-
-    def counted(self, x, groups):
-        lane_calls[0] += x.ndim == 2
-        return signed_gap(self, x, groups)
-
-    monkeypatch.setattr(_Engine, "signed_gap", counted)
-    res = minimize_d0(state, a, cfg)
+    res = minimize_d0(state, a, cfg, extra_starts=extra)
     assert abs(res.value - ref.value) <= 1e-12
     assert res.starts_used == cfg.starts
-    assert 0 < lane_calls[0] <= cfg.max_iters
-
-
-class _Trajectories(_Best):
-    """Records each start's evaluations as raw bytes; never done, so every
-    lane runs until its own budget or partitions end."""
-
-    def __init__(self):
-        super().__init__()
-        self.seen = {}
-
-    def offer_lanes(self, g, x, groups, starts):
-        for k, start in enumerate(starts):
-            self.seen.setdefault(int(start), []).append((g[k].tobytes(), x[k].tobytes()))
-        super().offer_lanes(g, x, groups, starts)
-
-    def done(self, tol):
-        return False
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from([(2, 2), (2, 3), (3, 2)]),
        n_lanes=st.integers(2, 5), max_iters=st.integers(3, 80))
-@example(seed=6, dims=(2, 2), n_lanes=4, max_iters=60)  # lanes spend 19, 29, 33 and 2
-@example(seed=6, dims=(2, 3), n_lanes=4, max_iters=60)  # 26, 60, 18 and 54
-@example(seed=6, dims=(3, 2), n_lanes=4, max_iters=60)  # 37, 60, 29 and 60
+@example(seed=6, dims=(2, 2), n_lanes=4, max_iters=60)  # lanes spend 53, 34, 16 and 52
+@example(seed=6, dims=(2, 3), n_lanes=4, max_iters=60)  # 31, 60, 28 and 29
+@example(seed=6, dims=(3, 2), n_lanes=4, max_iters=60)  # 38, 60, 48 and 51
 def test_lane_trajectory_independent_of_batch(seed, dims, n_lanes, max_iters):
     # a lane evaluates the same points, with the same gaps to the bit, alone
-    # and beside other random lanes, some of which run out of partitions and
-    # leave the batch early
+    # and beside other random lanes, some of which run out of searches and
+    # leave the batch early; each search of a lane starts from its own x0
     rng = np.random.default_rng(seed)
     space = BipartiteSpace(*dims)
     state = make_random_state(space, int(rng.integers(1, space.dim + 1)), seed=seed)
     r = np.linalg.matrix_rank(state.rho)
     m = int(rng.integers(r, space.dim ** 2 + 1))
     engine = _Engine(state, random_hermitian(space.dim, rng), m)
-    lanes = [(i, engine.coords(expm_antihermitian(rng.standard_normal(m * m), m)),
-              [_random_partition(rng, m) for _ in range(int(rng.integers(1, 4)))])
+    lanes = [(i, [(engine.coords(expm_antihermitian(rng.standard_normal(m * m), m)), _random_partition(rng, m))
+                  for _ in range(int(rng.integers(1, 4)))])
              for i in range(1, n_lanes + 1)]
     batch = _Trajectories()
-    _lane_search(engine, [(i, x0, list(parts)) for i, x0, parts in lanes], max_iters, 1e-9, batch)
-    for i, x0, parts in lanes:
+    _lane_search(engine, lanes, max_iters, 1e-9, batch)
+    for lane in lanes:
         alone = _Trajectories()
-        _lane_search(engine, [(i, x0, list(parts))], max_iters, 1e-9, alone)
-        assert 0 < len(alone.seen[i]) <= max_iters
-        assert alone.seen[i] == batch.seen[i]
+        _lane_search(engine, [lane], max_iters, 1e-9, alone)
+        assert 0 < len(alone.seen[lane[0]]) <= max_iters
+        assert alone.seen[lane[0]] == batch.seen[lane[0]]
 
 
 def test_best_ties_go_to_lower_start():
