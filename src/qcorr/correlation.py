@@ -70,7 +70,7 @@ DECISION_THRESHOLD = 1e-4
 N_RANDOM_PARTITIONS = 2
 # L-BFGS search: curvature pairs kept, Armijo constant, length of the first
 # (steepest-descent) step, backtracking halvings per iteration, and the
-# relative change of |c - S| below which the search has stalled.
+# relative change of |c - S| at or below which the search has stalled.
 LBFGS_MEMORY = 8
 ARMIJO = 1e-4
 FIRST_STEP = 0.3
@@ -176,6 +176,12 @@ def d0_objective(e: Ensemble, a: np.ndarray) -> float:
     fixed decomposition."""
     lhs, rhs, _ = decomposition_terms(e, a)
     return abs(lhs - rhs)
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray):
+    """Dot product over the last axis: one for two vectors, one per row for
+    two stacks of rows."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def factored_product_value(pe, a: np.ndarray, b: np.ndarray) -> float:
@@ -290,8 +296,8 @@ class _Engine:
         inv = kept / np.maximum(lam, ZERO_WEIGHT_TOL)
         g1 = self.a_sig @ tau  # derivative of Tr[(sig x tau) A] in sig^T
         quad = np.einsum("...ik,...ik->...k", sig.conj(), g1).real
-        weight = np.vecdot(lam, kept)
-        s_val = np.vecdot(quad, inv) / weight
+        weight = _rowdot(lam, kept)
+        s_val = _rowdot(quad, inv) / weight
         self._last = (xm, w, s, e, t3, ind, sig, g1, inv, quad, weight, s_val)
         gap = self.c - s_val
         if singular:
@@ -401,7 +407,7 @@ def _lane_search(engine: _Engine, lanes, max_iters: int, tol: float, best: _Best
     until the Armijo test accepts one; only the accepted point is
     differentiated. The first step of a search, and any step after its
     memory is reset, has length FIRST_STEP along the steepest descent. A
-    search ends when a trial changes |c - S| by less than STALL_REL of its
+    search ends when a trial changes |c - S| by at most STALL_REL of its
     value, after MAX_BACKTRACKS rejected trials, or at a zero gradient.
     Every live lane spends one evaluation per step, from the first step on,
     so ``max_iters`` steps spend every lane's budget; every lane stops once
@@ -426,10 +432,8 @@ def _lane_search(engine: _Engine, lanes, max_iters: int, tol: float, best: _Best
     t, slope, gamma, count = np.ones(size), np.zeros(size), np.zeros(size), np.zeros(size, dtype=int)
     # L-BFGS memory: slot j of a lane holds (s, y, rho), newest pair in slot
     # 0; rho = 0 marks an empty slot, on which the two-loop recursion changes
-    # nothing, and count bounds the filled slots. ``slots`` views each slot
-    # across the lanes.
+    # nothing, and count bounds the filled slots.
     mem = np.zeros((size, LBFGS_MEMORY, 2 * n + 1))
-    slots = [(mem[:, j, :n], mem[:, j, n:-1], mem[:, j, -1:]) for j in range(LBFGS_MEMORY)]
 
     def begin(k):  # lane k's next search, from its own x0 with an empty memory
         pt[k], groups[k] = queue[k].pop(0)
@@ -445,21 +449,21 @@ def _lane_search(engine: _Engine, lanes, max_iters: int, tol: float, best: _Best
         if best.done(tol):
             return
         new = np.abs(gap)
-        stall = np.abs(new - f) < STALL_REL * f
+        stall = (np.abs(new - f) <= STALL_REL * f) & np.isfinite(f)
         accept = ~stall & (new <= f + ARMIJO * t * slope)
         ended = stall.copy()
         if accept.any():
             new_grad = np.sign(gap)[:, None] * engine.gradient()
             y = new_grad - grad
-            sy = t * np.vecdot(d, y)
+            sy = t * _rowdot(d, y)
             push = accept & (sy > 0.0)  # d = 0 at a first point, so it pushes nothing
             if push.any():  # the new pair goes to slot 0, the oldest off the end
                 np.copyto(mem[:, 1:], mem[:, :-1], where=push[:, None, None])
-                (s0, y0, rho0), row = slots[0], push[:, None]
-                np.multiply(t[:, None], d, out=s0, where=row)
-                np.copyto(y0, y, where=row)
-                np.divide(1.0, sy[:, None], out=rho0, where=row)
-                np.divide(sy, np.vecdot(y, y), out=gamma, where=push)
+                row = push[:, None]
+                np.multiply(t[:, None], d, out=mem[:, 0, :n], where=row)
+                np.copyto(mem[:, 0, n:-1], y, where=row)
+                np.divide(1.0, sy[:, None], out=mem[:, 0, -1:], where=row)
+                np.divide(sy, _rowdot(y, y), out=gamma, where=push)
                 count += push
             np.copyto(x, pt, where=accept[:, None])
             np.copyto(f, new, where=accept)
@@ -467,20 +471,20 @@ def _lane_search(engine: _Engine, lanes, max_iters: int, tol: float, best: _Best
             # two-loop recursion for -H grad; an empty memory has gamma = 0 and
             # gives 0, which the ascent test below turns into steepest descent
             q, alphas = grad.copy(), []
-            for s_j, y_j, rho_j in slots[:count.max()]:
-                alphas.append(rho_j * np.vecdot(s_j, q, keepdims=True))
-                q -= alphas[-1] * y_j
+            for j in range(min(count.max(), LBFGS_MEMORY)):
+                alphas.append(mem[:, j, -1] * _rowdot(mem[:, j, :n], q))
+                q -= alphas[j][:, None] * mem[:, j, n:-1]
             q *= -gamma[:, None]
-            for (s_j, y_j, rho_j), alpha in zip(reversed(slots[:len(alphas)]), reversed(alphas)):
-                q -= (rho_j * np.vecdot(y_j, q, keepdims=True) + alpha) * s_j
-            steep = accept & (np.vecdot(grad, q) >= 0.0)
+            for j in reversed(range(len(alphas))):
+                q -= (mem[:, j, -1] * _rowdot(mem[:, j, n:-1], q) + alphas[j])[:, None] * mem[:, j, :n]
+            steep = accept & (_rowdot(grad, q) >= 0.0)
             if steep.any():  # steepest descent of length FIRST_STEP; resets the memory
-                norm = np.sqrt(np.vecdot(grad[steep], grad[steep]))
+                norm = np.sqrt(_rowdot(grad[steep], grad[steep]))
                 ended[steep] |= norm == 0.0  # a stationary point ends the search
                 q[steep] = grad[steep] * (-FIRST_STEP / np.where(norm > 0.0, norm, 1.0))[:, None]
                 gamma[steep], count[steep], mem[steep, :, -1] = 0.0, 0, 0.0
             np.copyto(d, q, where=accept[:, None])
-            np.copyto(slope, np.vecdot(grad, d), where=accept)
+            np.copyto(slope, _rowdot(grad, d), where=accept)
         # t halves on each rejected trial, so 2^-MAX_BACKTRACKS ends the search
         t = np.where(accept, 1.0, 0.5 * t)
         ended |= t <= 0.5 ** MAX_BACKTRACKS
@@ -498,7 +502,6 @@ def _lane_search(engine: _Engine, lanes, max_iters: int, tol: float, best: _Best
                 return
             start, ind, pt, x, d, grad, f, t, slope, gamma, count, mem = _compact(
                 (start, ind, pt, x, d, grad, f, t, slope, gamma, count, mem), live)
-            slots = [tuple(v[:live.size] for v in slot) for slot in slots]
             groups = [groups[k] for k in live]
             queue = [queue[k] for k in live]
 
