@@ -469,14 +469,18 @@ def _lane_search(engine: _Engine, lanes, max_iters: int, tol: float, best: _Best
             np.copyto(f, new, where=accept)
             np.copyto(grad, new_grad, where=accept[:, None])
             # two-loop recursion for -H grad; an empty memory has gamma = 0 and
-            # gives 0, which the ascent test below turns into steepest descent
+            # gives 0, which the ascent test below turns into steepest descent.
+            # Slots are read as rows and q as a column, so each row dot is one
+            # matmul, as in _rowdot.
             q, alphas = grad.copy(), []
+            s_row, y_row, rho = mem[:, :, None, :n], mem[:, :, None, n:-1], mem[:, :, None, -1:]
+            q_row, q_col = q[:, None], q[:, :, None]
             for j in range(min(count.max(), LBFGS_MEMORY)):
-                alphas.append(mem[:, j, -1] * _rowdot(mem[:, j, :n], q))
-                q -= alphas[j][:, None] * mem[:, j, n:-1]
+                alphas.append(rho[:, j] * (s_row[:, j] @ q_col))
+                q_row -= alphas[j] * y_row[:, j]
             q *= -gamma[:, None]
             for j in reversed(range(len(alphas))):
-                q -= (mem[:, j, -1] * _rowdot(mem[:, j, n:-1], q) + alphas[j])[:, None] * mem[:, j, :n]
+                q_row -= (rho[:, j] * (y_row[:, j] @ q_col) + alphas[j]) * s_row[:, j]
             steep = accept & (_rowdot(grad, q) >= 0.0)
             if steep.any():  # steepest descent of length FIRST_STEP; resets the memory
                 norm = np.sqrt(_rowdot(grad[steep], grad[steep]))
