@@ -13,10 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidDensityMatrix, NotHermitian, OutOfRange
-from .linalg import as_matrix, dagger, kron, require_hermitian
+from .linalg import PSD_CLAMP, as_matrix, dagger, kron, require_hermitian
 
 TRACE_ATOL = 1e-10
-PSD_ATOL = 1e-10
 
 
 def validate_density(rho, dim: int | None = None, name: str = "rho") -> np.ndarray:
@@ -32,8 +31,8 @@ def validate_density(rho, dim: int | None = None, name: str = "rho") -> np.ndarr
     if abs(tr - 1.0) > TRACE_ATOL:
         raise InvalidDensityMatrix(f"{name} trace {tr} != 1")
     w = np.linalg.eigvalsh((rho + dagger(rho)) / 2.0)
-    if w[0] < -PSD_ATOL:
-        raise InvalidDensityMatrix(f"{name} min eigenvalue {w[0]:.3e} < -{PSD_ATOL:.1e}")
+    if w[0] < -PSD_CLAMP:
+        raise InvalidDensityMatrix(f"{name} min eigenvalue {w[0]:.3e} < -{PSD_CLAMP:.1e}")
     rho.setflags(write=False)
     return rho
 

@@ -19,16 +19,17 @@ evaluation, so only objective evaluations count against the budget. One
 driver runs every start as a lane: start 0, with any warm starts ahead of
 its own searches, runs first as a lane alone, so that an instance it
 resolves stops inside it; starts 1..S-1 then run in lockstep as lanes of one
-call. Every step evaluates all live lanes with one call of the gap and
-gradient kernel, which takes a leading lane axis, and each lane keeps its
-own step length, L-BFGS memory, budget and queue of searches. The search
-also keeps the closest evaluation on each side of zero, from any partition
-and start. S is affine in the decomposition measure and the decompositions
-of a state form a convex set, so once both sides are seen the convex
-mixture of the two ensembles with the right weight has zero gap, and the
-search stops. The mixture is the
-ensemble of one 2m x r isometry stacking the two polar factors, so every
-witness is one ``ensemble_from_unitary`` call on an isometry.
+call. The gap and gradient kernel takes only lane stacks: every step is one
+kernel call on all live lanes, and the trivial decomposition {1, rho},
+evaluated once first, is a call of one lane. Each lane keeps its own step
+length, L-BFGS memory, budget and queue of searches. The search also keeps
+the closest evaluation on each side of zero, from any partition and start.
+S is affine in the decomposition measure and the decompositions of a state
+form a convex set, so once both sides are seen the convex mixture of the
+two ensembles with the right weight has zero gap, and the search stops. The
+mixture is the ensemble of one 2m x r isometry stacking the two polar
+factors, so every witness is one ``ensemble_from_unitary`` call on an
+isometry.
 
 All randomness is derived from (seed, start_index), so results are
 reproducible and do not depend on scheduling. No lane reads another lane's
@@ -200,11 +201,11 @@ class _Engine:
     complex m x r matrix X (r = rank rho), 2mr reals. The isometry is its
     polar factor V = X (X^dagger X)^{-1/2}, and the pure refinement is
     phi = b V^dagger with b = psi sqrt(p), so every evaluation needs only
-    an r x r eigendecomposition. One kernel serves every partition: the
-    per-member marginals are summed into group marginals by a 0/1
-    indicator matrix, built once per partition. ``gradient``
-    differentiates the last evaluated point from the cached
-    eigendecomposition and marginals, so it costs no evaluation.
+    an r x r eigendecomposition. Every call evaluates a stack of lanes, one
+    point and partition each; the per-member marginals are summed into
+    group marginals by each lane's 0/1 indicator matrix. ``gradient``
+    differentiates every lane of the last evaluated stack from the cached
+    eigendecompositions and marginals, so it costs no evaluation.
     """
 
     def __init__(self, rho: BipartiteState, a: np.ndarray, m: int):
@@ -222,7 +223,6 @@ class _Engine:
         self.a_sig = np.ascontiguousarray(a4.transpose(0, 2, 3, 1).reshape(d1 * d1, d2 * d2))
         self.a_sig_h = np.ascontiguousarray(self.a_sig.conj().T)
         self.n_params = 2 * m * self.r
-        self._indicators: dict[tuple, np.ndarray] = {}
         self._last = None
 
     def coords(self, v) -> np.ndarray:
@@ -254,59 +254,40 @@ class _Engine:
         xm = self._matrix(x)
         return self._polar(xm, *np.linalg.eigh(dagger(xm) @ xm))[0]
 
-    def _indicator(self, groups) -> np.ndarray:
-        """The m x len(groups) 0/1 matrix summing members into groups."""
-        ind = self._indicators.get(groups)
-        if ind is None:
-            ind = np.zeros((self.m, len(groups)), dtype=np.complex128)
-            for k, g in enumerate(groups):
-                ind[list(g), k] = 1.0
-            self._indicators[groups] = ind
-        return ind
-
-    def signed_gap(self, x: np.ndarray, groups):
-        """c - S at x; nan where X^dagger X is numerically singular. A nan
-        never enters ``_Best`` (every comparison with it is false) and
-        fails the Armijo test, so the search backtracks away from it.
-
-        x is one point (2mr,) with groups a partition, giving one gap; or
-        L lanes (L, 2mr) with groups an (L, m, k) stack of 0/1 indicator
-        matrices, one partition per lane, giving L gaps. A zero indicator
-        column is a group of weight 0, which is dropped like any group
-        below ZERO_WEIGHT_TOL. Every step below acts on each lane alone.
+    def signed_gap(self, x: np.ndarray, ind: np.ndarray) -> np.ndarray:
+        """c - S at each of L lanes: x is an (L, 2mr) stack of points, ind
+        an (L, m, k) stack of 0/1 indicator matrices, one partition per lane.
+        A zero indicator column is a group of weight 0, dropped like any
+        group below ZERO_WEIGHT_TOL. Every step below acts on each lane
+        alone. A lane's gap is nan where its X^dagger X is numerically
+        singular. A nan never enters ``_Best`` (every comparison with it is
+        false) and fails the Armijo test, so the search backtracks from it.
         """
         d1, d2, m = self.d1, self.d2, self.m
-        lead = x.shape[:-1]
-        ind = groups if lead else self._indicator(groups)
+        lanes = len(x)
         xm = self._matrix(x)
         s, e = np.linalg.eigh(dagger(xm) @ xm)
-        ok = s.T[0] > s.T[-1] * GRAM_RCOND  # one flag for a point, one per lane
-        singular = not ok if not lead else not ok.all()
-        if singular:
-            if not lead:
-                self._last = None
-                return np.nan
-            s = np.where(ok[:, None], s, 1.0)
+        ok = s[:, 0] > s[:, -1] * GRAM_RCOND
+        s = np.where(ok[:, None], s, 1.0)
         v, w = self._polar(xm, s, e)
-        t3 = (self.b @ dagger(v)).reshape(*lead, d1, d2, m)
-        sig = np.einsum("...aej,...bej->...abj", t3, t3.conj()).reshape(*lead, d1 * d1, m) @ ind
-        tau = np.einsum("...eaj,...ebj->...abj", t3, t3.conj()).reshape(*lead, d2 * d2, m) @ ind
+        t3 = (self.b @ dagger(v)).reshape(lanes, d1, d2, m)
+        sig = np.einsum("...aej,...bej->...abj", t3, t3.conj()).reshape(lanes, d1 * d1, m) @ ind
+        tau = np.einsum("...eaj,...ebj->...abj", t3, t3.conj()).reshape(lanes, d2 * d2, m) @ ind
         lam = sig[..., ::d1 + 1, :].real.sum(axis=-2)
         kept = lam >= ZERO_WEIGHT_TOL
         inv = kept / np.maximum(lam, ZERO_WEIGHT_TOL)
         g1 = self.a_sig @ tau  # derivative of Tr[(sig x tau) A] in sig^T
         quad = np.einsum("...ik,...ik->...k", sig.conj(), g1).real
-        weight = _rowdot(lam, kept)
+        weight = np.maximum(_rowdot(lam, kept), ZERO_WEIGHT_TOL)  # 0 only in a singular lane
         s_val = _rowdot(quad, inv) / weight
         self._last = (xm, w, s, e, t3, ind, sig, g1, inv, quad, weight, s_val)
         gap = self.c - s_val
-        if singular:
-            gap[~ok] = np.nan
+        gap[~ok] = np.nan
         return gap
 
     def gradient(self) -> np.ndarray:
-        """Gradient of signed_gap in x at the last evaluated point, or at
-        each lane of the last evaluated stack.
+        """Gradient of signed_gap in x at each lane of the last evaluated
+        stack, as an (L, 2mr) stack.
 
         The chain runs from S through the group marginals to V and then
         through V = X W, W = G^{-1/2}, G = X^dagger X. In the cached
@@ -317,7 +298,7 @@ class _Engine:
         """
         d1, d2, m = self.d1, self.d2, self.m
         xm, w, s, e, t3, ind, sig, g1, inv, quad, weight, s_val = self._last
-        lead = xm.shape[:-2]
+        lanes = len(xm)
         # dS = sum_k Tr[x1_k dsig_k] + Tr[x2_k dtau_k] over kept groups
         weight, s_val = weight[..., None], s_val[..., None]
         scale = (inv / weight)[..., None, :]
@@ -325,12 +306,12 @@ class _Engine:
         x1[..., ::d1 + 1, :] -= ((quad * inv * inv + s_val * (inv > 0.0)) / weight)[..., None, :]
         x2 = (self.a_sig_h @ sig) * scale
         ind_t = ind.swapaxes(-1, -2)
-        x1 = (x1 @ ind_t).reshape(*lead, d1, d1, m)  # per member
-        x2 = (x2 @ ind_t).reshape(*lead, d2, d2, m)
+        x1 = (x1 @ ind_t).reshape(lanes, d1, d1, m)  # per member
+        x2 = (x2 @ ind_t).reshape(lanes, d2, d2, m)
         # dS = 2 Re sum conj(dt3) * gt
         gt = (np.einsum("...abj,...bej->...aej", x1, t3)
               + np.einsum("...efj,...afj->...aej", x2, t3))
-        gam = dagger(gt.reshape(*lead, d1 * d2, m)) @ self.b  # dS = 2 Re Tr[gam^dagger dV]
+        gam = dagger(gt.reshape(lanes, d1 * d2, m)) @ self.b  # dS = 2 Re Tr[gam^dagger dV]
         # dV = dX W + X dW gives dS = 2 Re Tr[xi^dagger dX] with
         # xi = gam W + X E (F o (M + M^dagger)) E^dagger, M = E^dagger X^dagger gam E
         root = np.sqrt(s)
@@ -338,7 +319,7 @@ class _Engine:
                     * (root[..., :, None] + root[..., None, :]))
         e_h = dagger(e)
         mt = e_h @ (dagger(xm) @ gam) @ e
-        xi = (gam @ w + xm @ (e @ (f * (mt + dagger(mt))) @ e_h)).reshape(*lead, -1)
+        xi = (gam @ w + xm @ (e @ (f * (mt + dagger(mt))) @ e_h)).reshape(lanes, -1)
         return -2.0 * np.concatenate([xi.real, xi.imag], axis=-1)
 
 
@@ -382,9 +363,18 @@ class _Best:
 def _random_partition(rng: np.random.Generator, m: int):
     n_groups = int(rng.integers(1, m + 1))
     labels = rng.integers(0, n_groups, size=m)
-    groups = tuple(tuple(int(j) for j in np.nonzero(labels == g)[0])
-                   for g in range(n_groups) if np.any(labels == g))
-    return normalize_partition(groups, m)
+    order = np.argsort(labels, kind="stable")  # each label's members ascending
+    cuts = np.flatnonzero(np.diff(labels[order])) + 1
+    return tuple(tuple(g.tolist()) for g in np.split(order, cuts))
+
+
+def _indicator(groups, m: int) -> np.ndarray:
+    """The m x m 0/1 matrix summing members into groups: column k sums group
+    k, and the columns past the last group are zero."""
+    ind = np.zeros((m, m), dtype=np.complex128)
+    for k, g in enumerate(groups):
+        ind[list(g), k] = 1.0
+    return ind
 
 
 def _compact(arrays, rows: np.ndarray) -> list:
@@ -425,7 +415,7 @@ def _lane_search(engine: _Engine, lanes, max_iters: int, tol: float, best: _Best
     start = np.array([i for i, _ in lanes])
     queue = [list(searches) for _, searches in lanes]
     pt, groups = np.empty((size, n)), [None] * size
-    ind = np.zeros((size, m, m), dtype=np.complex128)
+    ind = np.empty((size, m, m), dtype=np.complex128)
     # f = |g| at the accepted point x; f = inf with d = 0 marks the first point
     # of a search, which the Armijo test accepts and no stall test ends
     f, x, d, grad = np.empty(size), np.empty((size, n)), np.empty((size, n)), np.zeros((size, n))
@@ -437,8 +427,7 @@ def _lane_search(engine: _Engine, lanes, max_iters: int, tol: float, best: _Best
 
     def begin(k):  # lane k's next search, from its own x0 with an empty memory
         pt[k], groups[k] = queue[k].pop(0)
-        ind[k] = 0.0
-        ind[k, :, :len(groups[k])] = engine._indicator(groups[k])
+        ind[k] = _indicator(groups[k], m)
         f[k], x[k], d[k], gamma[k], count[k], mem[k, :, -1] = np.inf, pt[k], 0.0, 0.0, 0, 0.0
 
     for k in range(size):
@@ -550,7 +539,8 @@ def _search(rho: BipartiteState, a: np.ndarray, cfg: OptimizerConfig | None, ext
     # The merge-everything partition gives the trivial decomposition {1, rho};
     # its objective does not depend on the isometry, so evaluate it once.
     trivial = (tuple(range(m)),)
-    best.offer(engine.signed_gap(x_id, trivial), x_id, trivial)
+    best.offer_lanes(engine.signed_gap(x_id[None], _indicator(trivial, m)[None]), x_id[None],
+                     [trivial], np.zeros(1, dtype=int))
 
     def partitions(rng):
         return [singleton_partition(m)] + [_random_partition(rng, m)
@@ -575,6 +565,7 @@ def _search(rho: BipartiteState, a: np.ndarray, cfg: OptimizerConfig | None, ext
         _lane_search(engine, lanes, cfg.max_iters, cfg.tol, best)
         starts_used = cfg.starts
 
+    closest = engine.isometry(best.x)
     if best.pos is not None and best.neg is not None:
         # g_pos > 0 > g_neg, so t g_pos + (1 - t) g_neg = 0 for t in (0, 1); the
         # t : 1 - t mixture is the ensemble of [sqrt(t) V_pos ; sqrt(1 - t) V_neg]
@@ -584,9 +575,9 @@ def _search(rho: BipartiteState, a: np.ndarray, cfg: OptimizerConfig | None, ext
                             np.sqrt(1.0 - t) * engine.isometry(x_neg)])
         groups = groups_pos + tuple(tuple(j + m for j in g) for g in groups_neg)
     else:
-        v, groups = engine.isometry(best.x), best.groups
+        v, groups = closest, best.groups
     ensemble = ensemble_from_unitary(rho, v, groups)
-    return ensemble, {"starts_used": starts_used, "argmin_isometry": engine.isometry(best.x),
+    return ensemble, {"starts_used": starts_used, "argmin_isometry": closest,
                       "argmin_partition": best.groups}
 
 
@@ -646,11 +637,14 @@ def classify(value: float, ppt_min: float, dims: tuple[int, int]) -> str:
 def separability_verdict(rho: BipartiteState, cfg: OptimizerConfig | None = None,
                          n_observables: int = 8) -> VerdictResult:
     """Aggregate the minimizer over a probe set of Hermitian observables:
-    the canonical partial-transpose witness when one exists,
-    ``n_observables`` (>= 0) seeded random probes, and the identity.
+    the canonical partial-transpose witness when one exists, and
+    ``n_observables`` (>= 0) seeded random probes.
 
     The infimum is taken independently per probe; the verdict never assumes
-    a decomposition shared across observables. See ``classify``.
+    a decomposition shared across observables. See ``classify``. The
+    witness is the first probe with the largest value; with no probe (a PPT
+    state, ``n_observables == 0``) it is the identity, whose d0 is 0 for
+    every state, and nothing is solved.
     """
     if n_observables < 0:
         raise ConfigInvalid(f"n_observables must be >= 0, got {n_observables}")
@@ -665,16 +659,13 @@ def separability_verdict(rho: BipartiteState, cfg: OptimizerConfig | None = None
     rng = np.random.default_rng((cfg.seed, 10_000))
     for k in range(n_observables):
         probes.append((f"random-{k}", random_hermitian_probe(rng, dim)))
-    probes.append(("identity", np.eye(dim, dtype=np.complex128)))
 
-    results = []
-    max_d0, max_probe = -1.0, probes[0][1]
-    for label, probe in probes:
-        res = minimize_d0(rho, probe, cfg)
-        results.append((label, res.value))
-        if res.value > max_d0:
-            max_d0, max_probe = res.value, probe
+    results = tuple((label, minimize_d0(rho, probe, cfg).value) for label, probe in probes)
+    max_d0, max_probe = 0.0, np.eye(dim, dtype=np.complex128)
+    if probes:
+        k = max(range(len(probes)), key=lambda j: results[j][1])  # the first of the largest
+        max_d0, max_probe = results[k][1], probes[k][1]
 
     verdict = classify(max_d0, pt_min, (rho.space.d1, rho.space.d2))
     return VerdictResult(verdict=verdict, max_d0=float(max_d0),
-                         witness=max_probe, probes=tuple(results))
+                         witness=max_probe, probes=results)

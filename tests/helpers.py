@@ -4,7 +4,8 @@ The oracles here (loop-based partial trace/transpose, the anti-aligned
 twirl decomposition of Werner states) deliberately avoid the library code
 paths they are used to check. ``_gradient_search`` is the one-point L-BFGS
 search, one start's partition search at a time, that the lane driver
-``_lane_search`` must reproduce.
+``_lane_search`` must reproduce. ``point_gap`` evaluates the gap kernel at
+one point as a call of one lane.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from collections import deque
 import numpy as np
 
 from qcorr.bipartite import BipartiteSpace, BipartiteState
-from qcorr.correlation import ARMIJO, FIRST_STEP, LBFGS_MEMORY, MAX_BACKTRACKS, STALL_REL, _Best, _Engine
+from qcorr.correlation import (ARMIJO, FIRST_STEP, LBFGS_MEMORY, MAX_BACKTRACKS, STALL_REL, _Best, _Engine,
+                               _indicator)
 from qcorr.measures import Ensemble
 
 SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -175,6 +177,12 @@ def werner_third_product_ensemble(extra_identity_weight: float = 0.0) -> Ensembl
     return Ensemble(space, np.asarray(weights), tuple(members), bary)
 
 
+def point_gap(engine: _Engine, x: np.ndarray, groups) -> float:
+    """The engine's signed gap at one point x (2mr,) with one partition, as a
+    one-lane kernel call; ``engine.gradient()[0]`` is its gradient."""
+    return engine.signed_gap(x[None], _indicator(groups, engine.m)[None])[0]
+
+
 def _lbfgs_direction(grad: np.ndarray, memory) -> np.ndarray:
     """Two-loop recursion: -H grad for the L-BFGS inverse-Hessian estimate."""
     q = grad.copy()
@@ -209,7 +217,7 @@ def _gradient_search(engine: _Engine, groups, x0: np.ndarray, budget: int, tol: 
     def f(x):
         nonlocal evals
         evals += 1
-        g = engine.signed_gap(x, groups)
+        g = point_gap(engine, x, groups)
         best.offer(g, x, groups)
         return g
 
@@ -217,7 +225,7 @@ def _gradient_search(engine: _Engine, groups, x0: np.ndarray, budget: int, tol: 
     grad, step = None, None
     memory: deque = deque(maxlen=LBFGS_MEMORY)
     while not best.done(tol):
-        new_grad = np.sign(g) * engine.gradient()
+        new_grad = np.sign(g) * engine.gradient()[0]
         if grad is not None:
             y = new_grad - grad
             sy = step @ y

@@ -15,7 +15,6 @@ import numpy as np
 from qcorr.bipartite import BipartiteSpace, BipartiteState, make_bell, make_werner
 from qcorr.cli import main
 from qcorr.correlation import (
-    ENTANGLED,
     SEPARABLE,
     OptimizerConfig,
     d0_objective,

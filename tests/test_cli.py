@@ -8,7 +8,7 @@ from qcorr.cli import main
 from qcorr import serialize
 from qcorr.posmaps import transpose_map
 
-from helpers import canonical_witness, random_density, singlet_proj, werner_third_product_ensemble
+from helpers import random_density, singlet_proj, werner_third_product_ensemble
 
 
 @pytest.fixture

@@ -36,6 +36,7 @@ from qcorr.measures import (
     evaluate_boxtimes,
     expm_antihermitian,
     hjw_ensemble,
+    normalize_partition,
     singleton_partition,
 )
 
@@ -43,6 +44,7 @@ from helpers import (
     SZ,
     _gradient_search,
     canonical_witness,
+    point_gap,
     random_density,
     random_hermitian,
     separable_state,
@@ -229,7 +231,44 @@ def test_verdict_bell_entangled():
     assert res.verdict == ENTANGLED
     assert res.max_d0 >= 0.75 - 1e-6
     labels = [lbl for lbl, _ in res.probes]
-    assert "pt-witness" in labels and "identity" in labels
+    assert "pt-witness" in labels and "identity" not in labels
+
+
+def test_verdict_without_probes_solves_nothing(monkeypatch):
+    # a PPT state with no random probe runs no solve: d0 of the identity is 0
+    # for every state, so it is the reported witness
+    def no_solve(*args, **kwargs):
+        raise AssertionError("minimize_d0 called")
+
+    monkeypatch.setattr("qcorr.correlation.minimize_d0", no_solve)
+    res = separability_verdict(make_werner(0.2), FAST, n_observables=0)
+    assert res.verdict == SEPARABLE
+    assert res.max_d0 == 0.0 and res.probes == ()
+    assert np.array_equal(res.witness, np.eye(4))
+
+
+@pytest.mark.parametrize("case", ["product-random", "identity-observable"])
+def test_trivial_decomposition_decides_without_a_start(monkeypatch, case):
+    # {1, rho} has zero gap for a product state and any A, and for any state
+    # with A = 1: one one-lane kernel call, and no start runs
+    rng = np.random.default_rng(4)
+    if case == "product-random":
+        state, a = make_product(random_density(2, rng), random_density(3, rng)), random_hermitian(6, rng)
+    else:
+        state = BipartiteState(BipartiteSpace(2, 3), random_density(6, rng))
+        a = np.eye(6, dtype=complex)
+    kernel_ndim = []
+    signed_gap = _Engine.signed_gap
+
+    def recorded(self, x, ind):
+        kernel_ndim.append(x.ndim)
+        return signed_gap(self, x, ind)
+
+    monkeypatch.setattr(_Engine, "signed_gap", recorded)
+    cfg = OptimizerConfig()
+    res = minimize_d0(state, a, cfg)
+    assert res.starts_used == 0 and res.value <= cfg.tol
+    assert kernel_ndim == [2]
 
 
 def test_verdict_maximally_mixed_separable():
@@ -269,13 +308,13 @@ def test_result_fields():
 def _check_engine_gradient(engine, x, groups, rng):
     """engine.gradient() against central differences of signed_gap at x."""
     m, r, n = engine.m, engine.r, engine.n_params
-    engine.signed_gap(x, groups)
-    grad = engine.gradient()
+    point_gap(engine, x, groups)
+    grad = engine.gradient()[0]
     h = 1e-6
 
     def central(direction):
-        return (engine.signed_gap(x + h * direction, groups)
-                - engine.signed_gap(x - h * direction, groups)) / (2.0 * h)
+        return (point_gap(engine, x + h * direction, groups)
+                - point_gap(engine, x - h * direction, groups)) / (2.0 * h)
 
     # every real and imaginary coordinate of the top r x r block of X, then a
     # sample of the other rows, then random directions through all coordinates
@@ -333,17 +372,17 @@ def test_engine_rejects_singular_gram():
     engine = _Engine(state, canonical_witness(), 16)
     x = engine.coords(np.eye(16))
     x[::engine.r] = 0.0  # real parts of column 0
-    assert np.isnan(engine.signed_gap(x, singleton_partition(16)))
-    assert np.isnan(engine.signed_gap(np.zeros(engine.n_params), singleton_partition(16)))
+    assert np.isnan(point_gap(engine, x, singleton_partition(16)))
+    assert np.isnan(point_gap(engine, np.zeros(engine.n_params), singleton_partition(16)))
     best = _Best()
-    best.offer(engine.signed_gap(x, singleton_partition(16)), x, singleton_partition(16))
+    best.offer(point_gap(engine, x, singleton_partition(16)), x, singleton_partition(16))
     assert best.value == np.inf and best.x is None and best.pos is None and best.neg is None
 
 
 @pytest.mark.parametrize("d1,d2", [(2, 2), (2, 3)])
 def test_lane_kernel_matches_point_kernel(d1, d2):
     # a stack of lanes, each with its own partition zero-padded to m columns,
-    # gives each lane the gap and gradient of the one-point call; a lane with
+    # gives each lane the gap and gradient of its one-lane call; a lane with
     # a singular X^dagger X is nan and leaves the others alone
     rng = np.random.default_rng(31 + d2)
     space = BipartiteSpace(d1, d2)
@@ -361,10 +400,10 @@ def test_lane_kernel_matches_point_kernel(d1, d2):
     gaps = engine.signed_gap(x, ind)
     grads = engine.gradient()
     assert gaps.shape == (len(parts),) and grads.shape == x.shape
-    assert np.isnan(gaps[1]) and np.isnan(engine.signed_gap(x[1], parts[1]))
+    assert np.isnan(gaps[1]) and np.isnan(point_gap(engine, x[1], parts[1]))
     for k in (0, 2, 3, 4):
-        assert abs(gaps[k] - engine.signed_gap(x[k], parts[k])) <= 1e-12
-        assert np.abs(grads[k] - engine.gradient()).max() <= 1e-12 * max(1.0, np.abs(grads[k]).max())
+        assert abs(gaps[k] - point_gap(engine, x[k], parts[k])) <= 1e-12
+        assert np.abs(grads[k] - engine.gradient()[0]).max() <= 1e-12 * max(1.0, np.abs(grads[k]).max())
 
 
 class _Recorder(_Best):
@@ -400,9 +439,9 @@ def _budget_row(p, observable, max_iters, starts=1, warm=0):
     _budget_row(0.8, "witness", 5, 4), _budget_row(0.8, "witness", 60, 4),
     _budget_row(0.8, "witness", 60, 4, 2)])
 def test_one_start_never_exceeds_max_iters(monkeypatch, p, observable, max_iters, starts, warm):
-    # after the one point evaluation of the isometry-independent trivial
-    # partition, every evaluation is a lane evaluation, and no one start, start
-    # 0 with its warm starts included, spends more than max_iters
+    # every evaluation is a lane evaluation, the one of the isometry-independent
+    # trivial partition included, and no one start, start 0 with its warm
+    # starts included, spends more than max_iters
     a = random_hermitian(4, np.random.default_rng(8)) if observable == "random" else canonical_witness()
     state, extra = make_werner(p), ()
     if warm:  # warm starts from an earlier solve, searched first within start 0
@@ -411,9 +450,9 @@ def test_one_start_never_exceeds_max_iters(monkeypatch, p, observable, max_iters
     records, kernel_ndim = [], []
     signed_gap = _Engine.signed_gap
 
-    def recorded(self, x, groups):
+    def recorded(self, x, ind):
         kernel_ndim.append(x.ndim)
-        return signed_gap(self, x, groups)
+        return signed_gap(self, x, ind)
 
     def recorder():
         records.append(_Recorder())
@@ -423,7 +462,8 @@ def test_one_start_never_exceeds_max_iters(monkeypatch, p, observable, max_iters
     monkeypatch.setattr("qcorr.correlation._Best", recorder)
     res = minimize_d0(state, a, OptimizerConfig(starts=starts, max_iters=max_iters), extra_starts=extra)
     (best,) = records
-    assert kernel_ndim[0] == 1 and set(kernel_ndim[1:]) == {2}
+    assert set(kernel_ndim) == {2}
+    best.seen[0].pop(0)  # the trivial evaluation, before start 0 and outside its budget
     assert sorted(best.seen) == list(range(res.starts_used))
     assert res.starts_used in (1, starts)
     assert all(0 < len(evals) <= max_iters for evals in best.seen.values())
@@ -437,7 +477,7 @@ def _sequential_starts(state, a, cfg, extra_starts=()):
     engine, best = _Engine(state, a, m), _Best()
     x_id = engine.coords(np.eye(m))
     trivial = (tuple(range(m)),)
-    best.offer(engine.signed_gap(x_id, trivial), x_id, trivial)
+    best.offer(point_gap(engine, x_id, trivial), x_id, trivial)
     for i in range(cfg.starts):
         rng = np.random.default_rng((cfg.seed, i))
         x0 = x_id
@@ -509,6 +549,27 @@ def test_lane_trajectory_independent_of_batch(seed, dims, n_lanes, max_iters):
         _lane_search(engine, [lane], max_iters, 1e-9, alone)
         assert 0 < len(alone.seen[lane[0]]) <= max_iters
         assert alone.seen[lane[0]] == batch.seen[lane[0]]
+
+
+def _random_partition_by_label_scan(rng, m):
+    """The label-by-label construction _random_partition replaced."""
+    n_groups = int(rng.integers(1, m + 1))
+    labels = rng.integers(0, n_groups, size=m)
+    groups = tuple(tuple(int(j) for j in np.nonzero(labels == g)[0])
+                   for g in range(n_groups) if np.any(labels == g))
+    return normalize_partition(groups, m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 16, 36, 256])
+def test_random_partition_matches_label_scan(m):
+    # the same two draws give the same groups, in the same order, as Python
+    # ints, and leave the generator in the same state
+    for seed in range(300):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        groups = _random_partition(rng, m)
+        assert groups == _random_partition_by_label_scan(ref_rng, m)
+        assert all(type(j) is int for g in groups for j in g)
+        assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
 
 
 def test_best_ties_go_to_lower_start():
@@ -584,9 +645,9 @@ def test_argmin_params_rebuild_closest_ensemble(monkeypatch, case):
     closest = [np.inf]
     signed_gap = _Engine.signed_gap
 
-    def recorded(self, x, groups):
-        g = signed_gap(self, x, groups)
-        closest[0] = min(closest[0], np.min(np.abs(g)))  # one gap, or one per lane
+    def recorded(self, x, ind):
+        g = signed_gap(self, x, ind)
+        closest[0] = min(closest[0], np.min(np.abs(g)))
         return g
 
     monkeypatch.setattr(_Engine, "signed_gap", recorded)
@@ -638,7 +699,7 @@ def test_engine_gap_is_gap_of_completed_isometry(seed, dims, log_cond, scale):
     xm = scale * (left * np.geomspace(1.0, 10.0 ** -log_cond, r)) @ right
     x = np.concatenate([xm.real.ravel(), xm.imag.ravel()])
     groups = _random_partition(rng, m)
-    g = engine.signed_gap(x, groups)
+    g = point_gap(engine, x, groups)
     v = engine.isometry(x)
     assert v.shape == (m, r)
     u = np.concatenate([v, np.linalg.qr(v, mode="complete")[0][:, r:]], axis=1)

@@ -10,7 +10,7 @@ from qcorr.gns import (
     gns_right,
     verification_report,
 )
-from qcorr.linalg import dagger, hermitian_basis, matrix_units, operator_norm, psd_sqrt
+from qcorr.linalg import dagger, hermitian_basis, matrix_units, psd_sqrt
 from qcorr.posmaps import (
     apply_map,
     builtin_maps,

@@ -19,7 +19,7 @@ from qcorr.measures import (
 )
 from qcorr.posmaps import ppt_min_eigenvalue
 
-from helpers import SZ, random_density, random_hermitian, singlet_proj
+from helpers import SZ, point_gap, random_density, random_hermitian, singlet_proj
 
 
 def _ensemble(space, weights, members):
@@ -211,7 +211,7 @@ def test_embedding_preserves_ensemble():
         assert len(e_pad) == len(e)
         assert np.abs(e_pad.weights - e.weights).max() <= 1e-15
         assert max(np.abs(x - y).max() for x, y in zip(e_pad.members, e.members)) <= 1e-15
-        gaps = [engine.signed_gap(engine.coords(w), g)
+        gaps = [point_gap(engine, engine.coords(w), g)
                 for engine, w, g in [(_Engine(s, a, m), v, groups), (_Engine(s, a, m + k), padded, big)]]
         assert abs(gaps[0] - gaps[1]) <= 1e-14
 

@@ -3,7 +3,6 @@ import pytest
 
 from qcorr.bipartite import BipartiteSpace, BipartiteState, make_bell, make_random_state, make_werner
 from qcorr.errors import DimensionMismatch, MapNotUnital
-from qcorr.linalg import matrix_units
 from qcorr.posmaps import (
     apply_map,
     apply_tensor_id,
@@ -27,9 +26,7 @@ from helpers import (
     SY,
     naive_partial_transpose_first,
     random_density,
-    random_pure,
     separable_state,
-    singlet_proj,
 )
 
 
