@@ -64,18 +64,21 @@ class BipartiteState:
         object.__setattr__(self, "rho", validate_density(self.rho, self.space.dim))
 
 
+def marginal(rho: np.ndarray, space: BipartiteSpace, factor: int) -> np.ndarray:
+    """Partial trace of an unvalidated dim x dim matrix onto factor 0 (the
+    first) or 1 (the second)."""
+    r4 = rho.reshape(space.d1, space.d2, space.d1, space.d2)
+    return np.einsum("ikjk->ij" if factor == 0 else "kikj->ij", r4)
+
+
 def restrict_first(s: BipartiteState) -> np.ndarray:
     """Marginal on the first factor: trace out the second."""
-    d1, d2 = s.space.d1, s.space.d2
-    r4 = s.rho.reshape(d1, d2, d1, d2)
-    return np.einsum("ikjk->ij", r4)
+    return marginal(s.rho, s.space, 0)
 
 
 def restrict_second(s: BipartiteState) -> np.ndarray:
     """Marginal on the second factor: trace out the first."""
-    d1, d2 = s.space.d1, s.space.d2
-    r4 = s.rho.reshape(d1, d2, d1, d2)
-    return np.einsum("kikj->ij", r4)
+    return marginal(s.rho, s.space, 1)
 
 
 def expect(s: BipartiteState, a: np.ndarray) -> complex:

@@ -1,9 +1,11 @@
 """Command-line surface: ingest states/observables/maps from JSON, run the
 toolkit's computations, emit tables, JSON or CSV.
 
-Exit codes: 0 success, 2 parse error, 3 domain/range error, 4 construction
-failure. Floats are printed with 12 significant digits; identical command
-lines with identical seeds produce byte-identical output.
+Exit codes: 0 success, 1 a verification command reported FAIL, otherwise
+the ``exit_code`` of the qcorr error raised (2 parse error, 3 domain/range
+error, 4 construction failure). Floats are printed with 12 significant
+digits; identical command lines with identical seeds produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -29,21 +31,7 @@ from .correlation import (
     minimize_d_simple,
     separability_verdict,
 )
-from .errors import (
-    BadPartition,
-    ConfigInvalid,
-    ConvergenceFailure,
-    DimensionMismatch,
-    InvalidDensityMatrix,
-    InvalidMatrix,
-    MapNotUnital,
-    NotHermitian,
-    NotPSD,
-    OutOfRange,
-    ParseError,
-    RankTooSmall,
-    WellDefinednessFailure,
-)
+from .errors import OutOfRange, ParseError, QcorrError
 from .gns import build_intertwiner_single, build_intertwiner_doubled, verification_report
 from .linalg import dagger
 from .posmaps import (
@@ -59,13 +47,6 @@ from .posmaps import (
 from . import serialize
 
 EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_DOMAIN = 3
-EXIT_CONSTRUCTION = 4
-
-_DOMAIN_ERRORS = (OutOfRange, DimensionMismatch, ConfigInvalid, RankTooSmall,
-                  InvalidDensityMatrix, NotHermitian, NotPSD, BadPartition, InvalidMatrix)
-_CONSTRUCTION_ERRORS = (WellDefinednessFailure, MapNotUnital, ConvergenceFailure)
 
 
 def _fmt(x: float) -> str:
@@ -377,15 +358,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except QcorrError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except _DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except _CONSTRUCTION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONSTRUCTION
+        return exc.exit_code
 
 
 if __name__ == "__main__":

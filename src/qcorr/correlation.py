@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bipartite import BipartiteSpace, BipartiteState, expect
+from .bipartite import BipartiteState, expect
 from .errors import ConfigInvalid, DimensionMismatch, QcorrError, RankTooSmall
 from .linalg import as_matrix, dagger, operator_norm, require_hermitian
 from .measures import (
@@ -160,14 +160,20 @@ class VerdictResult:
     probes: tuple[tuple[str, float], ...]
 
 
+def _observable(a, dim: int) -> np.ndarray:
+    """A as a Hermitian dim x dim matrix, else NotHermitian or DimensionMismatch."""
+    a = require_hermitian(as_matrix(a, "A"), name="A")
+    if a.shape != (dim, dim):
+        raise DimensionMismatch(f"observable shape {a.shape} != {(dim, dim)}")
+    return a
+
+
 def decomposition_terms(e: Ensemble, a: np.ndarray) -> tuple[complex, complex, ProductEnsemble]:
     """Both sides of the decomposition gap for one fixed decomposition: the
     expectation on the barycenter, the decorrelated (marginal-product)
     expectation, and the marginal-product ensemble the latter is evaluated
     on. A must be Hermitian and match the ensemble's dimension."""
-    a = require_hermitian(as_matrix(a, "A"), name="A")
-    if a.shape != (e.space.dim, e.space.dim):
-        raise DimensionMismatch(f"observable shape {a.shape} != {(e.space.dim, e.space.dim)}")
+    a = _observable(a, e.space.dim)
     pe = boxtimes(e)
     return expect(e.barycenter, a), evaluate_boxtimes(pe, a), pe
 
@@ -499,10 +505,6 @@ def _lane_search(engine: _Engine, lanes, max_iters: int, tol: float, best: _Best
             queue = [queue[k] for k in live]
 
 
-def _resolve_m(cfg: OptimizerConfig, space: BipartiteSpace) -> int:
-    return cfg.m if cfg.m is not None else (space.d1 * space.d2) ** 2
-
-
 def minimize_d0(rho: BipartiteState, a: np.ndarray, cfg: OptimizerConfig | None = None,
                 extra_starts=()) -> CorrelationResult:
     """Multi-start minimization of the decomposition gap for one observable.
@@ -515,22 +517,14 @@ def minimize_d0(rho: BipartiteState, a: np.ndarray, cfg: OptimizerConfig | None 
     determinism. An isometry is an m x n matrix, n >= r = rank rho, read
     like ``ensemble_from_unitary`` reads it: only its first r columns,
     which must be orthonormal. A malformed one raises DimensionMismatch.
+    The value is ``d0_objective`` recomputed on the witness ensemble.
     """
-    ensemble, found = _search(rho, a, cfg, extra_starts)
-    return CorrelationResult(value=d0_objective(ensemble, a), ensemble=ensemble, **found)
-
-
-def _search(rho: BipartiteState, a: np.ndarray, cfg: OptimizerConfig | None, extra_starts):
-    """The search of ``minimize_d0``: its witness ensemble, and the other
-    ``CorrelationResult`` fields by name."""
     cfg = cfg or OptimizerConfig()
-    a = require_hermitian(as_matrix(a, "A"), name="A")
     dim = rho.space.dim
-    if a.shape != (dim, dim):
-        raise DimensionMismatch(f"observable shape {a.shape} != {(dim, dim)}")
+    a = _observable(a, dim)
     if dim > MAX_OPT_DIM:
         raise ConfigInvalid(f"optimizer supports total dimension <= {MAX_OPT_DIM}, got {dim}")
-    m = _resolve_m(cfg, rho.space)
+    m = cfg.m if cfg.m is not None else dim ** 2
     engine = _Engine(rho, a, m)
     warm = [(engine.coords(v), normalize_partition(pt, m)) for v, pt in extra_starts]
     best = _Best()
@@ -577,17 +571,17 @@ def _search(rho: BipartiteState, a: np.ndarray, cfg: OptimizerConfig | None, ext
     else:
         v, groups = closest, best.groups
     ensemble = ensemble_from_unitary(rho, v, groups)
-    return ensemble, {"starts_used": starts_used, "argmin_isometry": closest,
-                      "argmin_partition": best.groups}
+    return CorrelationResult(value=d0_objective(ensemble, a), ensemble=ensemble,
+                             starts_used=starts_used, argmin_isometry=closest,
+                             argmin_partition=best.groups)
 
 
 def minimize_d_simple(rho: BipartiteState, a: np.ndarray, b: np.ndarray,
                       cfg: OptimizerConfig | None = None) -> CorrelationResult:
-    """Simple-tensor coefficient: identical machinery with A = a (x) b.
-
-    The factored decorrelated form sum_i w_i Tr(sigma_i a) Tr(tau_i b) of
-    the witness ensemble is checked against the joint evaluation to 1e-12.
-    """
+    """Simple-tensor coefficient: the result of ``minimize_d0`` with
+    A = a (x) b, once the factored decorrelated form sum_i w_i Tr(sigma_i a)
+    Tr(tau_i b) of its witness ensemble matches the joint evaluation to
+    1e-12 (QcorrError otherwise)."""
     a = as_matrix(a, "a")
     b = as_matrix(b, "b")
     if a.shape != (rho.space.d1, rho.space.d1):
@@ -595,12 +589,12 @@ def minimize_d_simple(rho: BipartiteState, a: np.ndarray, b: np.ndarray,
     if b.shape != (rho.space.d2, rho.space.d2):
         raise DimensionMismatch(f"b shape {b.shape} != second factor {rho.space.d2}")
     ab = np.kron(a, b)
-    ensemble, found = _search(rho, ab, cfg, ())
-    lhs, joint, pe = decomposition_terms(ensemble, ab)
+    res = minimize_d0(rho, ab, cfg)
+    _, joint, pe = decomposition_terms(res.ensemble, ab)
     fact = factored_product_value(pe, a, b)
     if abs(fact - joint.real) > 1e-12 * max(1.0, abs(joint.real)):
         raise QcorrError(f"factored form {fact} disagrees with joint evaluation {joint.real}")
-    return CorrelationResult(value=abs(lhs - joint), ensemble=ensemble, **found)
+    return res
 
 
 def random_hermitian_probe(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -614,7 +608,7 @@ def canonical_pt_witness(rho: BipartiteState) -> np.ndarray | None:
     """Partially transposed projector onto the negative-eigenvalue
     eigenvector of the partial transpose, when one exists."""
     pt_min, eta = ppt_min_eig_and_vector(rho)
-    if pt_min >= -1e-12:
+    if pt_min >= -PPT_ATOL:
         return None
     proj = BipartiteState(rho.space, np.outer(eta, eta.conj()))
     return partial_transpose(proj)

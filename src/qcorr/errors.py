@@ -1,19 +1,29 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package. Each class carries as
+``exit_code`` the exit status the command line reports for it: 2 for a
+parse error, 3 for a ``DomainError``, 4 for any other failure."""
 
 
 class QcorrError(Exception):
     """Base class for all package-specific errors."""
 
+    exit_code = 4
 
-class InvalidMatrix(QcorrError):
+
+class DomainError(QcorrError):
+    """An argument lies outside the domain or range of the computation."""
+
+    exit_code = 3
+
+
+class InvalidMatrix(DomainError):
     """Matrix carrier is malformed (wrong shape, non-finite entries)."""
 
 
-class NotHermitian(QcorrError):
+class NotHermitian(DomainError):
     """Hermiticity tolerance (1e-10 entrywise) violated."""
 
 
-class NotPSD(QcorrError):
+class NotPSD(DomainError):
     """An eigenvalue fell below the -1e-10 clamp threshold."""
 
 
@@ -21,27 +31,27 @@ class ConvergenceFailure(QcorrError):
     """Eigenvalue iteration failed to converge."""
 
 
-class DimensionMismatch(QcorrError):
+class DimensionMismatch(DomainError):
     """Operand dimensions are incompatible."""
 
 
-class OutOfRange(QcorrError):
+class OutOfRange(DomainError):
     """Numeric argument outside its documented range."""
 
 
-class InvalidDensityMatrix(QcorrError):
+class InvalidDensityMatrix(DomainError):
     """Matrix is not Hermitian, positive semidefinite and unit trace."""
 
 
-class RankTooSmall(QcorrError):
+class RankTooSmall(DomainError):
     """Requested ensemble cardinality is below the state's rank."""
 
 
-class BadPartition(QcorrError):
+class BadPartition(DomainError):
     """Index groups do not partition the expected range."""
 
 
-class ConfigInvalid(QcorrError):
+class ConfigInvalid(DomainError):
     """Optimizer configuration fails validation."""
 
 
@@ -55,3 +65,5 @@ class WellDefinednessFailure(QcorrError):
 
 class ParseError(QcorrError):
     """JSON input could not be interpreted; message names the field."""
+
+    exit_code = 2

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bipartite import BipartiteSpace, BipartiteState, restrict_first, restrict_second, validate_density
+from .bipartite import BipartiteSpace, BipartiteState, marginal, validate_density
 from .errors import BadPartition, DimensionMismatch, RankTooSmall
 from .linalg import as_matrix, kron, psd_support
 
@@ -23,6 +23,19 @@ BARYCENTER_ATOL = 1e-8
 ZERO_WEIGHT_TOL = 1e-14
 
 Partition = tuple[tuple[int, ...], ...]
+
+
+def _validated_weights(weights) -> np.ndarray:
+    """A read-only copy of 1-D, non-empty, nonnegative weights summing to 1."""
+    w = np.asarray(weights, dtype=float).copy()
+    if w.ndim != 1 or w.size == 0:
+        raise DimensionMismatch("weights must be a non-empty 1-D sequence")
+    if np.any(w < -WEIGHT_SUM_ATOL):
+        raise DimensionMismatch("weights must be nonnegative")
+    if abs(w.sum() - 1.0) > WEIGHT_SUM_ATOL:
+        raise DimensionMismatch(f"weights sum to {w.sum()}, expected 1")
+    w.setflags(write=False)
+    return w
 
 
 @dataclass(frozen=True)
@@ -35,13 +48,7 @@ class Ensemble:
     barycenter: BipartiteState
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).copy()
-        if w.ndim != 1 or w.size == 0:
-            raise DimensionMismatch("weights must be a non-empty 1-D sequence")
-        if np.any(w < -WEIGHT_SUM_ATOL):
-            raise DimensionMismatch("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > WEIGHT_SUM_ATOL:
-            raise DimensionMismatch(f"weights sum to {w.sum()}, expected 1")
+        w = _validated_weights(self.weights)
         if len(self.members) != w.size:
             raise DimensionMismatch("weights and members must have equal length")
         members = tuple(validate_density(m, self.space.dim, f"member {i}")
@@ -50,7 +57,6 @@ class Ensemble:
         resid = float(np.linalg.norm(acc - self.barycenter.rho))
         if resid > BARYCENTER_ATOL:
             raise DimensionMismatch(f"barycenter residual {resid:.3e} > {BARYCENTER_ATOL:.1e}")
-        w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "members", members)
 
@@ -69,29 +75,24 @@ class ProductEnsemble:
     second_marginals: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).copy()
-        if abs(w.sum() - 1.0) > WEIGHT_SUM_ATOL:
-            raise DimensionMismatch(f"weights sum to {w.sum()}, expected 1")
+        w = _validated_weights(self.weights)
         firsts = tuple(validate_density(m, self.space.d1, f"first marginal {i}")
                        for i, m in enumerate(self.first_marginals))
         seconds = tuple(validate_density(m, self.space.d2, f"second marginal {i}")
                         for i, m in enumerate(self.second_marginals))
         if len(firsts) != w.size or len(seconds) != w.size:
             raise DimensionMismatch("marginal lists must match weights length")
-        w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "first_marginals", firsts)
         object.__setattr__(self, "second_marginals", seconds)
 
 
 def boxtimes(e: Ensemble) -> ProductEnsemble:
-    """Replace each member by the pair of its marginals, keeping weights."""
-    firsts, seconds = [], []
-    for m in e.members:
-        s = BipartiteState(e.space, m)
-        firsts.append(restrict_first(s))
-        seconds.append(restrict_second(s))
-    return ProductEnsemble(e.space, e.weights.copy(), tuple(firsts), tuple(seconds))
+    """Replace each member by the pair of its marginals, keeping weights;
+    ``Ensemble`` validated the members, so their marginals are taken directly."""
+    firsts = tuple(marginal(m, e.space, 0) for m in e.members)
+    seconds = tuple(marginal(m, e.space, 1) for m in e.members)
+    return ProductEnsemble(e.space, e.weights, firsts, seconds)
 
 
 def boxtimes_barycenter(pe: ProductEnsemble) -> BipartiteState:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bipartite import BipartiteState
 from .errors import DimensionMismatch, MapNotUnital, OutOfRange
-from .linalg import as_matrix, dagger, hermitian_eigendecompose
+from .linalg import as_matrix, dagger, hermitian_eigendecompose, matrix_units
 
 UNITAL_ATOL = 1e-10
 POSITIVITY_ATOL = 1e-9
@@ -53,11 +53,9 @@ class PositiveMapSpec:
 def map_from_function(d: int, fn: Callable[[np.ndarray], np.ndarray], name: str = "") -> PositiveMapSpec:
     """Build the Choi matrix of x -> fn(x) by evaluating fn on matrix units."""
     c = np.zeros((d * d, d * d), dtype=np.complex128)
-    for k in range(d):
-        for l in range(d):
-            e = np.zeros((d, d), dtype=np.complex128)
-            e[k, l] = 1.0
-            c[k * d:(k + 1) * d, l * d:(l + 1) * d] = as_matrix(fn(e), "fn(E_kl)")
+    for j, e in enumerate(matrix_units(d)):
+        k, l = divmod(j, d)
+        c[k * d:(k + 1) * d, l * d:(l + 1) * d] = as_matrix(fn(e), "fn(E_kl)")
     return PositiveMapSpec(d, c, name)
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from qcorr.bipartite import make_bell, make_product, make_werner
+from qcorr import cli, errors, serialize
 from qcorr.cli import main
-from qcorr import serialize
 from qcorr.posmaps import transpose_map
 
 from helpers import random_density, singlet_proj, werner_third_product_ensemble
@@ -187,6 +187,32 @@ def test_exit_code_3_on_dimension_mismatch(tmp_path, capsys, bell_path):
 def test_exit_code_3_on_bad_range(capsys):
     code, _, _ = run(capsys, "werner-sweep", "--p-min", "0.5", "--p-max", "0.2", "--steps", "3")
     assert code == 3
+
+
+# The exit code README documents for each error class: 2 input parse error,
+# 3 domain/range error, 4 construction failure (any other qcorr error).
+DOCUMENTED_EXIT = {
+    "ParseError": 2,
+    "DomainError": 3, "InvalidMatrix": 3, "NotHermitian": 3, "NotPSD": 3,
+    "DimensionMismatch": 3, "OutOfRange": 3, "InvalidDensityMatrix": 3,
+    "RankTooSmall": 3, "BadPartition": 3, "ConfigInvalid": 3,
+    "QcorrError": 4, "ConvergenceFailure": 4, "MapNotUnital": 4, "WellDefinednessFailure": 4,
+}
+ERROR_CLASSES = [obj for obj in vars(errors).values()
+                 if isinstance(obj, type) and issubclass(obj, errors.QcorrError)]
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_error_exits_with_its_documented_code(monkeypatch, capsys, cls):
+    # a class missing from DOCUMENTED_EXIT fails here until its code is documented
+    def fail(args):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "cmd_ppt", fail)
+    code, out, err = run(capsys, "ppt", "state.json")
+    assert code == DOCUMENTED_EXIT[cls.__name__]
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 @pytest.mark.parametrize("argv", [

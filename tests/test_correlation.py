@@ -39,6 +39,7 @@ from qcorr.measures import (
     normalize_partition,
     singleton_partition,
 )
+from qcorr.posmaps import PPT_ATOL, ppt_min_eigenvalue
 
 from helpers import (
     SZ,
@@ -217,6 +218,24 @@ def test_d_simple_dimension_errors():
         minimize_d_simple(make_bell(), np.eye(3), SZ, FAST)
 
 
+@pytest.mark.parametrize("case", ["bell", "werner-0.6", "random-2x3"])
+def test_d_simple_is_minimize_d0_of_the_product(case):
+    # d(rho; a, b) is d0(rho; a (x) b): the same search, witness and value
+    rng = np.random.default_rng(3)
+    state, a, b = {
+        "bell": lambda: (make_bell(), SZ, SZ),
+        "werner-0.6": lambda: (make_werner(0.6), SZ, SZ),
+        "random-2x3": lambda: (make_random_state(BipartiteSpace(2, 3), 3, 5),
+                               random_hermitian(2, rng), random_hermitian(3, rng)),
+    }[case]()
+    simple = minimize_d_simple(state, a, b, FAST)
+    joint = minimize_d0(state, np.kron(a, b), FAST)
+    assert simple.value == joint.value
+    assert simple.starts_used == joint.starts_used
+    assert simple.argmin_partition == joint.argmin_partition
+    assert np.array_equal(simple.ensemble.weights, joint.ensemble.weights)
+
+
 def test_canonical_witness_construction():
     w = canonical_pt_witness(make_werner(0.8))
     assert w is not None
@@ -224,6 +243,17 @@ def test_canonical_witness_construction():
     # expectation equals the negative eigenvalue of the partial transpose
     assert abs(expect(make_werner(0.8), w).real - (1 - 3 * 0.8) / 4) <= 1e-10
     assert canonical_pt_witness(make_werner(0.2)) is None
+
+
+def test_pt_witness_needs_a_partial_transpose_below_ppt_atol():
+    # smallest partial-transpose eigenvalue -5e-11: PPT to PPT_ATOL, as for
+    # classify and `qcorr ppt`, so the verdict runs no pt-witness probe
+    state = make_werner(1 / 3 + 2e-10 / 3)
+    assert -PPT_ATOL < ppt_min_eigenvalue(state) < -1e-11
+    assert canonical_pt_witness(state) is None
+    res = separability_verdict(state, FAST, n_observables=0)
+    assert res.probes == ()
+    assert res.verdict == SEPARABLE
 
 
 def test_verdict_bell_entangled():

@@ -8,6 +8,7 @@ from qcorr.errors import BadPartition, DimensionMismatch, RankTooSmall
 from qcorr.linalg import matrix_units
 from qcorr.measures import (
     Ensemble,
+    ProductEnsemble,
     boxtimes,
     boxtimes_barycenter,
     embed_partition,
@@ -193,6 +194,15 @@ def test_ensemble_validation():
     other = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
     with pytest.raises(DimensionMismatch):
         Ensemble(space, np.array([1.0]), (other,), state)  # barycenter mismatch
+
+
+@pytest.mark.parametrize("weights", [[1.5, -0.5], [[0.5], [0.5]]], ids=["negative", "2-D"])
+def test_product_ensemble_rejects_malformed_weights(weights):
+    # Ensemble and ProductEnsemble accept the same weights: 1-D, non-empty,
+    # nonnegative, summing to 1
+    half = np.eye(2, dtype=complex) / 2
+    with pytest.raises(DimensionMismatch):
+        ProductEnsemble(BipartiteSpace(2, 2), weights, (half, half), (half, half))
 
 
 def test_embedding_preserves_ensemble():
