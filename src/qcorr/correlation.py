@@ -607,7 +607,11 @@ def random_hermitian_probe(rng: np.random.Generator, dim: int) -> np.ndarray:
 def canonical_pt_witness(rho: BipartiteState) -> np.ndarray | None:
     """Partially transposed projector onto the negative-eigenvalue
     eigenvector of the partial transpose, when one exists."""
-    pt_min, eta = ppt_min_eig_and_vector(rho)
+    return _pt_witness(rho, *ppt_min_eig_and_vector(rho))
+
+
+def _pt_witness(rho: BipartiteState, pt_min: float, eta: np.ndarray) -> np.ndarray | None:
+    """``canonical_pt_witness`` from an already computed smallest eigenpair."""
     if pt_min >= -PPT_ATOL:
         return None
     proj = BipartiteState(rho.space, np.outer(eta, eta.conj()))
@@ -644,10 +648,10 @@ def separability_verdict(rho: BipartiteState, cfg: OptimizerConfig | None = None
         raise ConfigInvalid(f"n_observables must be >= 0, got {n_observables}")
     cfg = cfg or OptimizerConfig()
     dim = rho.space.dim
-    pt_min, _ = ppt_min_eig_and_vector(rho)
+    pt_min, eta = ppt_min_eig_and_vector(rho)
 
     probes: list[tuple[str, np.ndarray]] = []
-    witness = canonical_pt_witness(rho)
+    witness = _pt_witness(rho, pt_min, eta)
     if witness is not None:
         probes.append(("pt-witness", witness))
     rng = np.random.default_rng((cfg.seed, 10_000))

@@ -5,9 +5,12 @@ verified norm certificates.
 Coordinates are Hilbert-Schmidt throughout. For a density matrix w on C^d
 with spectral data (p_j, v_j), the left form <a, b> = Tr(w a†b) is realized
 on matrices supported on range(w) from the right, with orthonormal basis
-{|i><v_j|}; left multiplication is then exactly a (x) 1_r. The right form
-Tr(w b a†) is realized with basis {|v_i><j|}; right multiplication is
-1_r (x) a^T. The 1/2-weighted inner product of the doubled space is
+{|i><v_j|}; left multiplication is then exactly a (x) 1_r, which on the
+coordinates Z (d x r, row-major) is a @ Z. The right form Tr(w b a†) is
+realized with basis {|v_i><j|}; right multiplication is 1_r (x) a^T, which
+on Z (r x d) is Z @ a. So coordinates, targets and the certified residual
+are matrix products over the whole (K, d, d) basis stack, with no Kronecker
+product formed. The 1/2-weighted inner product of the doubled space is
 absorbed into the coordinates by scaling both summands by 1/sqrt(2), so
 adjoints are plain conjugate transposes everywhere.
 
@@ -34,7 +37,7 @@ from .linalg import (
     psd_sqrt,
     psd_support,
 )
-from .posmaps import PositiveMapSpec, apply_map, is_unital
+from .posmaps import PositiveMapSpec, is_unital
 
 # Singular values below this (relative) are treated as null directions of
 # the defining data.
@@ -70,22 +73,28 @@ class GnsRepresentation:
             return np.kron(eye, a.T)
         return np.kron(a, eye)
 
+    def act(self, a: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """``rep(a) @ z`` for a or each matrix of a stack: a @ Z, or Z @ a
+        when anti, with Z the vector z reshaped like the carrier."""
+        zm = z.reshape(self.carrier.shape)
+        out = zm @ a if self.anti else a @ zm
+        return out.reshape(*a.shape[:-2], -1)
+
     def coords(self, a: np.ndarray) -> np.ndarray:
-        """Orthonormal coordinates of the equivalence class of a."""
-        if self.anti:
-            return (self.carrier @ a).reshape(-1)
-        return (a @ self.carrier).reshape(-1)
+        """Orthonormal coordinates of the class of a (of each matrix of a
+        stack): a acting on the class of the unit."""
+        return self.act(a, self.omega_vec)
 
 
-def _gns(d: int, omega_density, anti: bool) -> GnsRepresentation:
-    """Left representation, or with ``anti`` the right anti-representation
-    (the same carrier, conjugate-transposed)."""
-    w = validate_density(omega_density, d, "omega_density")
+def _gns(w: np.ndarray) -> tuple[GnsRepresentation, GnsRepresentation]:
+    """Left representation and right anti-representation of a validated
+    density: one carrier, conjugate-transposed for the right."""
     p, v = psd_support(w)
     s = v * np.sqrt(p)  # d x r, equals w^{1/2} restricted to its support
-    carrier = s.conj().T if anti else s
-    return GnsRepresentation(d=d, dim=d * p.size, rank=p.size, omega_vec=carrier.reshape(-1),
-                             anti=anti, carrier=carrier)
+    d, r = s.shape
+    return tuple(GnsRepresentation(d=d, dim=d * r, rank=r, omega_vec=c.reshape(-1), anti=anti,
+                                   carrier=c)
+                 for c, anti in ((s, False), (s.conj().T, True)))
 
 
 def gns_left(d: int, omega_density) -> GnsRepresentation:
@@ -95,13 +104,13 @@ def gns_left(d: int, omega_density) -> GnsRepresentation:
     its positive spectrum is the spectrum of w with multiplicity d; the
     quotient keeps d * rank(w) dimensions.
     """
-    return _gns(d, omega_density, anti=False)
+    return _gns(validate_density(omega_density, d, "omega_density"))[0]
 
 
 def gns_right(d: int, omega_density) -> GnsRepresentation:
     """Anti-representation from the right form <a, b> = Tr(w b a†);
     right multiplication reverses products."""
-    return _gns(d, omega_density, anti=True)
+    return _gns(validate_density(omega_density, d, "omega_density"))[1]
 
 
 @dataclass(frozen=True)
@@ -130,7 +139,7 @@ class LocalDecomposition:
 
 
 def _realify_vec(z: np.ndarray) -> np.ndarray:
-    return np.concatenate([z.real, z.imag])
+    return np.concatenate([z.real, z.imag], axis=-1)
 
 
 def _realify_op(m: np.ndarray) -> np.ndarray:
@@ -153,12 +162,24 @@ def _tilde_rep(left: GnsRepresentation, right: GnsRepresentation | None,
 
 def _tilde_coords(left: GnsRepresentation, right: GnsRepresentation | None,
                   a: np.ndarray) -> np.ndarray:
-    """Coordinates of the class of a in the space ``_tilde_rep`` acts on:
-    the realified left coordinates, or with ``right`` both summands scaled
-    by 1/sqrt(2) for the 1/2-weighted inner product."""
+    """Coordinates of the class of a (of each matrix of a stack) in the
+    space ``_tilde_rep`` acts on: the realified left coordinates, or with
+    ``right`` both summands scaled by 1/sqrt(2)."""
     if right is None:
         return _realify_vec(left.coords(a))
-    return np.concatenate([left.coords(a) * _INV_SQRT2, right.coords(a) * _INV_SQRT2])
+    return np.concatenate([left.coords(a) * _INV_SQRT2, right.coords(a) * _INV_SQRT2], axis=-1)
+
+
+def _act(left: GnsRepresentation, right: GnsRepresentation | None,
+         a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``_tilde_rep(a) @ z`` for each matrix of a (K, d, d) stack, as
+    (K, len(z)). On the left block a (x) 1_r acting on Z (d x r, row-major)
+    is a @ Z; on the right block 1_r (x) a^T acting on Z (r x d) is Z @ a.
+    The single variant realifies along the last axis."""
+    n = left.dim
+    if right is None:
+        return _realify_vec(left.act(a, z[:n] + 1j * z[n:]))
+    return np.concatenate([left.act(a, z[:n]), right.act(a, z[n:])], axis=-1)
 
 
 def _induced_state_density(alpha: PositiveMapSpec, rho: np.ndarray) -> np.ndarray:
@@ -199,39 +220,29 @@ def _solve_intertwiner(x: np.ndarray, y: np.ndarray, elements: list[np.ndarray])
     return v
 
 
-def _intertwining_residual(v: np.ndarray, left: GnsRepresentation,
-                           right: GnsRepresentation | None, sqrt_rho_vec: np.ndarray,
-                           targets: list[np.ndarray], elements: list[np.ndarray]) -> float:
-    vh_sr = dagger(v) @ sqrt_rho_vec
-    res = 0.0
-    for a, y in zip(elements, targets):
-        lhs = v @ (_tilde_rep(left, right, a) @ vh_sr)
-        res = max(res, float(np.linalg.norm(lhs - y)))
-    return res
-
-
 def _build_intertwiner(alpha: PositiveMapSpec, rho, doubled: bool) -> LocalDecomposition:
     d = alpha.d
     rho = validate_density(rho, d, "rho")
     if not is_unital(alpha):
         raise MapNotUnital(f"map {alpha.name or '<anon>'} is not unital")
-    omega_density = _induced_state_density(alpha, rho)
-    left = gns_left(d, omega_density)
-    right = gns_right(d, omega_density) if doubled else None
+    left, right = _gns(_induced_state_density(alpha, rho))
+    right = right if doubled else None
     sqrt_rho = psd_sqrt(rho)
 
     def hs_vec(m: np.ndarray) -> np.ndarray:
         # Hilbert-Schmidt coordinates of the target side, realified with the left.
-        z = m.reshape(-1)
+        z = m.reshape(*m.shape[:-2], -1)
         return z if doubled else _realify_vec(z)
 
     basis = matrix_units(d) if doubled else hermitian_basis(d)
-    x = np.column_stack([_tilde_coords(left, right, a) for a in basis])
-    targets = [hs_vec(apply_map(alpha, a) @ sqrt_rho) for a in basis]
-    v = _solve_intertwiner(x, np.column_stack(targets), basis)
+    x = _tilde_coords(left, right, basis)
+    targets = hs_vec(np.einsum("nkl,kalb->nab", basis, alpha.choi4) @ sqrt_rho)
+    v = _solve_intertwiner(x.T, targets.T, basis)
 
+    # max_k ||V pi~(a_k) V† sqrt(rho) - alpha(a_k) sqrt(rho)|| over the whole basis
     sr_vec = hs_vec(sqrt_rho)
-    residual = _intertwining_residual(v, left, right, sr_vec, targets, basis)
+    lhs = _act(left, right, basis, dagger(v) @ sr_vec) @ v.T
+    residual = float(np.max(np.linalg.norm(lhs - targets, axis=-1)))
     return LocalDecomposition(
         left=left, right=right,
         tilde_omega=_tilde_coords(left, right, np.eye(d, dtype=np.complex128)), v=v,

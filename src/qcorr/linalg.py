@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceFailure, InvalidMatrix, NotHermitian, NotPSD
+from .errors import ConvergenceFailure, InvalidMatrix, NotHermitian, NotPSD, OutOfRange
 
 # Entrywise Hermiticity tolerance, fixed package-wide.
 HERM_ATOL = 1e-10
@@ -98,33 +98,21 @@ def operator_norm(m: np.ndarray) -> float:
     return float(np.sqrt(max(w[-1], 0.0)))
 
 
-def matrix_units(d: int) -> list[np.ndarray]:
-    """Matrix units E_kl of M_d, row-major order (E_00, E_01, ..., E_dd)."""
-    out = []
-    for k in range(d):
-        for l in range(d):
-            e = np.zeros((d, d), dtype=np.complex128)
-            e[k, l] = 1.0
-            out.append(e)
-    return out
+def matrix_units(d: int) -> np.ndarray:
+    """Matrix units E_kl of M_d as a (d^2, d, d) stack in row-major order
+    (E_00, E_01, ..., E_dd)."""
+    if d < 1:
+        raise OutOfRange(f"matrix dimension must be >= 1, got {d}")
+    return np.eye(d * d, dtype=np.complex128).reshape(d * d, d, d)
 
 
-def hermitian_basis(d: int) -> list[np.ndarray]:
-    """Real-orthonormal basis of the Hermitian matrices in M_d (d^2 elements)."""
-    out = []
-    for k in range(d):
-        e = np.zeros((d, d), dtype=np.complex128)
-        e[k, k] = 1.0
-        out.append(e)
+def hermitian_basis(d: int) -> np.ndarray:
+    """Real-orthonormal basis of the Hermitian matrices in M_d as a
+    (d^2, d, d) stack: the diagonal units, then for each k < l the pair
+    (E_kl + E_lk) / sqrt(2), i (E_kl - E_lk) / sqrt(2)."""
+    e = matrix_units(d).reshape(d, d, d, d)
     s = 1.0 / np.sqrt(2.0)
-    for k in range(d):
-        for l in range(k + 1, d):
-            e = np.zeros((d, d), dtype=np.complex128)
-            e[k, l] = s
-            e[l, k] = s
-            out.append(e)
-            f = np.zeros((d, d), dtype=np.complex128)
-            f[k, l] = 1j * s
-            f[l, k] = -1j * s
-            out.append(f)
-    return out
+    # i (E_kl - E_lk) is expanded so that its zero entries are +0.0
+    pairs = [m for k in range(d) for l in range(k + 1, d)
+             for m in (s * (e[k, l] + e[l, k]), 1j * s * e[k, l] - 1j * s * e[l, k])]
+    return np.stack([e[k, k] for k in range(d)] + pairs)

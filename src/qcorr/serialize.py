@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .bipartite import BipartiteSpace, BipartiteState
-from .errors import ParseError
+from .errors import InvalidDensityMatrix, ParseError
 from .measures import Ensemble
 from .posmaps import PositiveMapSpec
 
@@ -66,18 +66,20 @@ def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
 
 
 def state_to_json(s: BipartiteState) -> dict:
-    out = {"d1": s.space.d1, "d2": s.space.d2}
-    out.update(matrix_to_json(s.rho))
-    return out
+    return {"d1": s.space.d1, "d2": s.space.d2, **matrix_to_json(s.rho)}
 
 
 def state_from_json(obj, where: str = "state") -> BipartiteState:
+    return BipartiteState(*_state_parts(obj, where))
+
+
+def _state_parts(obj, where: str) -> tuple[BipartiteSpace, np.ndarray]:
+    """Declared factor dimensions and the unvalidated matrix of a state."""
     d1 = _field(obj, "d1", where)
     d2 = _field(obj, "d2", where)
     if type(d1) is not int or type(d2) is not int or d1 < 1 or d2 < 1:
         raise ParseError(f"{where}: fields 'd1'/'d2' must be positive integers")
-    rho = matrix_from_json(obj, where)
-    return BipartiteState(BipartiteSpace(d1, d2), rho)
+    return BipartiteSpace(d1, d2), matrix_from_json(obj, where)
 
 
 def map_to_json(alpha: PositiveMapSpec) -> dict:
@@ -93,24 +95,29 @@ def map_from_json(obj, where: str = "map") -> PositiveMapSpec:
 
 
 def ensemble_to_json(e: Ensemble) -> dict:
-    members = [state_to_json(BipartiteState(e.space, m)) for m in e.members]
+    members = [{"d1": e.space.d1, "d2": e.space.d2, **matrix_to_json(m)} for m in e.members]
     return {"weights": list(map(float, e.weights)), "members": members}
 
 
 def ensemble_from_json(obj, where: str = "ensemble") -> Ensemble:
+    """Members are parsed as matrices; ``Ensemble`` validates each once."""
     weights = _field(obj, "weights", where)
     members_json = _field(obj, "members", where)
     if not isinstance(weights, list) or not isinstance(members_json, list):
         raise ParseError(f"{where}: 'weights' and 'members' must be lists")
     if not members_json:
         raise ParseError(f"{where}: 'members' must be non-empty")
-    states = [state_from_json(m, f"{where}.members[{i}]") for i, m in enumerate(members_json)]
-    space = states[0].space
-    for i, s in enumerate(states):
-        if s.space != space:
+    parts = [_state_parts(m, f"{where}.members[{i}]") for i, m in enumerate(members_json)]
+    space = parts[0][0]
+    for i, (s, m) in enumerate(parts):
+        if s != space:
             raise ParseError(f"{where}.members[{i}]: inconsistent factor dimensions")
+        if m.shape != (space.dim, space.dim):
+            raise InvalidDensityMatrix(f"{where}.members[{i}] has shape {m.shape}, "
+                                       f"expected ({space.dim}, {space.dim})")
     if not all(_finite_number(x) for x in weights):
         raise ParseError(f"{where}: 'weights' must be finite numbers")
     w = np.asarray(weights, dtype=float)
-    bary = sum(wi * s.rho for wi, s in zip(w, states))
-    return Ensemble(space, w, tuple(s.rho for s in states), BipartiteState(space, bary))
+    members = tuple(m for _, m in parts)
+    bary = sum(wi * m for wi, m in zip(w, members))
+    return Ensemble(space, w, members, BipartiteState(space, bary))

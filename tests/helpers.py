@@ -5,7 +5,10 @@ twirl decomposition of Werner states) deliberately avoid the library code
 paths they are used to check. ``_gradient_search`` is the one-point L-BFGS
 search, one start's partition search at a time, that the lane driver
 ``_lane_search`` must reproduce. ``point_gap`` evaluates the gap kernel at
-one point as a call of one lane.
+one point as a call of one lane. ``loop_tilde_coords`` and
+``loop_intertwining_residual`` are the per-element coordinates and
+certified residual, built on the dense ``rep``/``tilde_rep`` matrices, that
+the stacked GNS build must reproduce.
 """
 
 from __future__ import annotations
@@ -17,7 +20,10 @@ import numpy as np
 from qcorr.bipartite import BipartiteSpace, BipartiteState
 from qcorr.correlation import (ARMIJO, FIRST_STEP, LBFGS_MEMORY, MAX_BACKTRACKS, STALL_REL, _Best, _Engine,
                                _indicator)
+from qcorr.gns import LocalDecomposition, _INV_SQRT2
+from qcorr.linalg import dagger, hermitian_basis, matrix_units, psd_sqrt
 from qcorr.measures import Ensemble
+from qcorr.posmaps import PositiveMapSpec, apply_map
 
 SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SY = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -255,3 +261,37 @@ def _gradient_search(engine: _Engine, groups, x0: np.ndarray, budget: int, tol: 
         step = t * d
         x, g = x + step, g_new
     return evals
+
+
+def _realify(z: np.ndarray) -> np.ndarray:
+    return np.concatenate([z.real, z.imag])
+
+
+def intertwiner_basis(ld: LocalDecomposition) -> np.ndarray:
+    """The basis an intertwiner is certified on: matrix units for the
+    doubled variant, the Hermitian basis for the single one."""
+    return matrix_units(ld.left.d) if ld.right is not None else hermitian_basis(ld.left.d)
+
+
+def loop_tilde_coords(ld: LocalDecomposition, a: np.ndarray) -> np.ndarray:
+    """Coordinates of the class of one element a, as the dense
+    representation matrix applied to the class of the unit."""
+    left = ld.left.rep(a) @ ld.left.omega_vec
+    if ld.right is None:
+        return _realify(left)
+    return np.concatenate([left * _INV_SQRT2, (ld.right.rep(a) @ ld.right.omega_vec) * _INV_SQRT2])
+
+
+def loop_intertwining_residual(ld: LocalDecomposition, alpha: PositiveMapSpec,
+                               rho: np.ndarray) -> float:
+    """max_k ||V pi~(a_k) V† sqrt(rho) - alpha(a_k) sqrt(rho)||, one basis
+    element at a time with pi~(a_k) formed by ``ld.tilde_rep``."""
+    sqrt_rho = psd_sqrt(rho)
+    vh_sr = dagger(ld.v) @ ld.sqrt_rho_vec
+    res = 0.0
+    for a in intertwiner_basis(ld):
+        y = (apply_map(alpha, a) @ sqrt_rho).reshape(-1)
+        y = y if ld.right is not None else _realify(y)
+        lhs = ld.v @ (ld.tilde_rep(a) @ vh_sr)
+        res = max(res, float(np.linalg.norm(lhs - y)))
+    return res

@@ -72,6 +72,18 @@ def test_boxtimes_of_known_ensemble(tmp_path, capsys, proj_path):
     assert abs(float(lines["gap"])) <= 1e-9
 
 
+def test_boxtimes_non_psd_member_exits_3_naming_it(tmp_path, capsys, proj_path):
+    obj = serialize.ensemble_to_json(werner_third_product_ensemble())
+    # Hermitian, unit trace, eigenvalue -0.01; the mixture stays a state
+    obj["members"][3].update(serialize.matrix_to_json(np.diag([0.51, 0.25, 0.25, -0.01])))
+    ens = tmp_path / "bad.json"
+    serialize.dump_json(str(ens), obj)
+    code, out, err = run(capsys, "boxtimes", str(ens), proj_path)
+    assert code == 3
+    assert out == ""
+    assert "member 3" in err
+
+
 def test_d_command(tmp_path, capsys, bell_path):
     za = tmp_path / "sz.json"
     serialize.dump_json(str(za), serialize.matrix_to_json(np.diag([1.0, -1.0])))

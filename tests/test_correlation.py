@@ -39,7 +39,7 @@ from qcorr.measures import (
     normalize_partition,
     singleton_partition,
 )
-from qcorr.posmaps import PPT_ATOL, ppt_min_eigenvalue
+from qcorr.posmaps import PPT_ATOL, ppt_min_eig_and_vector, ppt_min_eigenvalue
 
 from helpers import (
     SZ,
@@ -254,6 +254,21 @@ def test_pt_witness_needs_a_partial_transpose_below_ppt_atol():
     res = separability_verdict(state, FAST, n_observables=0)
     assert res.probes == ()
     assert res.verdict == SEPARABLE
+
+
+def test_verdict_decomposes_the_partial_transpose_once(monkeypatch):
+    import qcorr.correlation as correlation
+    calls = []
+
+    def counted(rho):
+        calls.append(rho)
+        return ppt_min_eig_and_vector(rho)
+
+    monkeypatch.setattr(correlation, "ppt_min_eig_and_vector", counted)
+    res = separability_verdict(make_werner(0.8), FAST, n_observables=0)
+    assert len(calls) == 1
+    assert [label for label, _ in res.probes] == ["pt-witness"]
+    assert res.verdict == ENTANGLED
 
 
 def test_verdict_bell_entangled():

@@ -4,6 +4,7 @@ import pytest
 from qcorr.bipartite import random_full_rank_density
 from qcorr.errors import InvalidDensityMatrix, MapNotUnital, WellDefinednessFailure
 from qcorr.gns import (
+    _tilde_coords,
     build_intertwiner_single,
     build_intertwiner_doubled,
     gns_left,
@@ -21,7 +22,13 @@ from qcorr.posmaps import (
     transpose_map,
 )
 
-from helpers import random_density, random_hermitian
+from helpers import (
+    intertwiner_basis,
+    loop_intertwining_residual,
+    loop_tilde_coords,
+    random_density,
+    random_hermitian,
+)
 
 
 def _omega_residual(ld):
@@ -177,6 +184,27 @@ def test_builtin_suite_small():
                 assert ld2.residual_max <= 1e-9, (alpha.name, d, seed)
                 assert ld2.v_norm <= 1.0 + 1e-9, (alpha.name, d, seed)
                 assert _omega_residual(ld2) <= 1e-10, (alpha.name, d, seed)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_stacked_build_matches_per_element_reference(d):
+    # coordinates and the certified residual over the whole basis stack
+    # agree with the per-element dense-matrix reference, also when the
+    # induced state omega has rank r < d (rank-1 rho)
+    rng = np.random.default_rng(40 + d)
+    ranks = set()
+    for rho in (random_full_rank_density(d, 60 + d), random_density(d, rng, rank=1)):
+        for alpha in builtin_maps(d):
+            for build in (build_intertwiner_doubled, build_intertwiner_single):
+                ld = build(alpha, rho)
+                ranks.add(ld.left.rank)
+                ref = loop_intertwining_residual(ld, alpha, rho)
+                assert abs(ld.residual_max - ref) <= 1e-13, (alpha.name, build.__name__)
+                basis = intertwiner_basis(ld)
+                stacked = _tilde_coords(ld.left, ld.right, basis)
+                looped = np.stack([loop_tilde_coords(ld, a) for a in basis])
+                assert np.max(np.abs(stacked - looped)) <= 1e-15, (alpha.name, build.__name__)
+    assert min(ranks) < d <= max(ranks)
 
 
 def test_rank_deficient_rho_supported():

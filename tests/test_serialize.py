@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from qcorr.bipartite import make_bell, make_werner
-from qcorr.errors import ParseError
+import qcorr.bipartite
+import qcorr.measures
+from qcorr.bipartite import BipartiteSpace, BipartiteState, make_bell, make_werner
+from qcorr.errors import InvalidDensityMatrix, ParseError
 from qcorr.measures import Ensemble
 from qcorr.posmaps import is_unital, reduction_map
 from qcorr import serialize
@@ -38,6 +40,51 @@ def test_ensemble_roundtrip():
     assert isinstance(back, Ensemble)
     assert np.allclose(back.weights, e.weights)
     assert np.allclose(back.barycenter.rho, e.barycenter.rho, atol=1e-12)
+
+
+def _basis_ensemble() -> Ensemble:
+    """The maximally mixed 2x2 state as four computational-basis members."""
+    space = BipartiteSpace(2, 2)
+    members = tuple(np.diag(np.eye(4)[k]).astype(complex) for k in range(4))
+    return Ensemble(space, np.full(4, 0.25), members, BipartiteState(space, np.eye(4) / 4))
+
+
+def _count_validations(monkeypatch) -> list:
+    calls = []
+    orig = qcorr.bipartite.validate_density
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    for module in (qcorr.bipartite, qcorr.measures):
+        monkeypatch.setattr(module, "validate_density", counted)
+    return calls
+
+
+def test_ensemble_members_validated_once(monkeypatch):
+    # writing validates nothing; reading validates each member once (in
+    # Ensemble) plus the barycenter, and the written JSON keeps the state format
+    e = _basis_ensemble()
+    as_states = [serialize.state_to_json(BipartiteState(e.space, m)) for m in e.members]
+    calls = _count_validations(monkeypatch)
+    obj = serialize.ensemble_to_json(e)
+    assert len(calls) == 0
+    assert obj["members"] == as_states
+    back = serialize.ensemble_from_json(obj)
+    assert len(calls) == 5
+    assert all(np.array_equal(a, b) for a, b in zip(back.members, e.members))
+
+
+def test_invalid_ensemble_member_named_by_index():
+    obj = serialize.ensemble_to_json(_basis_ensemble())
+    # Hermitian, unit trace, eigenvalue -0.01; the mixture stays a state
+    obj["members"][2].update(serialize.matrix_to_json(np.diag([0, 0, 1.01, -0.01])))
+    with pytest.raises(InvalidDensityMatrix, match="member 2 min eigenvalue"):
+        serialize.ensemble_from_json(obj)
+    obj["members"][1].update(serialize.matrix_to_json(np.eye(2) / 2))
+    with pytest.raises(InvalidDensityMatrix, match=r"members\[1\] has shape \(2, 2\)"):
+        serialize.ensemble_from_json(obj)
 
 
 def test_missing_field_names_offender():
