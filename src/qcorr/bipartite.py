@@ -13,28 +13,37 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidDensityMatrix, NotHermitian, OutOfRange
-from .linalg import PSD_CLAMP, as_matrix, dagger, kron, require_hermitian
+from .linalg import HERM_ATOL, PSD_CLAMP, as_matrix, dagger, kron, require_hermitian
 
 TRACE_ATOL = 1e-10
 
 
-def validate_density(rho, dim: int | None = None, name: str = "rho") -> np.ndarray:
-    """Check Hermitian / PSD / unit-trace and return a read-only copy."""
+def validate_density(rho, dim: int | None = None, name: str = "rho", stack: bool = False) -> np.ndarray:
+    """Check Hermitian / PSD / unit-trace and return a read-only copy. With
+    ``stack``, rho is a (k, n, n) stack checked at once; an error names the
+    first member that fails a check, ``f"{name} {i}"``, and its first failed
+    check, as checking the members one at a time would."""
+    x = as_matrix(rho, name, stack).copy()
+    s, n = (x if stack else x[None]), x.shape[-1]
     try:
-        rho = require_hermitian(rho, name=name).copy()
+        if s.shape[1] != n:
+            require_hermitian(s[0], f"{name} 0" if stack else name)
+        tr = np.trace(s, axis1=1, axis2=2)
+        low = np.linalg.eigvalsh((s + dagger(s)) / 2.0)[:, 0]
+        fails = np.array([np.abs(s - dagger(s)).max(axis=(1, 2)) > HERM_ATOL,
+                          np.full(len(s), dim not in (None, n)),
+                          np.abs(tr - 1.0) > TRACE_ATOL, low < -PSD_CLAMP])
+        if fails.any():
+            i = int(np.argmax(fails.any(axis=0)))
+            who = f"{name} {i}" if stack else name
+            require_hermitian(s[i], who)  # raises if Hermiticity is the check that failed
+            why = (f"has dimension {n}, expected {dim}", f"trace {complex(tr[i])} != 1",
+                   f"min eigenvalue {low[i]:.3e} < -{PSD_CLAMP:.1e}")
+            raise InvalidDensityMatrix(f"{who} {why[fails[1:, i].argmax()]}")
     except NotHermitian as exc:
         raise InvalidDensityMatrix(str(exc)) from exc
-    n = rho.shape[0]
-    if dim is not None and n != dim:
-        raise InvalidDensityMatrix(f"{name} has dimension {n}, expected {dim}")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > TRACE_ATOL:
-        raise InvalidDensityMatrix(f"{name} trace {tr} != 1")
-    w = np.linalg.eigvalsh((rho + dagger(rho)) / 2.0)
-    if w[0] < -PSD_CLAMP:
-        raise InvalidDensityMatrix(f"{name} min eigenvalue {w[0]:.3e} < -{PSD_CLAMP:.1e}")
-    rho.setflags(write=False)
-    return rho
+    x.setflags(write=False)
+    return x
 
 
 @dataclass(frozen=True)
@@ -65,10 +74,10 @@ class BipartiteState:
 
 
 def marginal(rho: np.ndarray, space: BipartiteSpace, factor: int) -> np.ndarray:
-    """Partial trace of an unvalidated dim x dim matrix onto factor 0 (the
-    first) or 1 (the second)."""
-    r4 = rho.reshape(space.d1, space.d2, space.d1, space.d2)
-    return np.einsum("ikjk->ij" if factor == 0 else "kikj->ij", r4)
+    """Partial trace onto factor 0 (the first) or 1 (the second) of an
+    unvalidated dim x dim matrix, or of each matrix of a (k, dim, dim) stack."""
+    r4 = rho.reshape(*rho.shape[:-2], space.d1, space.d2, space.d1, space.d2)
+    return np.einsum("...ikjk->...ij" if factor == 0 else "...kikj->...ij", r4)
 
 
 def restrict_first(s: BipartiteState) -> np.ndarray:

@@ -37,7 +37,7 @@ from .linalg import (
     psd_sqrt,
     psd_support,
 )
-from .posmaps import PositiveMapSpec, is_unital
+from .posmaps import PositiveMapSpec, apply_map, is_unital
 
 # Singular values below this (relative) are treated as null directions of
 # the defining data.
@@ -152,12 +152,8 @@ def _tilde_rep(left: GnsRepresentation, right: GnsRepresentation | None,
     block-diagonal doubled representation (left and right are equal-sized)."""
     if right is None:
         return _realify_op(left.rep(a))
-    m1 = left.rep(a)
-    n = m1.shape[0]
-    out = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    out[:n, :n] = m1
-    out[n:, n:] = right.rep(a)
-    return out
+    m1, m2 = left.rep(a), right.rep(a)
+    return np.block([[m1, np.zeros_like(m2)], [np.zeros_like(m1), m2]])
 
 
 def _tilde_coords(left: GnsRepresentation, right: GnsRepresentation | None,
@@ -236,7 +232,7 @@ def _build_intertwiner(alpha: PositiveMapSpec, rho, doubled: bool) -> LocalDecom
 
     basis = matrix_units(d) if doubled else hermitian_basis(d)
     x = _tilde_coords(left, right, basis)
-    targets = hs_vec(np.einsum("nkl,kalb->nab", basis, alpha.choi4) @ sqrt_rho)
+    targets = hs_vec(apply_map(alpha, basis) @ sqrt_rho)
     v = _solve_intertwiner(x.T, targets.T, basis)
 
     # max_k ||V pi~(a_k) V† sqrt(rho) - alpha(a_k) sqrt(rho)|| over the whole basis

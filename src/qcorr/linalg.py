@@ -22,11 +22,14 @@ PSD_CLAMP = 1e-10
 RANK_REL_TOL = 1e-12
 
 
-def as_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite 2-D complex128 array."""
-    a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2:
-        raise InvalidMatrix(f"{name} must be 2-D, got shape {a.shape}")
+def as_matrix(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """Coerce to a finite 2-D complex128 array, or with ``stack`` a 3-D stack."""
+    try:
+        a = np.asarray(m, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise InvalidMatrix(f"{name} is not an array of numbers ({exc})") from exc
+    if a.ndim != 2 + stack:
+        raise InvalidMatrix(f"{name} must be {2 + stack}-D, got shape {a.shape}")
     if a.size == 0:
         raise InvalidMatrix(f"{name} must be non-empty")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
@@ -67,13 +70,14 @@ def hermitian_eigendecompose(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
     """Positive-semidefinite square root of a PSD Hermitian matrix.
 
-    Eigenvalues in [-1e-10, 0) are clamped to 0; anything lower raises
-    ``NotPSD``.
+    Eigenvalues below -1e-10 raise ``NotPSD``; those at or below RANK_REL_TOL
+    times the largest, outside the support ``psd_support`` keeps, are set to
+    0, so a rank-deficient matrix has a root of the same rank.
     """
     w, v = hermitian_eigendecompose(m)
     if w[0] < -PSD_CLAMP:
         raise NotPSD(f"minimum eigenvalue {w[0]:.3e} below -{PSD_CLAMP:.1e}")
-    w = np.maximum(w, 0.0)
+    w = np.where(w > max(w[-1], 0.0) * RANK_REL_TOL, w, 0.0)
     r = (v * np.sqrt(w)) @ dagger(v)
     return (r + dagger(r)) / 2.0
 

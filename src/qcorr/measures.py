@@ -15,7 +15,7 @@ import numpy as np
 
 from .bipartite import BipartiteSpace, BipartiteState, marginal, validate_density
 from .errors import BadPartition, DimensionMismatch, RankTooSmall
-from .linalg import as_matrix, kron, psd_support
+from .linalg import as_matrix, dagger, psd_support
 
 WEIGHT_SUM_ATOL = 1e-10
 BARYCENTER_ATOL = 1e-8
@@ -40,25 +40,27 @@ def _validated_weights(weights) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Weights and member density matrices with a declared barycenter."""
+    """Weights and a read-only (k, D, D) stack of member density matrices;
+    the barycenter, if not declared, is the members' mixture."""
 
     space: BipartiteSpace
     weights: np.ndarray
-    members: tuple[np.ndarray, ...]
-    barycenter: BipartiteState
+    members: np.ndarray
+    barycenter: BipartiteState | None = None
 
     def __post_init__(self):
         w = _validated_weights(self.weights)
-        if len(self.members) != w.size:
+        members = validate_density(self.members, self.space.dim, "member", stack=True)
+        if len(members) != w.size:
             raise DimensionMismatch("weights and members must have equal length")
-        members = tuple(validate_density(m, self.space.dim, f"member {i}")
-                        for i, m in enumerate(self.members))
-        acc = sum(wi * mi for wi, mi in zip(w, members))
-        resid = float(np.linalg.norm(acc - self.barycenter.rho))
+        acc = np.tensordot(w, members, 1)
+        bary = self.barycenter if self.barycenter is not None else BipartiteState(self.space, acc)
+        resid = float(np.linalg.norm(acc - bary.rho))
         if resid > BARYCENTER_ATOL:
             raise DimensionMismatch(f"barycenter residual {resid:.3e} > {BARYCENTER_ATOL:.1e}")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "members", members)
+        object.__setattr__(self, "barycenter", bary)
 
     def __len__(self) -> int:
         return int(self.weights.size)
@@ -66,20 +68,18 @@ class Ensemble:
 
 @dataclass(frozen=True)
 class ProductEnsemble:
-    """Weights plus per-member marginal pairs (the image under the
-    marginal-product construction)."""
+    """Weights plus the member marginals as read-only (k, d1, d1) and
+    (k, d2, d2) stacks (the image under the marginal-product construction)."""
 
     space: BipartiteSpace
     weights: np.ndarray
-    first_marginals: tuple[np.ndarray, ...]
-    second_marginals: tuple[np.ndarray, ...]
+    first_marginals: np.ndarray
+    second_marginals: np.ndarray
 
     def __post_init__(self):
         w = _validated_weights(self.weights)
-        firsts = tuple(validate_density(m, self.space.d1, f"first marginal {i}")
-                       for i, m in enumerate(self.first_marginals))
-        seconds = tuple(validate_density(m, self.space.d2, f"second marginal {i}")
-                        for i, m in enumerate(self.second_marginals))
+        firsts = validate_density(self.first_marginals, self.space.d1, "first marginal", stack=True)
+        seconds = validate_density(self.second_marginals, self.space.d2, "second marginal", stack=True)
         if len(firsts) != w.size or len(seconds) != w.size:
             raise DimensionMismatch("marginal lists must match weights length")
         object.__setattr__(self, "weights", w)
@@ -90,18 +90,14 @@ class ProductEnsemble:
 def boxtimes(e: Ensemble) -> ProductEnsemble:
     """Replace each member by the pair of its marginals, keeping weights;
     ``Ensemble`` validated the members, so their marginals are taken directly."""
-    firsts = tuple(marginal(m, e.space, 0) for m in e.members)
-    seconds = tuple(marginal(m, e.space, 1) for m in e.members)
-    return ProductEnsemble(e.space, e.weights, firsts, seconds)
+    return ProductEnsemble(e.space, e.weights, marginal(e.members, e.space, 0),
+                           marginal(e.members, e.space, 1))
 
 
 def boxtimes_barycenter(pe: ProductEnsemble) -> BipartiteState:
     """Barycenter sum_i w_i (sigma_i (x) tau_i); always separable."""
-    dim = pe.space.dim
-    acc = np.zeros((dim, dim), dtype=np.complex128)
-    for w, s, t in zip(pe.weights, pe.first_marginals, pe.second_marginals):
-        acc += w * kron(s, t)
-    return BipartiteState(pe.space, acc)
+    acc = np.einsum("i,iab,icd->acbd", pe.weights, pe.first_marginals, pe.second_marginals)
+    return BipartiteState(pe.space, acc.reshape(pe.space.dim, pe.space.dim))
 
 
 def evaluate_boxtimes(pe: ProductEnsemble, a: np.ndarray) -> complex:
@@ -111,10 +107,8 @@ def evaluate_boxtimes(pe: ProductEnsemble, a: np.ndarray) -> complex:
     if a.shape != (d1 * d2, d1 * d2):
         raise DimensionMismatch(f"observable shape {a.shape} != {(d1 * d2, d1 * d2)}")
     a4 = a.reshape(d1, d2, d1, d2)
-    total = 0.0 + 0.0j
-    for w, s, t in zip(pe.weights, pe.first_marginals, pe.second_marginals):
-        total += w * np.einsum("ab,cd,bdac->", s, t, a4)
-    return complex(total)
+    values = np.einsum("iab,icd,bdac->i", pe.first_marginals, pe.second_marginals, a4)
+    return complex(pe.weights @ values)
 
 
 def normalize_partition(partition, m: int) -> Partition:
@@ -191,20 +185,17 @@ def ensemble_from_unitary(rho: BipartiteState, u: np.ndarray, partition) -> Ense
         raise DimensionMismatch(f"U has {u.shape[1]} columns, fewer than rank {r}")
     groups = normalize_partition(partition, m)
     phi = psi @ (np.sqrt(p)[:, None] * u[:, :r].conj().T)  # (dim, m)
-    weights, members = [], []
-    for g in groups:
-        block = phi[:, list(g)]
-        lam = float(np.einsum("ij,ij->", block, block.conj()).real)
-        if lam < ZERO_WEIGHT_TOL:
-            continue
-        x = block @ block.conj().T
-        members.append((x + x.conj().T) / (2.0 * lam))
-        weights.append(lam)
-    if not weights:
+    # each group's sum of |phi_j><phi_j|, its members taken in group order
+    cols = phi[:, np.concatenate(groups)].T
+    sizes = np.array(list(map(len, groups)))
+    x = np.add.reduceat(cols[:, :, None] * cols.conj()[:, None, :], np.cumsum(sizes) - sizes)
+    lam = np.einsum("kaa->k", x).real
+    keep = lam >= ZERO_WEIGHT_TOL
+    if not keep.any():
         raise BadPartition("all groups carried zero weight")
-    w = np.asarray(weights)
-    w /= w.sum()
-    return Ensemble(rho.space, w, tuple(members), rho)
+    x, lam = x[keep], lam[keep]
+    members = (x + dagger(x)) / (2.0 * lam[:, None, None])
+    return Ensemble(rho.space, lam / lam.sum(), members, rho)
 
 
 def hjw_ensemble(rho: BipartiteState, isometry_params: np.ndarray, m: int, partition) -> Ensemble:

@@ -52,19 +52,17 @@ class PositiveMapSpec:
 
 def map_from_function(d: int, fn: Callable[[np.ndarray], np.ndarray], name: str = "") -> PositiveMapSpec:
     """Build the Choi matrix of x -> fn(x) by evaluating fn on matrix units."""
-    c = np.zeros((d * d, d * d), dtype=np.complex128)
-    for j, e in enumerate(matrix_units(d)):
-        k, l = divmod(j, d)
-        c[k * d:(k + 1) * d, l * d:(l + 1) * d] = as_matrix(fn(e), "fn(E_kl)")
-    return PositiveMapSpec(d, c, name)
+    f = as_matrix([fn(e) for e in matrix_units(d)], "fn(E_kl)", stack=True)  # f[(k, l), a, b]
+    return PositiveMapSpec(d, f.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d), name)
 
 
 def apply_map(alpha: PositiveMapSpec, x: np.ndarray) -> np.ndarray:
-    """alpha(x) reconstructed from the Choi matrix."""
-    x = as_matrix(x, "x")
-    if x.shape != (alpha.d, alpha.d):
-        raise DimensionMismatch(f"input shape {x.shape} != ({alpha.d}, {alpha.d})")
-    return np.einsum("kl,kalb->ab", x, alpha.choi4)
+    """alpha(x), or alpha of each matrix of a (k, d, d) stack, reconstructed
+    from the Choi matrix."""
+    x = as_matrix(x, "x", stack=np.ndim(x) == 3)
+    if x.shape[-2:] != (alpha.d, alpha.d):
+        raise DimensionMismatch(f"input shape {x.shape} != (..., {alpha.d}, {alpha.d})")
+    return np.einsum("...kl,kalb->...ab", x, alpha.choi4)
 
 
 def apply_tensor_id(alpha: PositiveMapSpec, s: BipartiteState) -> np.ndarray:
@@ -164,9 +162,7 @@ def kadison_defect(alpha: PositiveMapSpec, a: np.ndarray) -> float:
     if a.shape != (alpha.d, alpha.d):
         raise DimensionMismatch(f"element shape {a.shape} != ({alpha.d}, {alpha.d})")
     ad = dagger(a)
-    lhs = apply_map(alpha, ad @ a + a @ ad)
-    aa = apply_map(alpha, a)
-    aad = apply_map(alpha, ad)
+    lhs, aa, aad = apply_map(alpha, np.stack([ad @ a + a @ ad, a, ad]))
     defect = lhs - aad @ aa - aa @ aad
     w, _ = hermitian_eigendecompose((defect + dagger(defect)) / 2.0)
     return float(w[0])

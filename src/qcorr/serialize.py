@@ -70,16 +70,26 @@ def state_to_json(s: BipartiteState) -> dict:
 
 
 def state_from_json(obj, where: str = "state") -> BipartiteState:
-    return BipartiteState(*_state_parts(obj, where))
+    return BipartiteState(_space(obj, where), matrix_from_json(obj, where))
 
 
-def _state_parts(obj, where: str) -> tuple[BipartiteSpace, np.ndarray]:
-    """Declared factor dimensions and the unvalidated matrix of a state."""
+def _space(obj, where: str) -> BipartiteSpace:
+    """Declared factor dimensions of a state."""
     d1 = _field(obj, "d1", where)
     d2 = _field(obj, "d2", where)
     if type(d1) is not int or type(d2) is not int or d1 < 1 or d2 < 1:
         raise ParseError(f"{where}: fields 'd1'/'d2' must be positive integers")
-    return BipartiteSpace(d1, d2), matrix_from_json(obj, where)
+    return BipartiteSpace(d1, d2)
+
+
+def _member(obj, where: str, space: BipartiteSpace) -> np.ndarray:
+    """The unvalidated matrix of an ensemble member on the ensemble's space."""
+    if _space(obj, where) != space:
+        raise ParseError(f"{where}: inconsistent factor dimensions")
+    m = matrix_from_json(obj, where)
+    if m.shape != (space.dim, space.dim):
+        raise InvalidDensityMatrix(f"{where} has shape {m.shape}, expected ({space.dim}, {space.dim})")
+    return m
 
 
 def map_to_json(alpha: PositiveMapSpec) -> dict:
@@ -95,29 +105,22 @@ def map_from_json(obj, where: str = "map") -> PositiveMapSpec:
 
 
 def ensemble_to_json(e: Ensemble) -> dict:
-    members = [{"d1": e.space.d1, "d2": e.space.d2, **matrix_to_json(m)} for m in e.members]
+    members = [{"d1": e.space.d1, "d2": e.space.d2, "re": re, "im": im}
+               for re, im in zip(e.members.real.tolist(), e.members.imag.tolist())]
     return {"weights": list(map(float, e.weights)), "members": members}
 
 
 def ensemble_from_json(obj, where: str = "ensemble") -> Ensemble:
-    """Members are parsed as matrices; ``Ensemble`` validates each once."""
+    """Members are parsed into one stack, which ``Ensemble`` validates once
+    before it forms their barycenter."""
     weights = _field(obj, "weights", where)
     members_json = _field(obj, "members", where)
     if not isinstance(weights, list) or not isinstance(members_json, list):
         raise ParseError(f"{where}: 'weights' and 'members' must be lists")
     if not members_json:
         raise ParseError(f"{where}: 'members' must be non-empty")
-    parts = [_state_parts(m, f"{where}.members[{i}]") for i, m in enumerate(members_json)]
-    space = parts[0][0]
-    for i, (s, m) in enumerate(parts):
-        if s != space:
-            raise ParseError(f"{where}.members[{i}]: inconsistent factor dimensions")
-        if m.shape != (space.dim, space.dim):
-            raise InvalidDensityMatrix(f"{where}.members[{i}] has shape {m.shape}, "
-                                       f"expected ({space.dim}, {space.dim})")
+    space = _space(members_json[0], f"{where}.members[0]")
+    members = np.stack([_member(m, f"{where}.members[{i}]", space) for i, m in enumerate(members_json)])
     if not all(_finite_number(x) for x in weights):
         raise ParseError(f"{where}: 'weights' must be finite numbers")
-    w = np.asarray(weights, dtype=float)
-    members = tuple(m for _, m in parts)
-    bary = sum(wi * m for wi, m in zip(w, members))
-    return Ensemble(space, w, members, BipartiteState(space, bary))
+    return Ensemble(space, np.asarray(weights, dtype=float), members)

@@ -8,7 +8,10 @@ search, one start's partition search at a time, that the lane driver
 one point as a call of one lane. ``loop_tilde_coords`` and
 ``loop_intertwining_residual`` are the per-element coordinates and
 certified residual, built on the dense ``rep``/``tilde_rep`` matrices, that
-the stacked GNS build must reproduce.
+the stacked GNS build must reproduce. ``loop_validate_density``,
+``loop_ensemble_from_unitary``, ``loop_boxtimes`` and
+``loop_evaluate_boxtimes`` are the one-member-at-a-time witness recompute
+that the stacked ensemble code must reproduce.
 """
 
 from __future__ import annotations
@@ -17,12 +20,13 @@ from collections import deque
 
 import numpy as np
 
-from qcorr.bipartite import BipartiteSpace, BipartiteState
+from qcorr.bipartite import TRACE_ATOL, BipartiteSpace, BipartiteState
 from qcorr.correlation import (ARMIJO, FIRST_STEP, LBFGS_MEMORY, MAX_BACKTRACKS, STALL_REL, _Best, _Engine,
                                _indicator)
+from qcorr.errors import BadPartition, InvalidDensityMatrix, NotHermitian
 from qcorr.gns import LocalDecomposition, _INV_SQRT2
-from qcorr.linalg import dagger, hermitian_basis, matrix_units, psd_sqrt
-from qcorr.measures import Ensemble
+from qcorr.linalg import PSD_CLAMP, dagger, hermitian_basis, matrix_units, psd_sqrt, require_hermitian
+from qcorr.measures import ZERO_WEIGHT_TOL, Ensemble, normalize_partition, state_spectral_data
 from qcorr.posmaps import PositiveMapSpec, apply_map
 
 SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -295,3 +299,54 @@ def loop_intertwining_residual(ld: LocalDecomposition, alpha: PositiveMapSpec,
         lhs = ld.v @ (ld.tilde_rep(a) @ vh_sr)
         res = max(res, float(np.linalg.norm(lhs - y)))
     return res
+
+
+def loop_validate_density(members, dim: int, name: str) -> None:
+    """Check each member in turn (Hermitian, dimension, unit trace, PSD),
+    raising InvalidDensityMatrix for the first failure as
+    ``f"{name} {i} ..."``."""
+    for i, rho in enumerate(members):
+        who = f"{name} {i}"
+        try:
+            rho = require_hermitian(rho, name=who)
+        except NotHermitian as exc:
+            raise InvalidDensityMatrix(str(exc)) from exc
+        if rho.shape[0] != dim:
+            raise InvalidDensityMatrix(f"{who} has dimension {rho.shape[0]}, expected {dim}")
+        tr = complex(np.trace(rho))
+        if abs(tr - 1.0) > TRACE_ATOL:
+            raise InvalidDensityMatrix(f"{who} trace {tr} != 1")
+        w = np.linalg.eigvalsh((rho + dagger(rho)) / 2.0)
+        if w[0] < -PSD_CLAMP:
+            raise InvalidDensityMatrix(f"{who} min eigenvalue {w[0]:.3e} < -{PSD_CLAMP:.1e}")
+
+
+def loop_ensemble_from_unitary(rho: BipartiteState, u: np.ndarray, partition):
+    """Weights and members of ``ensemble_from_unitary``, one group at a time."""
+    p, psi = state_spectral_data(rho)
+    r = p.size
+    phi = psi @ (np.sqrt(p)[:, None] * u[:, :r].conj().T)
+    weights, members = [], []
+    for g in normalize_partition(partition, u.shape[0]):
+        block = phi[:, list(g)]
+        lam = float(np.einsum("ij,ij->", block, block.conj()).real)
+        if lam < ZERO_WEIGHT_TOL:
+            continue
+        x = block @ block.conj().T
+        members.append((x + x.conj().T) / (2.0 * lam))
+        weights.append(lam)
+    if not weights:
+        raise BadPartition("all groups carried zero weight")
+    w = np.asarray(weights)
+    return w / w.sum(), members
+
+
+def loop_boxtimes(members, d1: int, d2: int):
+    """First and second marginals of each member, by the loop partial traces."""
+    return ([naive_partial_trace_second(m, d1, d2) for m in members],
+            [naive_partial_trace_first(m, d1, d2) for m in members])
+
+
+def loop_evaluate_boxtimes(weights, firsts, seconds, a: np.ndarray) -> complex:
+    """sum_i w_i Tr[(sigma_i (x) tau_i) A], one member at a time."""
+    return complex(sum(w * np.trace(np.kron(s, t) @ a) for w, s, t in zip(weights, firsts, seconds)))

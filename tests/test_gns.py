@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qcorr.bipartite import random_full_rank_density
-from qcorr.errors import InvalidDensityMatrix, MapNotUnital, WellDefinednessFailure
+from qcorr.errors import InvalidDensityMatrix, InvalidMatrix, MapNotUnital, WellDefinednessFailure
 from qcorr.gns import (
     _tilde_coords,
     build_intertwiner_single,
@@ -95,6 +95,13 @@ def test_gns_right_nilpotent():
 def test_gns_rejects_invalid_density():
     with pytest.raises(InvalidDensityMatrix):
         gns_left(2, np.eye(2))
+    # a stack of densities is not one density
+    half = np.stack([np.eye(2) / 2] * 2)
+    for build in (gns_left, gns_right):
+        with pytest.raises(InvalidMatrix, match="2-D"):
+            build(2, half)
+    with pytest.raises(InvalidMatrix, match="2-D"):
+        build_intertwiner_doubled(identity_map(2), half)
 
 
 def test_single_intertwiner_identity_map_is_isometry_on_domain():
@@ -216,6 +223,19 @@ def test_rank_deficient_rho_supported():
         assert ld.residual_max <= 1e-9, build.__name__
         assert ld.v_norm <= bound + 1e-9, build.__name__
         assert ld.dim_gns == dim_gns, build.__name__
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("rank", [1, 2])
+def test_low_rank_rho_certified(d, rank):
+    # sqrt(rho) keeps no root of a roundoff eigenvalue outside the support,
+    # so every builtin map passes its certificate on a low-rank rho
+    rho = random_density(d, np.random.default_rng(70 + 10 * d + rank), rank=rank)
+    for alpha in builtin_maps(d):
+        for build, bound in ((build_intertwiner_single, 1.0), (build_intertwiner_doubled, np.sqrt(2.0))):
+            ld = build(alpha, rho)
+            assert ld.residual_max <= 1e-9, (alpha.name, build.__name__, ld.residual_max)
+            assert ld.v_norm <= bound + 1e-9, (alpha.name, build.__name__)
 
 
 def test_requires_unital_map():

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcorr.bipartite import BipartiteSpace, BipartiteState, make_bell, make_random_state
-from qcorr.correlation import _Engine, _random_partition
-from qcorr.errors import BadPartition, DimensionMismatch, RankTooSmall
+from qcorr.bipartite import BipartiteSpace, BipartiteState, make_bell, make_random_state, validate_density
+from qcorr.correlation import _Engine, _random_partition, factored_product_value
+from qcorr.errors import BadPartition, DimensionMismatch, InvalidDensityMatrix, InvalidMatrix, RankTooSmall
 from qcorr.linalg import matrix_units
 from qcorr.measures import (
     Ensemble,
@@ -17,10 +17,22 @@ from qcorr.measures import (
     expm_antihermitian,
     hjw_ensemble,
     singleton_partition,
+    state_spectral_data,
 )
 from qcorr.posmaps import ppt_min_eigenvalue
 
-from helpers import SZ, point_gap, random_density, random_hermitian, singlet_proj
+from helpers import (
+    SZ,
+    loop_boxtimes,
+    loop_ensemble_from_unitary,
+    loop_evaluate_boxtimes,
+    loop_validate_density,
+    point_gap,
+    random_density,
+    random_hermitian,
+    random_unitary,
+    singlet_proj,
+)
 
 
 def _ensemble(space, weights, members):
@@ -172,7 +184,7 @@ def test_ensemble_from_unitary_reads_first_r_columns():
     mix = ensemble_from_unitary(s, stacked, g1 + tuple(tuple(j + 4 for j in g) for g in g2))
     weights = np.concatenate([t * e1.weights, (1.0 - t) * e2.weights])
     assert np.abs(mix.weights - weights).max() <= 1e-12
-    members = e1.members + e2.members
+    members = np.concatenate([e1.members, e2.members])
     assert max(np.abs(a - b).max() for a, b in zip(mix.members, members)) <= 1e-12
 
 
@@ -242,6 +254,93 @@ def test_decorrelated_term_affine_under_mixing(seed, dims, t):
         ens.append(hjw_ensemble(s, rng.standard_normal(m * m), m, _random_partition(rng, m)))
     e1, e2 = ens
     mix = Ensemble(space, np.concatenate([t * e1.weights, (1.0 - t) * e2.weights]),
-                   e1.members + e2.members, s)
+                   np.concatenate([e1.members, e2.members]), s)
     s1, s2, s_mix = (evaluate_boxtimes(boxtimes(e), a).real for e in (e1, e2, mix))
     assert abs(s_mix - (t * s1 + (1.0 - t) * s2)) <= 1e-12
+
+
+def _isometry(rng, m: int, r: int, zero_rows: int) -> np.ndarray:
+    """An m x r isometry with zero_rows zero rows appended."""
+    return np.pad(expm_antihermitian(rng.standard_normal(m * m), m)[:, :r], ((0, zero_rows), (0, 0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from([(2, 2), (2, 3), (3, 2)]),
+       t=st.sampled_from([None, 0.0, 0.35, 1.0]), zero_rows=st.integers(0, 3))
+def test_stacked_recompute_matches_per_member_reference(seed, dims, t, zero_rows):
+    # the witness recompute on member stacks (groups, marginals, the
+    # decorrelated term) equals the one-member-at-a-time reference, for m x r
+    # and stacked 2m x r isometries, with zero-weight groups from zero rows or
+    # from a stacking weight t of 0 or 1
+    rng = np.random.default_rng(seed)
+    space = BipartiteSpace(*dims)
+    s = make_random_state(space, int(rng.integers(1, space.dim + 1)), seed=seed)
+    r = len(state_spectral_data(s)[0])
+    m = int(rng.integers(r, 2 * space.dim + 1))
+    u = _isometry(rng, m, r, zero_rows)
+    if t is not None:
+        u = np.concatenate([np.sqrt(t) * u, np.sqrt(1.0 - t) * _isometry(rng, m, r, zero_rows)])
+    groups = _random_partition(rng, len(u))
+    a, b1, b2 = (random_hermitian(d, rng) for d in (space.dim, *dims))
+    e = ensemble_from_unitary(s, u, groups)
+    weights, members = loop_ensemble_from_unitary(s, u, groups)
+    assert len(e) == len(weights)
+    assert np.abs(e.weights - weights).max() <= 1e-14
+    assert np.abs(e.members - np.stack(members)).max() <= 1e-14
+    pe = boxtimes(e)
+    firsts, seconds = loop_boxtimes(members, *dims)
+    assert np.abs(pe.first_marginals - np.stack(firsts)).max() <= 1e-14
+    assert np.abs(pe.second_marginals - np.stack(seconds)).max() <= 1e-14
+    assert abs(evaluate_boxtimes(pe, a) - loop_evaluate_boxtimes(weights, firsts, seconds, a)) <= 1e-14
+    factored = loop_evaluate_boxtimes(weights, firsts, seconds, np.kron(b1, b2)).real
+    assert abs(factored_product_value(pe, b1, b2) - factored) <= 1e-14
+
+
+def _message(fn) -> str:
+    with pytest.raises(InvalidDensityMatrix) as info:
+        fn()
+    return str(info.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 4), k=st.integers(1, 6),
+       defects=st.lists(st.tuples(st.integers(0, 5), st.sampled_from(["hermitian", "trace", "negative"])),
+                        min_size=1, max_size=3))
+def test_stack_validation_names_member_like_reference(seed, d, k, defects):
+    # a stack with defects planted in some members fails with the message the
+    # one-member-at-a-time check gives: the same first bad index and check
+    rng = np.random.default_rng(seed)
+    stack = np.stack([random_density(d, rng) for _ in range(k)])
+    for i, kind in defects:
+        i %= k
+        if kind == "trace":
+            stack[i] *= 1.01
+        else:
+            u = random_unitary(d, rng)
+            bad = np.diag([1.05, -0.05] + [0.0] * (d - 2)) if kind == "negative" else stack[i]
+            stack[i] = u @ bad @ u.conj().T + (1e-3 * np.eye(d, k=1) if kind == "hermitian" else 0.0)
+    ref = _message(lambda: loop_validate_density(stack, d, "member"))
+    assert _message(lambda: validate_density(stack, d, "member", stack=True)) == ref
+    # the same stack as the first or second marginals of a product ensemble
+    ok = np.stack([random_density(d, rng) for _ in range(k)])
+    space, w = BipartiteSpace(d, d), np.full(k, 1.0 / k)
+    assert _message(lambda: ProductEnsemble(space, w, stack, ok)) == ref.replace("member", "first marginal")
+    assert _message(lambda: ProductEnsemble(space, w, ok, stack)) == ref.replace("member", "second marginal")
+
+
+def test_single_matrix_entry_points_reject_stacks():
+    # a (k, D, D) stack is not a state, and the ensemble constructors take
+    # any sequence of equal-shape matrices, rejecting ragged ones
+    space = BipartiteSpace(2, 2)
+    rho = np.eye(4, dtype=complex) / 4
+    with pytest.raises(InvalidMatrix, match="2-D"):
+        BipartiteState(space, np.stack([rho, rho]))
+    with pytest.raises(InvalidMatrix, match="2-D"):
+        validate_density(np.stack([rho, rho]), 4)
+    e = Ensemble(space, [0.5, 0.5], [rho, rho])
+    assert e.members.shape == (2, 4, 4) and not e.members.flags.writeable
+    assert np.array_equal(e.barycenter.rho, rho)
+    with pytest.raises(InvalidMatrix):
+        Ensemble(space, [0.5, 0.5], [rho, rho[:2, :2]])
+    with pytest.raises(InvalidMatrix, match="3-D"):
+        Ensemble(space, [1.0], rho)

@@ -149,6 +149,18 @@ def test_separable_states_are_ppt():
         assert ppt_min_eigenvalue(s) >= -1e-10
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_apply_map_on_a_stack_is_per_matrix(d):
+    # a (k, d, d) stack is mapped matrix by matrix, bit for bit, and the
+    # trailing shape is checked as for one matrix
+    rng = np.random.default_rng(20 + d)
+    xs = rng.standard_normal((5, d, d)) + 1j * rng.standard_normal((5, d, d))
+    for alpha in builtin_maps(d):
+        assert np.array_equal(apply_map(alpha, xs), np.stack([apply_map(alpha, x) for x in xs]))
+    with pytest.raises(DimensionMismatch):
+        apply_map(identity_map(d), xs[:, :, :-1])
+
+
 def test_kadison_identity_equality_case():
     rng = np.random.default_rng(10)
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))

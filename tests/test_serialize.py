@@ -63,8 +63,9 @@ def _count_validations(monkeypatch) -> list:
 
 
 def test_ensemble_members_validated_once(monkeypatch):
-    # writing validates nothing; reading validates each member once (in
-    # Ensemble) plus the barycenter, and the written JSON keeps the state format
+    # writing validates nothing; reading validates the member stack in one
+    # call (in Ensemble), then the barycenter formed from it, and the written
+    # JSON keeps the state format
     e = _basis_ensemble()
     as_states = [serialize.state_to_json(BipartiteState(e.space, m)) for m in e.members]
     calls = _count_validations(monkeypatch)
@@ -72,7 +73,7 @@ def test_ensemble_members_validated_once(monkeypatch):
     assert len(calls) == 0
     assert obj["members"] == as_states
     back = serialize.ensemble_from_json(obj)
-    assert len(calls) == 5
+    assert [np.ndim(args[0]) for args in calls] == [3, 2]
     assert all(np.array_equal(a, b) for a, b in zip(back.members, e.members))
 
 
@@ -85,6 +86,16 @@ def test_invalid_ensemble_member_named_by_index():
     obj["members"][1].update(serialize.matrix_to_json(np.eye(2) / 2))
     with pytest.raises(InvalidDensityMatrix, match=r"members\[1\] has shape \(2, 2\)"):
         serialize.ensemble_from_json(obj)
+
+
+def test_bad_member_named_before_its_barycenter():
+    # with one member the barycenter is that member; the member stack is
+    # checked first, so the message names the member, not the mixture
+    obj = {"weights": [1.0], "members": [{"d1": 2, "d2": 2, **serialize.matrix_to_json(
+        np.diag([0.51, 0.25, 0.25, -0.01]))}]}
+    with pytest.raises(InvalidDensityMatrix, match="member 0 min eigenvalue") as info:
+        serialize.ensemble_from_json(obj)
+    assert info.value.exit_code == 3
 
 
 def test_missing_field_names_offender():
