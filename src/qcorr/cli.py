@@ -11,6 +11,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -283,81 +284,60 @@ def cmd_werner_sweep(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process. A command runs the
+    module's ``cmd_<command>`` function, looked up by name when it runs."""
     parser = argparse.ArgumentParser(
         prog="qcorr",
         description="Decomposition-based correlation coefficients and positive-map tools "
                     "for small bipartite systems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("d0", help="general correlation coefficient for one observable")
-    p.add_argument("state")
-    p.add_argument("observable")
-    _add_optimizer_args(p)
-    p.add_argument("--dump-ensemble", default=None)
-    p.add_argument("--format", choices=["table", "json"], default="table")
-    p.set_defaults(func=cmd_d0)
+    def command(name, help, *positionals, formats=("table", "json")):
+        p = sub.add_parser(name, help=help)
+        for arg in positionals:
+            p.add_argument(arg)
+        p.add_argument("--format", choices=formats, default=formats[0])
+        return p
 
-    p = sub.add_parser("d", help="simple-tensor correlation coefficient")
-    p.add_argument("state")
-    p.add_argument("a")
-    p.add_argument("b")
-    _add_optimizer_args(p)
-    p.add_argument("--dump-ensemble", default=None)
-    p.add_argument("--format", choices=["table", "json"], default="table")
-    p.set_defaults(func=cmd_d)
+    for p in (command("d0", "general correlation coefficient for one observable", "state", "observable"),
+              command("d", "simple-tensor correlation coefficient", "state", "a", "b")):
+        _add_optimizer_args(p)
+        p.add_argument("--dump-ensemble", default=None)
 
-    p = sub.add_parser("verdict", help="separability verdict over a probe set")
-    p.add_argument("state")
+    p = command("verdict", "separability verdict over a probe set", "state")
     p.add_argument("--n-observables", type=int, default=8)
     _add_optimizer_args(p)
     p.add_argument("--dump-witness", default=None)
-    p.add_argument("--format", choices=["table", "json"], default="table")
-    p.set_defaults(func=cmd_verdict)
 
-    p = sub.add_parser("ppt", help="partial-transpose spectrum check")
-    p.add_argument("state")
-    p.add_argument("--format", choices=["table", "json"], default="table")
-    p.set_defaults(func=cmd_ppt)
+    command("ppt", "partial-transpose spectrum check", "state")
+    command("boxtimes", "evaluate both sides of the decomposition gap", "ensemble", "observable")
 
-    p = sub.add_parser("boxtimes", help="evaluate both sides of the decomposition gap")
-    p.add_argument("ensemble")
-    p.add_argument("observable")
-    p.add_argument("--format", choices=["table", "json"], default="table")
-    p.set_defaults(func=cmd_boxtimes)
-
-    p = sub.add_parser("gns-verify", help="build and certify the intertwiner construction")
+    p = command("gns-verify", "build and certify the intertwiner construction")
     p.add_argument("map", help="JSON path or identity|transpose|reduction|depolarizing[:lam]")
     p.add_argument("state", help="matrix JSON path or random:D:SEED")
     p.add_argument("--single", action="store_true",
                    help="single-representation variant (bound 1, self-adjoint span)")
-    p.add_argument("--format", choices=["table", "json"], default="table")
-    p.set_defaults(func=cmd_gns_verify)
 
-    p = sub.add_parser("kadison", help="minimum Kadison-type defect over random elements")
-    p.add_argument("map")
+    p = command("kadison", "minimum Kadison-type defect over random elements", "map")
     p.add_argument("-d", type=int, default=2, help="dimension for builtin map names")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--format", choices=["table", "json"], default="table")
-    p.set_defaults(func=cmd_kadison)
 
-    p = sub.add_parser("werner-sweep", help="scan the Werner family boundary")
+    p = command("werner-sweep", "scan the Werner family boundary", formats=("csv", "json"))
     p.add_argument("--p-min", type=float, default=0.0)
     p.add_argument("--p-max", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=51)
     _add_optimizer_args(p, starts=6, max_iters=600)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.set_defaults(func=cmd_werner_sweep)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except QcorrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -15,15 +15,18 @@ closest evaluation leaves as ``argmin_isometry``, as m x r isometries. The
 minimizer is a multi-start gradient search: L-BFGS with Armijo
 backtracking on |c - S(X)|, driven by the closed-form gradient of the signed
 gap c - S(X). That gradient reuses the eigendecomposition of each
-evaluation, so only objective evaluations count against the budget. One
-driver runs every start as a lane: start 0, with any warm starts ahead of
-its own searches, runs first as a lane alone, so that an instance it
-resolves stops inside it; starts 1..S-1 then run in lockstep as lanes of one
-call. The gap and gradient kernel takes only lane stacks: every step is one
-kernel call on all live lanes, and the trivial decomposition {1, rho},
-evaluated once first, is a call of one lane. Each lane keeps its own step
-length, L-BFGS memory, budget and queue of searches. The search also keeps
-the closest evaluation on each side of zero, from any partition and start.
+evaluation, so only objective evaluations count against the budget. A start
+runs several searches, each from its own point with its own coarse-graining
+partition: any warm starts (start 0 only), the singleton partition and
+random partitions. One driver runs every search as a lane, side by side with
+the other searches of its start, which share the start's budget: start 0
+first, alone, so that an instance it resolves stops inside it; then starts
+1..S-1 in lockstep as lanes of one call. The gap and gradient kernel takes
+only lane stacks, with each lane's partition as a vector of group labels:
+every step is one kernel call on all live lanes, and the trivial
+decomposition {1, rho}, evaluated once first, is a call of one lane. Each
+lane keeps its own step length and L-BFGS memory. The search also keeps the
+closest evaluation on each side of zero, from any partition and start.
 S is affine in the decomposition measure and the decompositions of a state
 form a convex set, so once both sides are seen the convex mixture of the
 two ensembles with the right weight has zero gap, and the search stops. The
@@ -33,11 +36,12 @@ isometry.
 
 All randomness is derived from (seed, start_index), so results are
 reproducible and do not depend on scheduling. No lane reads another lane's
-state, so a start's trajectory does not depend on the starts batched with
-it; the only state the starts share is the closest point overall and on
-each side of zero, with ties going to the lower start index. The returned
-value is recomputed from the witness ensemble, so it is always a certified
-upper bound on the true infimum.
+state, and a start reads no other start's budget, so a start's trajectory
+does not depend on the starts batched with it; the only state the starts
+share is the closest point overall and on each side of zero, with ties going
+to the lower start index, then the earlier step, then the earlier search.
+The returned value is recomputed from the witness ensemble, so it is always
+a certified upper bound on the true infimum.
 """
 
 from __future__ import annotations
@@ -103,9 +107,9 @@ class OptimizerConfig:
     search runs over m x r matrices X whose polar factor is the isometry
     (r = rank rho), so its cost grows with m r, not m^2. ``max_iters``
     counts objective evaluations per start, shared by the searches within
-    that start (for start 0, the warm starts too); start 0 runs as a lane
-    alone, the others as lanes of one batch. Gradients reuse the last
-    evaluation and are not counted.
+    that start (for start 0, the warm starts too), which run side by side
+    as lanes; start 0 runs alone, the others as lanes of one batch.
+    Gradients reuse the last evaluation and are not counted.
     """
 
     m: int | None = None
@@ -208,7 +212,7 @@ class _Engine:
     phi = b V^dagger with b = psi sqrt(p), so every evaluation needs only
     an r x r eigendecomposition. Every call evaluates a stack of lanes, one
     point and partition each; the per-member marginals are summed into
-    group marginals by each lane's 0/1 indicator matrix. ``gradient``
+    group marginals by each lane's group labels. ``gradient``
     differentiates every lane of the last evaluated stack from the cached
     eigendecompositions and marginals, so it costs no evaluation.
     """
@@ -259,11 +263,12 @@ class _Engine:
         xm = self._matrix(x)
         return self._polar(xm, *np.linalg.eigh(dagger(xm) @ xm))[0]
 
-    def signed_gap(self, x: np.ndarray, ind: np.ndarray) -> np.ndarray:
-        """c - S at each of L lanes: x is an (L, 2mr) stack of points, ind
-        an (L, m, k) stack of 0/1 indicator matrices, one partition per lane.
-        A zero indicator column is a group of weight 0, dropped like any
-        group below ZERO_WEIGHT_TOL. Every step below acts on each lane
+    def signed_gap(self, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """c - S at each of L lanes: x is an (L, 2mr) stack of points,
+        labels an (L, m) stack of group indices in [0, m), one partition per
+        lane (see ``_labels``). An index no member carries is a group of
+        weight 0, dropped like any group below ZERO_WEIGHT_TOL. Every step
+        below acts on each lane
         alone. A lane's gap is nan where its X^dagger X is numerically
         singular. A nan never enters ``_Best`` (every comparison with it is
         false) and fails the Armijo test, so the search backtracks from it.
@@ -276,8 +281,8 @@ class _Engine:
         s = np.where(ok[:, None], s, 1.0)
         v, w = self._polar(xm, s, e)
         t3 = (self.b @ dagger(v)).reshape(lanes, d1, d2, m)
-        sig = np.einsum("...aej,...bej->...abj", t3, t3.conj()).reshape(lanes, d1 * d1, m) @ ind
-        tau = np.einsum("...eaj,...ebj->...abj", t3, t3.conj()).reshape(lanes, d2 * d2, m) @ ind
+        sig = _group_sums(np.einsum("...aej,...bej->...abj", t3, t3.conj()), labels)
+        tau = _group_sums(np.einsum("...eaj,...ebj->...abj", t3, t3.conj()), labels)
         lam = sig[..., ::d1 + 1, :].real.sum(axis=-2)
         kept = lam >= ZERO_WEIGHT_TOL
         inv = kept / np.maximum(lam, ZERO_WEIGHT_TOL)
@@ -285,7 +290,7 @@ class _Engine:
         quad = np.einsum("...ik,...ik->...k", sig.conj(), g1).real
         weight = np.maximum(_rowdot(lam, kept), ZERO_WEIGHT_TOL)  # 0 only in a singular lane
         s_val = _rowdot(quad, inv) / weight
-        self._last = (xm, w, s, e, t3, ind, sig, g1, inv, quad, weight, s_val)
+        self._last = (xm, w, s, e, t3, labels, sig, g1, inv, quad, weight, s_val)
         gap = self.c - s_val
         gap[~ok] = np.nan
         return gap
@@ -302,7 +307,7 @@ class _Engine:
         s_k -> s_l and gives -s^{-3/2} / 2 on the diagonal.
         """
         d1, d2, m = self.d1, self.d2, self.m
-        xm, w, s, e, t3, ind, sig, g1, inv, quad, weight, s_val = self._last
+        xm, w, s, e, t3, labels, sig, g1, inv, quad, weight, s_val = self._last
         lanes = len(xm)
         # dS = sum_k Tr[x1_k dsig_k] + Tr[x2_k dtau_k] over kept groups
         weight, s_val = weight[..., None], s_val[..., None]
@@ -310,9 +315,9 @@ class _Engine:
         x1 = g1 * scale
         x1[..., ::d1 + 1, :] -= ((quad * inv * inv + s_val * (inv > 0.0)) / weight)[..., None, :]
         x2 = (self.a_sig_h @ sig) * scale
-        ind_t = ind.swapaxes(-1, -2)
-        x1 = (x1 @ ind_t).reshape(lanes, d1, d1, m)  # per member
-        x2 = (x2 @ ind_t).reshape(lanes, d2, d2, m)
+        member = labels[:, None, :]  # each member reads its group's column
+        x1 = np.take_along_axis(x1, member, axis=-1).reshape(lanes, d1, d1, m)
+        x2 = np.take_along_axis(x2, member, axis=-1).reshape(lanes, d2, d2, m)
         # dS = 2 Re sum conj(dt3) * gt
         gt = (np.einsum("...abj,...bej->...aej", x1, t3)
               + np.einsum("...efj,...afj->...aej", x2, t3))
@@ -331,9 +336,9 @@ class _Engine:
 class _Best:
     """Closest evaluation to zero (value, x, groups), and the closest
     evaluation on each side of zero (pos, neg), each as (g, start, x,
-    groups). Equal values go to the lower start index, and within a start
-    to the earlier evaluation, so the choice does not depend on the order in
-    which lockstep lanes offer their evaluations."""
+    groups). Equal values go to the lower start index, then to the earlier
+    step, then to the earlier search of the start, so the choice does not
+    depend on which lanes share a lockstep call."""
 
     __slots__ = ("value", "start", "x", "groups", "pos", "neg")
 
@@ -352,13 +357,14 @@ class _Best:
             self.groups = groups
 
     def offer_lanes(self, g: np.ndarray, x: np.ndarray, groups, starts: np.ndarray):
-        """Offer one evaluation per lane, lanes in start order. Only the
-        smallest g >= 0 and the largest g < 0 can change anything, and min
-        and max return the first, lowest-start lane of a tie."""
-        vals, lanes = g.tolist(), range(len(g))
-        for k in {min(lanes, key=lambda k: vals[k] if vals[k] >= 0.0 else np.inf),
-                  max(lanes, key=lambda k: vals[k] if vals[k] < 0.0 else -np.inf)}:
-            self.offer(vals[k], x[k], groups[k], int(starts[k]))
+        """Offer one evaluation per lane, lanes in (start, search) order. Only
+        the smallest g >= 0 and the largest g < 0 can change anything; argmin
+        and argmax return the first lane of a tie (a nan lane is neither),
+        and the two are offered in lane order."""
+        pos = int(np.argmin(np.where(g >= 0.0, g, np.inf)))
+        neg = int(np.argmax(np.where(g < 0.0, g, -np.inf)))
+        for k in sorted({pos, neg}):
+            self.offer(float(g[k]), x[k], groups[k], int(starts[k]))
 
     def done(self, tol: float) -> bool:
         """Within tol, or both sides of zero seen (a zero-gap mixture exists)."""
@@ -373,72 +379,97 @@ def _random_partition(rng: np.random.Generator, m: int):
     return tuple(tuple(g.tolist()) for g in np.split(order, cuts))
 
 
-def _indicator(groups, m: int) -> np.ndarray:
-    """The m x m 0/1 matrix summing members into groups: column k sums group
-    k, and the columns past the last group are zero."""
-    ind = np.zeros((m, m), dtype=np.complex128)
-    for k, g in enumerate(groups):
-        ind[list(g), k] = 1.0
-    return ind
+def _labels(groups, m: int) -> np.ndarray:
+    """The group index of each of the m members under a partition of
+    range(m): member j of group k has label k."""
+    labels = np.empty(m, dtype=np.intp)
+    labels[[j for g in groups for j in g]] = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    return labels
 
 
-def _compact(arrays, rows: np.ndarray) -> list:
-    """Move the given rows of each array to its front, in place, and return
-    views of them."""
+def _group_sums(members: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Sum the members (last axis) of each lane of an (L, ..., m) complex
+    stack into groups, as an (L, q, m) stack: column k of lane l sums the
+    members j with labels[l, j] == k, and a column no label names is zero.
+    One weighted bincount over the real and imaginary parts of the stack."""
+    lanes, m = labels.shape
+    members = np.ascontiguousarray(members).reshape(lanes, -1, m)
+    bins = np.arange(members.size // m).reshape(lanes, -1, 1) * m + labels[:, None, :]
+    parts = members.view(np.float64).ravel()
+    sums = np.bincount((2 * bins[..., None] + (0, 1)).ravel(), parts, minlength=parts.size)
+    return sums.view(np.complex128).reshape(members.shape)
+
+
+def _compact(arrays, live: np.ndarray) -> list:
+    """Move the rows ``live`` (ascending) of each C-contiguous array to its
+    front, in order and in place, and return views of them. Each run of
+    consecutive live rows moves as one flat copy to a lower address, which
+    numpy makes without a temporary."""
+    runs = np.split(live, np.flatnonzero(np.diff(live) > 1) + 1)
     for a in arrays:
-        a[:rows.size] = a[rows]
-    return [a[:rows.size] for a in arrays]
+        flat, width, dst = a.reshape(-1), a[0].size, 0
+        for run in runs:
+            if run[0] > dst:
+                flat[dst * width:(dst + run.size) * width] = flat[run[0] * width:(run[-1] + 1) * width]
+            dst += run.size
+    return [a[:live.size] for a in arrays]
 
 
 def _lane_search(engine: _Engine, lanes, max_iters: int, tol: float, best: _Best) -> None:
-    """L-BFGS with Armijo backtracking on |c - S(x)|, for one or many starts
-    at once, each a lane, stepped in lockstep.
+    """L-BFGS with Armijo backtracking on |c - S(x)|, for every search of
+    one or many starts at once, each search a lane, stepped in lockstep.
 
-    ``lanes`` holds (start index, searches) in start order; searches is a
-    queue of (x0, partition), which the lane runs in turn, each from its own
-    x0, sharing ``max_iters`` evaluations. Every step evaluates one point per
-    live lane with one lane-axis kernel call and offers the evaluations to
-    ``best``. Trial points along a lane's search direction are evaluated
-    until the Armijo test accepts one; only the accepted point is
-    differentiated. The first step of a search, and any step after its
-    memory is reset, has length FIRST_STEP along the steepest descent. A
-    search ends when a trial changes |c - S| by at most STALL_REL of its
-    value, after MAX_BACKTRACKS rejected trials, or at a zero gradient.
-    Every live lane spends one evaluation per step, from the first step on,
-    so ``max_iters`` steps spend every lane's budget; every lane stops once
-    ``best`` is done (within ``tol``, or evaluations seen on both sides of
-    zero). Every test compares terms of equal degree in A, so each decision
-    is invariant under A -> cA.
+    ``lanes`` holds (start index, searches) in ascending start order;
+    searches is a list of (x0, partition), each searched from its own x0,
+    side by side, sharing the start's ``max_iters`` evaluations: at each
+    step, a start with b evaluations left evaluates only its first b live
+    searches and its other searches end. Every step evaluates one point per
+    live lane with one kernel call and offers them to ``best``. Trial
+    points along a lane's search direction are evaluated until the Armijo
+    test accepts one; only the accepted point is differentiated. The first
+    step of a search, and any step after its memory is reset, has length
+    FIRST_STEP along the steepest descent. A search ends when a trial
+    changes |c - S| by at most STALL_REL of its value, after MAX_BACKTRACKS
+    rejected trials, or at a zero gradient. Every lane stops once ``best``
+    is done (within ``tol``, or evaluations seen on both sides of zero).
+    Every test compares terms of equal degree in A, so each decision is
+    invariant under A -> cA.
 
-    Each lane keeps its own accepted point, step length, L-BFGS memory and
-    search queue. No lane reads another lane's state, so a lane's
-    trajectory does not depend on the lanes beside it; they share only
-    ``best``. A lane out of searches leaves the arrays.
+    Each lane keeps its own accepted point, step length and L-BFGS memory.
+    No lane reads another lane's state, nor a start another start's budget,
+    so a search's trajectory does not depend on the starts beside it; they
+    share only ``best``. An ended lane leaves the arrays, compacted in place.
     """
-    m, n = engine.m, engine.n_params
-    size = len(lanes)
-    start = np.array([i for i, _ in lanes])
-    queue = [list(searches) for _, searches in lanes]
-    pt, groups = np.empty((size, n)), [None] * size
-    ind = np.empty((size, m, m), dtype=np.complex128)
+    n = engine.n_params
+    start, pt, groups = zip(*[(i, x0, gr) for i, work in lanes for x0, gr in work])
+    size, start, pt = len(start), np.array(start), np.array(pt, dtype=float)
+    labels = np.array([_labels(gr, engine.m) for gr in groups])
+    left = np.full(start[-1] + 1, max_iters)  # evaluations left, by start index
     # f = |g| at the accepted point x; f = inf with d = 0 marks the first point
     # of a search, which the Armijo test accepts and no stall test ends
-    f, x, d, grad = np.empty(size), np.empty((size, n)), np.empty((size, n)), np.zeros((size, n))
+    f, x, d, grad = np.full(size, np.inf), pt.copy(), np.zeros((size, n)), np.zeros((size, n))
     t, slope, gamma, count = np.ones(size), np.zeros(size), np.zeros(size), np.zeros(size, dtype=int)
     # L-BFGS memory: slot j of a lane holds (s, y, rho), newest pair in slot
     # 0; rho = 0 marks an empty slot, on which the two-loop recursion changes
-    # nothing, and count bounds the filled slots.
-    mem = np.zeros((size, LBFGS_MEMORY, 2 * n + 1))
-
-    def begin(k):  # lane k's next search, from its own x0 with an empty memory
-        pt[k], groups[k] = queue[k].pop(0)
-        ind[k] = _indicator(groups[k], m)
-        f[k], x[k], d[k], gamma[k], count[k], mem[k, :, -1] = np.inf, pt[k], 0.0, 0.0, 0, 0.0
-
-    for k in range(size):
-        begin(k)
-    for _ in range(max_iters):
-        gap = engine.signed_gap(pt, ind)
+    # nothing, and count bounds the filled slots. Slots are the leading axis,
+    # so a shift copies whole slots and needs no temporary.
+    mem = np.zeros((LBFGS_MEMORY, size, 2 * n + 1))
+    ended = np.zeros(size, dtype=bool)
+    for _ in range(max_iters):  # each step spends at least one of each live start's evaluations
+        # the rank of a live lane among its start's live lanes, from 1
+        live_so_far = np.cumsum(~ended)
+        first = np.searchsorted(start, start)
+        ended |= live_so_far - live_so_far[first] + ~ended[first] > left[start]
+        if ended.any():  # retire: the live lanes move to the front, in place
+            live = np.flatnonzero(~ended)
+            if not live.size:
+                return
+            start, labels, pt, x, d, grad, f, t, slope, gamma, count = _compact(
+                (start, labels, pt, x, d, grad, f, t, slope, gamma, count), live)
+            _compact(mem, live)
+            mem, groups = mem[:, :live.size], [groups[k] for k in live]
+        gap = engine.signed_gap(pt, labels)
+        left -= np.bincount(start, minlength=left.size)
         best.offer_lanes(gap, pt, groups, start)
         if best.done(tol):
             return
@@ -452,11 +483,12 @@ def _lane_search(engine: _Engine, lanes, max_iters: int, tol: float, best: _Best
             sy = t * _rowdot(d, y)
             push = accept & (sy > 0.0)  # d = 0 at a first point, so it pushes nothing
             if push.any():  # the new pair goes to slot 0, the oldest off the end
-                np.copyto(mem[:, 1:], mem[:, :-1], where=push[:, None, None])
                 row = push[:, None]
-                np.multiply(t[:, None], d, out=mem[:, 0, :n], where=row)
-                np.copyto(mem[:, 0, n:-1], y, where=row)
-                np.divide(1.0, sy[:, None], out=mem[:, 0, -1:], where=row)
+                for j in range(min(count.max(), LBFGS_MEMORY - 1), 0, -1):
+                    np.copyto(mem[j], mem[j - 1], where=row)
+                np.multiply(t[:, None], d, out=mem[0, :, :n], where=row)
+                np.copyto(mem[0, :, n:-1], y, where=row)
+                np.divide(1.0, sy[:, None], out=mem[0, :, -1:], where=row)
                 np.divide(sy, _rowdot(y, y), out=gamma, where=push)
                 count += push
             np.copyto(x, pt, where=accept[:, None])
@@ -470,17 +502,17 @@ def _lane_search(engine: _Engine, lanes, max_iters: int, tol: float, best: _Best
             s_row, y_row, rho = mem[:, :, None, :n], mem[:, :, None, n:-1], mem[:, :, None, -1:]
             q_row, q_col = q[:, None], q[:, :, None]
             for j in range(min(count.max(), LBFGS_MEMORY)):
-                alphas.append(rho[:, j] * (s_row[:, j] @ q_col))
-                q_row -= alphas[j] * y_row[:, j]
+                alphas.append(rho[j] * (s_row[j] @ q_col))
+                q_row -= alphas[j] * y_row[j]
             q *= -gamma[:, None]
             for j in reversed(range(len(alphas))):
-                q_row -= (rho[:, j] * (y_row[:, j] @ q_col) + alphas[j]) * s_row[:, j]
+                q_row -= (rho[j] * (y_row[j] @ q_col) + alphas[j]) * s_row[j]
             steep = accept & (_rowdot(grad, q) >= 0.0)
             if steep.any():  # steepest descent of length FIRST_STEP; resets the memory
                 norm = np.sqrt(_rowdot(grad[steep], grad[steep]))
                 ended[steep] |= norm == 0.0  # a stationary point ends the search
                 q[steep] = grad[steep] * (-FIRST_STEP / np.where(norm > 0.0, norm, 1.0))[:, None]
-                gamma[steep], count[steep], mem[steep, :, -1] = 0.0, 0, 0.0
+                gamma[steep], count[steep], mem[:, steep, -1] = 0.0, 0, 0.0
             np.copyto(d, q, where=accept[:, None])
             np.copyto(slope, _rowdot(grad, d), where=accept)
         # t halves on each rejected trial, so 2^-MAX_BACKTRACKS ends the search
@@ -488,27 +520,14 @@ def _lane_search(engine: _Engine, lanes, max_iters: int, tol: float, best: _Best
         ended |= t <= 0.5 ** MAX_BACKTRACKS
         np.multiply(d, t[:, None], out=pt)
         pt += x
-        if not ended.any():
-            continue
-        for k in np.flatnonzero(ended):
-            if queue[k]:
-                begin(k)
-                ended[k] = False
-        if ended.any():  # retire: the live lanes move to the front, in place
-            live = np.flatnonzero(~ended)
-            if not live.size:
-                return
-            start, ind, pt, x, d, grad, f, t, slope, gamma, count, mem = _compact(
-                (start, ind, pt, x, d, grad, f, t, slope, gamma, count, mem), live)
-            groups = [groups[k] for k in live]
-            queue = [queue[k] for k in live]
 
 
 def minimize_d0(rho: BipartiteState, a: np.ndarray, cfg: OptimizerConfig | None = None,
                 extra_starts=()) -> CorrelationResult:
     """Multi-start minimization of the decomposition gap for one observable.
-    One L-BFGS driver runs every start as a lane: start 0 as a lane alone,
-    then, unless it finished the search, starts 1..S-1 as lanes of one batch.
+    One L-BFGS driver runs every search of every start as a lane: the
+    searches of start 0 alone, then, unless they finished the search, those
+    of starts 1..S-1 as lanes of one batch.
 
     ``extra_starts`` is an optional sequence of (isometry, partition) warm
     starts, each searched first within start 0 and sharing its budget (used
@@ -532,17 +551,17 @@ def minimize_d0(rho: BipartiteState, a: np.ndarray, cfg: OptimizerConfig | None 
     # The merge-everything partition gives the trivial decomposition {1, rho};
     # its objective does not depend on the isometry, so evaluate it once.
     trivial = (tuple(range(m)),)
-    best.offer_lanes(engine.signed_gap(x_id[None], _indicator(trivial, m)[None]), x_id[None],
+    best.offer_lanes(engine.signed_gap(x_id[None], _labels(trivial, m)[None]), x_id[None],
                      [trivial], np.zeros(1, dtype=int))
 
     def partitions(rng):
         return [singleton_partition(m)] + [_random_partition(rng, m)
                                            for _ in range(N_RANDOM_PARTITIONS)]
 
-    # Start 0, from the identity isometry after the warm starts, runs as a
-    # lane alone, so that an instance it resolves stops inside it; starts
-    # 1..S-1 then run as lanes of one call. The searches of a start share its
-    # evaluation budget.
+    # Start 0, from the identity isometry after the warm starts, runs alone,
+    # so that an instance it resolves stops inside it; starts 1..S-1 then run
+    # as lanes of one call. The searches of a start run side by side and
+    # share its evaluation budget.
     starts_used = 0
     if not best.done(cfg.tol):
         work = warm + [(x_id, gr) for gr in partitions(np.random.default_rng((cfg.seed, 0)))]

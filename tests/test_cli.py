@@ -333,3 +333,23 @@ def test_json_format_output(capsys, bell_path, proj_path):
     ens = serialize.ensemble_from_json(data["ensemble"])
     from qcorr.correlation import d0_objective
     assert abs(d0_objective(ens, singlet_proj()) - data["value"]) <= 1e-9
+
+
+def test_parser_built_once_keeps_no_state_between_calls(tmp_path, capsys):
+    # the parser is built once per process; two verdicts with different
+    # options print the same, in either order, as each does alone from a
+    # freshly built parser
+    path = tmp_path / "werner.json"
+    serialize.dump_json(str(path), serialize.state_to_json(make_werner(0.2)))
+    first = ["verdict", str(path), "--starts", "2", "--max-iters", "5", "--n-observables", "1",
+             "--format", "json"]
+    second = ["verdict", str(path)]
+    alone = []
+    for argv in (first, second):
+        cli.build_parser.cache_clear()
+        alone.append(run(capsys, *argv))
+    assert alone[0] != alone[1] and all(code == 0 for code, _, _ in alone)
+    for order in ((0, 1), (1, 0)):
+        cli.build_parser.cache_clear()
+        assert [run(capsys, *(first, second)[k]) for k in order] == [alone[k] for k in order]
+    assert cli.build_parser() is cli.build_parser()

@@ -1,6 +1,9 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qcorr.bipartite import (
     BipartiteSpace,
@@ -305,9 +308,9 @@ def test_trivial_decomposition_decides_without_a_start(monkeypatch, case):
     kernel_ndim = []
     signed_gap = _Engine.signed_gap
 
-    def recorded(self, x, ind):
+    def recorded(self, x, labels):
         kernel_ndim.append(x.ndim)
-        return signed_gap(self, x, ind)
+        return signed_gap(self, x, labels)
 
     monkeypatch.setattr(_Engine, "signed_gap", recorded)
     cfg = OptimizerConfig()
@@ -426,7 +429,7 @@ def test_engine_rejects_singular_gram():
 
 @pytest.mark.parametrize("d1,d2", [(2, 2), (2, 3)])
 def test_lane_kernel_matches_point_kernel(d1, d2):
-    # a stack of lanes, each with its own partition zero-padded to m columns,
+    # a stack of lanes, each with its own partition as member group labels,
     # gives each lane the gap and gradient of its one-lane call; a lane with
     # a singular X^dagger X is nan and leaves the others alone
     rng = np.random.default_rng(31 + d2)
@@ -438,11 +441,11 @@ def test_lane_kernel_matches_point_kernel(d1, d2):
     x = engine.coords(np.eye(m)) + 0.4 * rng.standard_normal((len(parts), engine.n_params))
     x[1, ::engine.r] = 0.0  # real parts of column 0 of lane 1's X
     x[1, m * engine.r::engine.r] = 0.0  # and its imaginary parts
-    ind = np.zeros((len(parts), m, m), dtype=np.complex128)
+    labels = np.zeros((len(parts), m), dtype=int)
     for k, groups in enumerate(parts):
-        for col, g in enumerate(groups):
-            ind[k, list(g), col] = 1.0
-    gaps = engine.signed_gap(x, ind)
+        for label, g in enumerate(groups):
+            labels[k, list(g)] = label
+    gaps = engine.signed_gap(x, labels)
     grads = engine.gradient()
     assert gaps.shape == (len(parts),) and grads.shape == x.shape
     assert np.isnan(gaps[1]) and np.isnan(point_gap(engine, x[1], parts[1]))
@@ -495,9 +498,9 @@ def test_one_start_never_exceeds_max_iters(monkeypatch, p, observable, max_iters
     records, kernel_ndim = [], []
     signed_gap = _Engine.signed_gap
 
-    def recorded(self, x, ind):
+    def recorded(self, x, labels):
         kernel_ndim.append(x.ndim)
-        return signed_gap(self, x, ind)
+        return signed_gap(self, x, labels)
 
     def recorder():
         records.append(_Recorder())
@@ -552,9 +555,10 @@ def _npt_2x3_state():
 
 @pytest.mark.parametrize("case", ["werner-witness", "npt-2x3", "werner-witness-warm", "npt-2x3-warm"])
 def test_lockstep_matches_sequential_starts(case):
-    # on entangled instances no search stops early, so the lane driver's
-    # result, start 0 alone and then starts 1..S-1 as lanes, is the scalar
-    # per-start loop's; a warm start from an earlier solve runs first in start 0
+    # on entangled instances no search stops early and no start's budget
+    # binds, so the lane driver's result, start 0 alone and then starts
+    # 1..S-1 as lanes, is the scalar per-start loop's; a warm start from an
+    # earlier solve runs first in start 0
     state, a = (make_werner(0.7), canonical_witness()) if case.startswith("werner") else _npt_2x3_state()
     extra = ()
     if case.endswith("-warm"):
@@ -594,6 +598,128 @@ def test_lane_trajectory_independent_of_batch(seed, dims, n_lanes, max_iters):
         _lane_search(engine, [lane], max_iters, 1e-9, alone)
         assert 0 < len(alone.seen[lane[0]]) <= max_iters
         assert alone.seen[lane[0]] == batch.seen[lane[0]]
+
+
+class _Steps(_Trajectories):
+    """Records every step's evaluations as (start, g bytes, x bytes), in lane
+    order."""
+
+    def __init__(self):
+        super().__init__()
+        self.steps = []
+
+    def offer_lanes(self, g, x, groups, starts):
+        self.steps.append([(int(s), g[k].tobytes(), x[k].tobytes()) for k, s in enumerate(starts)])
+        super().offer_lanes(g, x, groups, starts)
+
+    def of_start(self, start):
+        """The start's evaluations, one list per step it evaluated in."""
+        per_step = [[ev[1:] for ev in step if ev[0] == start] for step in self.steps]
+        return [evals for evals in per_step if evals]
+
+
+def _alone(engine, start, search, max_iters):
+    """A search's evaluations as the only search of a one-search start."""
+    rec = _Steps()
+    _lane_search(engine, [(start, [search])], max_iters, 1e-9, rec)
+    return [evals for (evals,) in rec.of_start(start)]
+
+
+def _shared_budget(trajectories, max_iters):
+    """The evaluations of one start's searches, one list per step, by the
+    budget rule: at each step a start with b evaluations left evaluates only
+    its first b live searches, in order, and its other searches end."""
+    steps, left, live = [], max_iters, list(range(len(trajectories)))
+    for k in itertools.count():
+        live = [s for s in live if k < len(trajectories[s])][:left]
+        if not live:
+            return steps
+        steps.append([trajectories[s][k] for s in live])
+        left -= len(live)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("max_iters", [3, 5, 8, 12])
+@pytest.mark.parametrize("case", ["werner-2x2", "npt-2x3"])
+def test_binding_budget_evaluates_first_live_searches(monkeypatch, case, max_iters, warm):
+    # every lane call of a solve, rerun never done: at each step a start with
+    # b evaluations left evaluates only its first b live searches, each on
+    # its own trajectory, and never spends more than max_iters
+    state, a = (make_werner(0.8), canonical_witness()) if case == "werner-2x2" else _npt_2x3_state()
+    extra = ()
+    if warm:
+        prev = minimize_d0(state, a, OptimizerConfig(starts=1, max_iters=20))
+        extra = ((prev.argmin_isometry, prev.argmin_partition),)
+    calls = []
+    lane_search = _lane_search
+
+    def spy(engine, lanes, budget, tol, best):
+        calls.append((engine, lanes, budget))
+        return lane_search(engine, lanes, budget, tol, best)
+
+    monkeypatch.setattr("qcorr.correlation._lane_search", spy)
+    minimize_d0(state, a, OptimizerConfig(starts=3, max_iters=max_iters), extra_starts=extra)
+    assert [[i for i, _ in lanes] for _, lanes, _ in calls] == [[0], [1, 2]]
+    assert len(calls[0][1][0][1]) == N_RANDOM_PARTITIONS + 1 + len(extra)
+    for engine, lanes, budget in calls:
+        batch = _Steps()
+        lane_search(engine, lanes, budget, 1e-9, batch)
+        for start, searches in lanes:
+            alone = [_alone(engine, start, search, budget) for search in searches]
+            assert sum(map(len, alone)) > budget  # the budget binds
+            expected = _shared_budget(alone, budget)
+            assert batch.of_start(start) == expected
+            assert sum(map(len, expected)) <= budget
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from([(2, 2), (2, 3), (3, 2)]),
+       n_starts=st.integers(1, 4))
+def test_search_trajectory_same_alone_and_in_full_batch(seed, dims, n_starts):
+    # with a budget that never binds (the largest total a start spends), each
+    # search evaluates the same points, with the same gaps to the bit, as the
+    # only search of a one-search start and at the same steps in the full
+    # batch, beside its start's other searches and the other starts
+    rng = np.random.default_rng(seed)
+    space = BipartiteSpace(*dims)
+    state = make_random_state(space, int(rng.integers(1, space.dim + 1)), seed=seed)
+    r = np.linalg.matrix_rank(state.rho)
+    m = int(rng.integers(r, space.dim ** 2 + 1))
+    engine = _Engine(state, random_hermitian(space.dim, rng), m)
+    lanes = []
+    for i in range(n_starts):
+        x0 = engine.coords(expm_antihermitian(rng.standard_normal(m * m), m))
+        parts = [singleton_partition(m)] + [_random_partition(rng, m) for _ in range(int(rng.integers(0, 3)))]
+        lanes.append((i, [(x0, groups) for groups in parts]))
+    alone = {i: [_alone(engine, i, search, 2000) for search in searches] for i, searches in lanes}
+    assume(all(len(t) < 2000 for ts in alone.values() for t in ts))  # each search ends by itself
+    budget = max(sum(map(len, ts)) for ts in alone.values())
+    batch = _Steps()
+    _lane_search(engine, lanes, budget, 1e-9, batch)
+    for i, ts in alone.items():
+        steps = batch.of_start(i)
+        assert steps == [[t[k] for t in ts if k < len(t)] for k in range(max(map(len, ts)))]
+        assert steps == _shared_budget(ts, budget)
+
+
+def test_lane_memory_ceiling_4x4():
+    # a 4x4 rank-2 solve runs 93 lanes at m = 256; their state grows through
+    # no temporary copy and partitions are labels, so the traced peak stays at
+    # or below 80 MB (62.1 MB measured; an (L, m, m) indicator stack would
+    # take it to about 160 MB)
+    rng = np.random.default_rng(3)
+    while True:
+        state = BipartiteState(BipartiteSpace(4, 4), random_density(16, rng, rank=2))
+        witness = canonical_pt_witness(state)
+        if witness is not None:
+            break
+    tracemalloc.start()
+    try:
+        minimize_d0(state, witness, OptimizerConfig(starts=32, max_iters=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 80e6
 
 
 def _random_partition_by_label_scan(rng, m):
@@ -690,8 +816,8 @@ def test_argmin_params_rebuild_closest_ensemble(monkeypatch, case):
     closest = [np.inf]
     signed_gap = _Engine.signed_gap
 
-    def recorded(self, x, ind):
-        g = signed_gap(self, x, ind)
+    def recorded(self, x, labels):
+        g = signed_gap(self, x, labels)
         closest[0] = min(closest[0], np.min(np.abs(g)))
         return g
 
