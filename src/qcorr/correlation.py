@@ -19,12 +19,15 @@ evaluation, so only objective evaluations count against the budget. A start
 runs several searches, each from its own point with its own coarse-graining
 partition: any warm starts (start 0 only), the singleton partition and
 random partitions. One driver runs every search as a lane, side by side with
-the other searches of its start, which share the start's budget: start 0
-first, alone, so that an instance it resolves stops inside it; then starts
-1..S-1 in lockstep as lanes of one call. The gap and gradient kernel takes
-only lane stacks, with each lane's partition as a vector of group labels:
-every step is one kernel call on all live lanes, and the trivial
-decomposition {1, rho}, evaluated once first, is a call of one lane. Each
+the other searches of its start, which share the start's budget. The gap and
+gradient kernel takes only lane stacks, each lane with its probe (observable)
+and its partition as a vector of group labels: every step is one kernel call
+on all live lanes. The probes of a solve share calls: (A) the trivial
+decomposition {1, rho} of every probe is one call; (B) start 0 runs first,
+alone, in one batch across probes, so that an instance it resolves stops
+inside it; (C) each probe still open runs starts 1..S-1 in lockstep as one
+batch, joined by start 0 where the product bound (``CorrelationResult.lower``)
+shows that no evaluation comes within tol of zero or crosses it. Each
 lane keeps its own step length and L-BFGS memory. The search also keeps the
 closest evaluation on each side of zero, from any partition and start.
 S is affine in the decomposition measure and the decompositions of a state
@@ -37,15 +40,17 @@ isometry.
 All randomness is derived from (seed, start_index), so results are
 reproducible and do not depend on scheduling. No lane reads another lane's
 state, and a start reads no other start's budget, so a start's trajectory
-does not depend on the starts batched with it; the only state the starts
-share is the closest point overall and on each side of zero, with ties going
-to the lower start index, then the earlier step, then the earlier search.
+does not depend on the starts or probes batched with it; the only state the
+starts of a probe share is the closest point overall and on each side of
+zero, with ties going to the lower start index, then the earlier step, then
+the earlier search. So a probe's result is the same alone and beside others.
 The returned value is recomputed from the witness ensemble, so it is always
 a certified upper bound on the true infimum.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +94,9 @@ GRAM_RCOND = 1e-6
 # Largest entry of V^dagger V - 1 accepted for the first r columns of a
 # start point V; the polar factors the search returns meet it by ~1e-10.
 ISOMETRY_ATOL = 1e-8
+# Allowance for the roundoff of a kernel gap against the product bound, per
+# unit of dim ||A||: ~450 eps, far above that of one kernel evaluation.
+BOUND_MARGIN = 1e-13
 # Dimensions where the partial-transpose criterion is an exact oracle. It is
 # also exact with a trivial factor (d1 == 1 or d2 == 1), where every state
 # is a product state.
@@ -108,8 +116,8 @@ class OptimizerConfig:
     (r = rank rho), so its cost grows with m r, not m^2. ``max_iters``
     counts objective evaluations per start, shared by the searches within
     that start (for start 0, the warm starts too), which run side by side
-    as lanes; start 0 runs alone, the others as lanes of one batch.
-    Gradients reuse the last evaluation and are not counted.
+    as lanes; start 0 runs alone where it can end the search, the others as
+    lanes of one batch. Gradients reuse the last evaluation and are not counted.
     """
 
     m: int | None = None
@@ -143,13 +151,19 @@ class CorrelationResult:
     larger cardinality. When the witness is the zero-gap mixture of two
     ensembles, they describe the endpoint closer to zero.
 
+    ``lower`` is the product bound dist(Tr(rho A), [P_lo, P_hi]) <= d0: the
+    decorrelated term mixes product values Tr[(sigma (x) tau) A], which lie
+    in [max(lambda_min(A), lambda_min(A^Gamma)), min(lambda_max(A),
+    lambda_max(A^Gamma))]. It is 0 for a separable rho, whatever A.
+
     ``starts_used`` is 0 when the trivial decomposition {1, rho} already
     decides the value, 1 when the search ends within start 0 (with the
-    warm starts), and ``cfg.starts`` once starts 1..S-1 have run as lanes,
-    even if the search ended partway through them.
+    warm starts), run first and alone, and ``cfg.starts`` once the other
+    starts have run as lanes, even if the search ended partway through them.
     """
 
     value: float
+    lower: float
     ensemble: Ensemble
     starts_used: int
     argmin_isometry: np.ndarray
@@ -203,18 +217,22 @@ def factored_product_value(pe, a: np.ndarray, b: np.ndarray) -> float:
 
 
 class _Engine:
-    """Signed gap g(x) = c - S(x, groups) for a fixed state and observable,
-    mirroring ensemble_from_unitary semantics exactly, and its gradient.
+    """Signed gap g(x) = c - S(x, groups) for a fixed state and one
+    observable or a stack of them (the probes), mirroring
+    ensemble_from_unitary semantics exactly, and its gradient.
 
     The coordinates x are the real and imaginary parts of an unconstrained
     complex m x r matrix X (r = rank rho), 2mr reals. The isometry is its
     polar factor V = X (X^dagger X)^{-1/2}, and the pure refinement is
     phi = b V^dagger with b = psi sqrt(p), so every evaluation needs only
     an r x r eigendecomposition. Every call evaluates a stack of lanes, one
-    point and partition each; the per-member marginals are summed into
-    group marginals by each lane's group labels. ``gradient``
-    differentiates every lane of the last evaluated stack from the cached
-    eigendecompositions and marginals, so it costs no evaluation.
+    probe, point and partition each (see ``_LaneSet``); the per-member
+    marginals are summed into group marginals by each lane's group labels.
+    ``gradient`` differentiates every lane of the last evaluated stack from
+    the cached eigendecompositions and marginals, so it costs no evaluation.
+    ``lower`` is each probe's product bound (``CorrelationResult.lower``)
+    and ``margin`` the roundoff of a gap against it: every computed gap has
+    |g| >= lower - margin, with the sign of c - P_lo where lower > margin.
     """
 
     def __init__(self, rho: BipartiteState, a: np.ndarray, m: int):
@@ -225,12 +243,19 @@ class _Engine:
         if m < self.r:
             raise RankTooSmall(f"cardinality {m} below rank {self.r}")
         self.b = psi * np.sqrt(p)  # phi = b @ conj(V).T
-        self.c = float(np.trace(rho.rho @ a).real)
+        a = np.reshape(a, (-1, d1 * d2, d1 * d2))
+        self.c = np.array([np.trace(rho.rho @ x).real for x in a])
         # Marginals are stored flattened, sig[(a, b), k] and tau[(c, d), k];
         # Tr[(sig x tau) A] = conj(sig) . a_sig . tau as sig is Hermitian.
-        a4 = a.reshape(d1, d2, d1, d2)
-        self.a_sig = np.ascontiguousarray(a4.transpose(0, 2, 3, 1).reshape(d1 * d1, d2 * d2))
-        self.a_sig_h = np.ascontiguousarray(self.a_sig.conj().T)
+        a5 = a.reshape(-1, d1, d2, d1, d2)
+        self.a_sig = np.ascontiguousarray(a5.transpose(0, 1, 3, 4, 2).reshape(-1, d1 * d1, d2 * d2))
+        self.a_sig_h = np.ascontiguousarray(dagger(self.a_sig))
+        h = (a + dagger(a)) / 2.0  # the part the real kernel values read
+        h_pt = h.reshape(a5.shape).transpose(0, 3, 2, 1, 4).reshape(a.shape)  # transposed on factor 1
+        w = np.linalg.eigvalsh(np.concatenate([h, h_pt]))
+        lo, hi = np.maximum(*np.split(w[:, 0], 2)), np.minimum(*np.split(w[:, -1], 2))
+        self.lower = np.abs(self.c - np.clip(self.c, lo, hi))
+        self.margin = BOUND_MARGIN * d1 * d2 * np.abs(w[:len(a)]).max(axis=-1)
         self.n_params = 2 * m * self.r
         self._last = None
 
@@ -263,35 +288,34 @@ class _Engine:
         xm = self._matrix(x)
         return self._polar(xm, *np.linalg.eigh(dagger(xm) @ xm))[0]
 
-    def signed_gap(self, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """c - S at each of L lanes: x is an (L, 2mr) stack of points,
-        labels an (L, m) stack of group indices in [0, m), one partition per
-        lane (see ``_labels``). An index no member carries is a group of
-        weight 0, dropped like any group below ZERO_WEIGHT_TOL. Every step
-        below acts on each lane
-        alone. A lane's gap is nan where its X^dagger X is numerically
-        singular. A nan never enters ``_Best`` (every comparison with it is
-        false) and fails the Armijo test, so the search backtracks from it.
+    def signed_gap(self, x: np.ndarray, lanes: _LaneSet) -> np.ndarray:
+        """c - S at each of L lanes: x is an (L, 2mr) stack of points, and
+        ``lanes`` gives each lane its probe and partition. A group label no
+        member carries is a group of weight 0, dropped like any group below
+        ZERO_WEIGHT_TOL. Every step below acts on each lane alone. A lane's
+        gap is nan where its X^dagger X is numerically singular. A nan never
+        enters ``_Best`` (every comparison with it is false) and fails the
+        Armijo test, so the search backtracks from it.
         """
         d1, d2, m = self.d1, self.d2, self.m
-        lanes = len(x)
+        self._last = None  # drop the last stack's cache before this one's grows
         xm = self._matrix(x)
         s, e = np.linalg.eigh(dagger(xm) @ xm)
         ok = s[:, 0] > s[:, -1] * GRAM_RCOND
         s = np.where(ok[:, None], s, 1.0)
         v, w = self._polar(xm, s, e)
-        t3 = (self.b @ dagger(v)).reshape(lanes, d1, d2, m)
-        sig = _group_sums(np.einsum("...aej,...bej->...abj", t3, t3.conj()), labels)
-        tau = _group_sums(np.einsum("...eaj,...ebj->...abj", t3, t3.conj()), labels)
+        t3 = (self.b @ dagger(v)).reshape(len(x), d1, d2, m)
+        sig = _group_sums(np.einsum("...aej,...bej->...abj", t3, t3.conj()), lanes.sig)
+        tau = _group_sums(np.einsum("...eaj,...ebj->...abj", t3, t3.conj()), lanes.tau)
         lam = sig[..., ::d1 + 1, :].real.sum(axis=-2)
         kept = lam >= ZERO_WEIGHT_TOL
         inv = kept / np.maximum(lam, ZERO_WEIGHT_TOL)
-        g1 = self.a_sig @ tau  # derivative of Tr[(sig x tau) A] in sig^T
+        g1 = lanes.a_sig @ tau  # derivative of Tr[(sig x tau) A] in sig^T
         quad = np.einsum("...ik,...ik->...k", sig.conj(), g1).real
         weight = np.maximum(_rowdot(lam, kept), ZERO_WEIGHT_TOL)  # 0 only in a singular lane
         s_val = _rowdot(quad, inv) / weight
-        self._last = (xm, w, s, e, t3, labels, sig, g1, inv, quad, weight, s_val)
-        gap = self.c - s_val
+        self._last = (xm, w, s, e, t3, lanes, sig, g1, inv, quad, weight, s_val)
+        gap = lanes.c - s_val
         gap[~ok] = np.nan
         return gap
 
@@ -307,21 +331,21 @@ class _Engine:
         s_k -> s_l and gives -s^{-3/2} / 2 on the diagonal.
         """
         d1, d2, m = self.d1, self.d2, self.m
-        xm, w, s, e, t3, labels, sig, g1, inv, quad, weight, s_val = self._last
-        lanes = len(xm)
+        xm, w, s, e, t3, lanes, sig, g1, inv, quad, weight, s_val = self._last
+        n_lanes = len(xm)
         # dS = sum_k Tr[x1_k dsig_k] + Tr[x2_k dtau_k] over kept groups
         weight, s_val = weight[..., None], s_val[..., None]
         scale = (inv / weight)[..., None, :]
         x1 = g1 * scale
         x1[..., ::d1 + 1, :] -= ((quad * inv * inv + s_val * (inv > 0.0)) / weight)[..., None, :]
-        x2 = (self.a_sig_h @ sig) * scale
-        member = labels[:, None, :]  # each member reads its group's column
-        x1 = np.take_along_axis(x1, member, axis=-1).reshape(lanes, d1, d1, m)
-        x2 = np.take_along_axis(x2, member, axis=-1).reshape(lanes, d2, d2, m)
+        x2 = (lanes.a_sig_h @ sig) * scale
+        # each member reads its group's column
+        x1 = np.take(x1.view(np.float64), lanes.sig).view(np.complex128).reshape(n_lanes, d1, d1, m)
+        x2 = np.take(x2.view(np.float64), lanes.tau).view(np.complex128).reshape(n_lanes, d2, d2, m)
         # dS = 2 Re sum conj(dt3) * gt
         gt = (np.einsum("...abj,...bej->...aej", x1, t3)
               + np.einsum("...efj,...afj->...aej", x2, t3))
-        gam = dagger(gt.reshape(lanes, d1 * d2, m)) @ self.b  # dS = 2 Re Tr[gam^dagger dV]
+        gam = dagger(gt.reshape(n_lanes, d1 * d2, m)) @ self.b  # dS = 2 Re Tr[gam^dagger dV]
         # dV = dX W + X dW gives dS = 2 Re Tr[xi^dagger dX] with
         # xi = gam W + X E (F o (M + M^dagger)) E^dagger, M = E^dagger X^dagger gam E
         root = np.sqrt(s)
@@ -329,7 +353,7 @@ class _Engine:
                     * (root[..., :, None] + root[..., None, :]))
         e_h = dagger(e)
         mt = e_h @ (dagger(xm) @ gam) @ e
-        xi = (gam @ w + xm @ (e @ (f * (mt + dagger(mt))) @ e_h)).reshape(lanes, -1)
+        xi = (gam @ w + xm @ (e @ (f * (mt + dagger(mt))) @ e_h)).reshape(n_lanes, -1)
         return -2.0 * np.concatenate([xi.real, xi.imag], axis=-1)
 
 
@@ -387,17 +411,31 @@ def _labels(groups, m: int) -> np.ndarray:
     return labels
 
 
-def _group_sums(members: np.ndarray, labels: np.ndarray) -> np.ndarray:
+class _LaneSet:
+    """What a kernel call reads of its lanes besides their points, built once
+    per lane set: each lane's c and observable (its probe's), and for sig and
+    tau the flat indices of the real and imaginary parts of an (L, k, m)
+    complex stack, one pair per entry: pair (l, i, j) indexes row i, column
+    labels[l, j] of lane l, where member j reads its group's column."""
+
+    def __init__(self, engine: _Engine, probe: np.ndarray, labels: np.ndarray):
+        self.c, self.a_sig, self.a_sig_h = engine.c[probe], engine.a_sig[probe], engine.a_sig_h[probe]
+        (lanes, m), index = labels.shape, {}
+        for k in {engine.d1 ** 2, engine.d2 ** 2}:
+            column = np.arange(lanes * k).reshape(lanes, k, 1) * m + labels[:, None, :]
+            index[k] = (2 * column[..., None] + (0, 1)).ravel()
+        self.sig, self.tau = index[engine.d1 ** 2], index[engine.d2 ** 2]
+
+
+def _group_sums(members: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """Sum the members (last axis) of each lane of an (L, ..., m) complex
-    stack into groups, as an (L, q, m) stack: column k of lane l sums the
-    members j with labels[l, j] == k, and a column no label names is zero.
-    One weighted bincount over the real and imaginary parts of the stack."""
-    lanes, m = labels.shape
-    members = np.ascontiguousarray(members).reshape(lanes, -1, m)
-    bins = np.arange(members.size // m).reshape(lanes, -1, 1) * m + labels[:, None, :]
-    parts = members.view(np.float64).ravel()
-    sums = np.bincount((2 * bins[..., None] + (0, 1)).ravel(), parts, minlength=parts.size)
-    return sums.view(np.complex128).reshape(members.shape)
+    stack into groups, as an (L, k, m) stack: column c of lane l sums the
+    members j with labels[l, j] == c, and a column no label names is zero.
+    One weighted bincount over the real and imaginary parts, binned by the
+    ``pairs`` of a ``_LaneSet``."""
+    parts = np.ascontiguousarray(members).view(np.float64).ravel()
+    sums = np.bincount(pairs, parts, minlength=parts.size)
+    return sums.view(np.complex128).reshape(len(members), -1, members.shape[-1])
 
 
 def _compact(arrays, live: np.ndarray) -> list:
@@ -415,36 +453,40 @@ def _compact(arrays, live: np.ndarray) -> list:
     return [a[:live.size] for a in arrays]
 
 
-def _lane_search(engine: _Engine, lanes, max_iters: int, tol: float, best: _Best) -> None:
+def _lane_search(engine: _Engine, lanes, max_iters: int, tol: float, bests) -> None:
     """L-BFGS with Armijo backtracking on |c - S(x)|, for every search of
-    one or many starts at once, each search a lane, stepped in lockstep.
+    one or many entries at once, each search a lane, stepped in lockstep.
 
-    ``lanes`` holds (start index, searches) in ascending start order;
-    searches is a list of (x0, partition), each searched from its own x0,
-    side by side, sharing the start's ``max_iters`` evaluations: at each
-    step, a start with b evaluations left evaluates only its first b live
-    searches and its other searches end. Every step evaluates one point per
-    live lane with one kernel call and offers them to ``best``. Trial
+    ``lanes`` holds the entries (probe, start index, searches), those of a
+    probe together and in ascending start order; searches is a list of
+    (x0, partition), each searched from its own x0, side by side, sharing
+    the entry's ``max_iters`` evaluations: at each step, an entry with b
+    evaluations left evaluates only its first b live searches and its other
+    searches end. Every step evaluates one point per live lane with one
+    kernel call and offers each probe's points to ``bests[probe]``. Trial
     points along a lane's search direction are evaluated until the Armijo
     test accepts one; only the accepted point is differentiated. The first
     step of a search, and any step after its memory is reset, has length
     FIRST_STEP along the steepest descent. A search ends when a trial
     changes |c - S| by at most STALL_REL of its value, after MAX_BACKTRACKS
-    rejected trials, or at a zero gradient. Every lane stops once ``best``
-    is done (within ``tol``, or evaluations seen on both sides of zero).
-    Every test compares terms of equal degree in A, so each decision is
-    invariant under A -> cA.
+    rejected trials, or at a zero gradient. A probe's lanes end once its
+    best is done (within ``tol``, or evaluations seen on both sides of
+    zero). Every test compares terms of equal degree in A, so each decision
+    is invariant under A -> cA.
 
     Each lane keeps its own accepted point, step length and L-BFGS memory.
-    No lane reads another lane's state, nor a start another start's budget,
-    so a search's trajectory does not depend on the starts beside it; they
-    share only ``best``. An ended lane leaves the arrays, compacted in place.
+    No lane reads another lane's state, nor an entry another's budget, so a
+    search's trajectory does not depend on the lanes beside it; a probe's
+    lanes share only its best. An ended lane leaves the arrays, compacted in
+    place.
     """
     n = engine.n_params
-    start, pt, groups = zip(*[(i, x0, gr) for i, work in lanes for x0, gr in work])
-    size, start, pt = len(start), np.array(start), np.array(pt, dtype=float)
+    key, probe, start, pt, groups = zip(*[(k, p, i, x0, gr) for k, (p, i, work) in enumerate(lanes)
+                                          for x0, gr in work])
+    size, key, probe, start, pt = len(key), np.array(key), np.array(probe), np.array(start), np.array(pt, dtype=float)
     labels = np.array([_labels(gr, engine.m) for gr in groups])
-    left = np.full(start[-1] + 1, max_iters)  # evaluations left, by start index
+    lane_set = _LaneSet(engine, probe, labels)
+    left = np.full(len(lanes), max_iters)  # evaluations left, by (probe, start) entry
     # f = |g| at the accepted point x; f = inf with d = 0 marks the first point
     # of a search, which the Armijo test accepts and no stall test ends
     f, x, d, grad = np.full(size, np.inf), pt.copy(), np.zeros((size, n)), np.zeros((size, n))
@@ -455,28 +497,31 @@ def _lane_search(engine: _Engine, lanes, max_iters: int, tol: float, best: _Best
     # so a shift copies whole slots and needs no temporary.
     mem = np.zeros((LBFGS_MEMORY, size, 2 * n + 1))
     ended = np.zeros(size, dtype=bool)
-    for _ in range(max_iters):  # each step spends at least one of each live start's evaluations
-        # the rank of a live lane among its start's live lanes, from 1
+    for _ in range(max_iters):  # each step spends at least one of each live entry's evaluations
+        # the rank of a live lane among its entry's live lanes, from 1
         live_so_far = np.cumsum(~ended)
-        first = np.searchsorted(start, start)
-        ended |= live_so_far - live_so_far[first] + ~ended[first] > left[start]
+        first = np.searchsorted(key, key)
+        ended |= live_so_far - live_so_far[first] + ~ended[first] > left[key]
         if ended.any():  # retire: the live lanes move to the front, in place
             live = np.flatnonzero(~ended)
             if not live.size:
                 return
-            start, labels, pt, x, d, grad, f, t, slope, gamma, count = _compact(
-                (start, labels, pt, x, d, grad, f, t, slope, gamma, count), live)
+            key, probe, start, labels, pt, x, d, grad, f, t, slope, gamma, count = _compact(
+                (key, probe, start, labels, pt, x, d, grad, f, t, slope, gamma, count), live)
             _compact(mem, live)
             mem, groups = mem[:, :live.size], [groups[k] for k in live]
-        gap = engine.signed_gap(pt, labels)
-        left -= np.bincount(start, minlength=left.size)
-        best.offer_lanes(gap, pt, groups, start)
-        if best.done(tol):
-            return
+            lane_set = _LaneSet(engine, probe, labels)
+        gap = engine.signed_gap(pt, lane_set)
+        left -= np.bincount(key, minlength=left.size)
         new = np.abs(gap)
         stall = (np.abs(new - f) <= STALL_REL * f) & np.isfinite(f)
-        accept = ~stall & (new <= f + ARMIJO * t * slope)
         ended = stall.copy()
+        cuts = [0, *(np.flatnonzero(np.diff(probe)) + 1), len(probe)]
+        for lo, hi in zip(cuts, cuts[1:]):  # each probe's lanes, in lane order, to its best
+            best = bests[probe[lo]]
+            best.offer_lanes(gap[lo:hi], pt[lo:hi], groups[lo:hi], start[lo:hi])
+            ended[lo:hi] |= best.done(tol)
+        accept = ~ended & (new <= f + ARMIJO * t * slope)
         if accept.any():
             new_grad = np.sign(gap)[:, None] * engine.gradient()
             y = new_grad - grad
@@ -522,12 +567,76 @@ def _lane_search(engine: _Engine, lanes, max_iters: int, tol: float, best: _Best
         pt += x
 
 
+def _solve(rho: BipartiteState, observables, cfg: OptimizerConfig,
+           extra_starts=()) -> list[CorrelationResult]:
+    """``minimize_d0`` for each observable of a stack, the probes, on one
+    state, in the phases (A), (B) and (C) of the module docstring. A probe's
+    searches, budgets and best are its own, so its result is the one it gets
+    alone. (C) runs per probe to bound the lanes held at once."""
+    dim = rho.space.dim
+    a = np.array([_observable(x, dim) for x in observables])
+    if dim > MAX_OPT_DIM:
+        raise ConfigInvalid(f"optimizer supports total dimension <= {MAX_OPT_DIM}, got {dim}")
+    m = cfg.m if cfg.m is not None else dim ** 2
+    engine = _Engine(rho, a, m)
+    warm = [(engine.coords(v), normalize_partition(pt, m)) for v, pt in extra_starts]
+    bests = [_Best() for _ in a]
+    x_id = engine.coords(np.eye(m))  # the isometry at theta = 0
+
+    # {1, rho}, the merge-everything partition (every label 0), does not
+    # depend on the isometry: evaluate it once
+    trivial = (tuple(range(m)),)
+    gap = engine.signed_gap(np.repeat(x_id[None], len(a), axis=0),
+                            _LaneSet(engine, np.arange(len(a)), np.zeros((len(a), m), dtype=np.intp)))
+    for p, best in enumerate(bests):
+        best.offer_lanes(gap[p:p + 1], x_id[None], [trivial], np.zeros(1, dtype=int))
+
+    @functools.cache
+    def work(i):  # start i's searches, drawn from (seed, i) once per solve
+        rng = np.random.default_rng((cfg.seed, i))
+        theta = rng.standard_normal(m * m) * (np.pi / (2.0 * np.sqrt(m))) if i else None
+        x0 = engine.coords(expm_antihermitian(theta, m)) if i else x_id
+        parts = [singleton_partition(m)] + [_random_partition(rng, m) for _ in range(N_RANDOM_PARTITIONS)]
+        return (warm if i == 0 else []) + [(x0, gr) for gr in parts]
+
+    open_probes = [p for p, best in enumerate(bests) if not best.done(cfg.tol)]
+    alone = [p for p in open_probes if engine.lower[p] <= cfg.tol + engine.margin[p]]
+    starts_used = [0] * len(a)
+    if alone:
+        _lane_search(engine, [(p, 0, work(0)) for p in alone], cfg.max_iters, cfg.tol, bests)
+    for p in open_probes:
+        starts_used[p] = first = int(p in alone)  # 1 where start 0 ran above
+        if first < cfg.starts and not bests[p].done(cfg.tol):
+            _lane_search(engine, [(p, i, work(i)) for i in range(first, cfg.starts)],
+                         cfg.max_iters, cfg.tol, bests)
+            starts_used[p] = cfg.starts
+
+    results = []
+    for p, best in enumerate(bests):
+        closest = engine.isometry(best.x)
+        if best.pos is not None and best.neg is not None:
+            # g_pos > 0 > g_neg, so t g_pos + (1 - t) g_neg = 0 for t in (0, 1); the
+            # t : 1 - t mixture is the ensemble of [sqrt(t) V_pos ; sqrt(1 - t) V_neg]
+            (g_pos, _, x_pos, groups_pos), (g_neg, _, x_neg, groups_neg) = best.pos, best.neg
+            t = g_neg / (g_neg - g_pos)
+            v = np.concatenate([np.sqrt(t) * engine.isometry(x_pos),
+                                np.sqrt(1.0 - t) * engine.isometry(x_neg)])
+            groups = groups_pos + tuple(tuple(j + m for j in g) for g in groups_neg)
+        else:
+            v, groups = closest, best.groups
+        ensemble = ensemble_from_unitary(rho, v, groups)
+        results.append(CorrelationResult(value=d0_objective(ensemble, a[p]), lower=float(engine.lower[p]),
+                                         ensemble=ensemble, starts_used=starts_used[p],
+                                         argmin_isometry=closest, argmin_partition=best.groups))
+    return results
+
+
 def minimize_d0(rho: BipartiteState, a: np.ndarray, cfg: OptimizerConfig | None = None,
                 extra_starts=()) -> CorrelationResult:
-    """Multi-start minimization of the decomposition gap for one observable.
-    One L-BFGS driver runs every search of every start as a lane: the
-    searches of start 0 alone, then, unless they finished the search, those
-    of starts 1..S-1 as lanes of one batch.
+    """Multi-start minimization of the decomposition gap for one observable,
+    the one-probe case of ``_solve``: one L-BFGS driver runs every search of
+    every start as a lane, start 0 first and alone where it can end the
+    search, then the other starts as lanes of one batch.
 
     ``extra_starts`` is an optional sequence of (isometry, partition) warm
     starts, each searched first within start 0 and sharing its budget (used
@@ -537,61 +646,7 @@ def minimize_d0(rho: BipartiteState, a: np.ndarray, cfg: OptimizerConfig | None 
     which must be orthonormal. A malformed one raises DimensionMismatch.
     The value is ``d0_objective`` recomputed on the witness ensemble.
     """
-    cfg = cfg or OptimizerConfig()
-    dim = rho.space.dim
-    a = _observable(a, dim)
-    if dim > MAX_OPT_DIM:
-        raise ConfigInvalid(f"optimizer supports total dimension <= {MAX_OPT_DIM}, got {dim}")
-    m = cfg.m if cfg.m is not None else dim ** 2
-    engine = _Engine(rho, a, m)
-    warm = [(engine.coords(v), normalize_partition(pt, m)) for v, pt in extra_starts]
-    best = _Best()
-    x_id = engine.coords(np.eye(m))  # the isometry at theta = 0
-
-    # The merge-everything partition gives the trivial decomposition {1, rho};
-    # its objective does not depend on the isometry, so evaluate it once.
-    trivial = (tuple(range(m)),)
-    best.offer_lanes(engine.signed_gap(x_id[None], _labels(trivial, m)[None]), x_id[None],
-                     [trivial], np.zeros(1, dtype=int))
-
-    def partitions(rng):
-        return [singleton_partition(m)] + [_random_partition(rng, m)
-                                           for _ in range(N_RANDOM_PARTITIONS)]
-
-    # Start 0, from the identity isometry after the warm starts, runs alone,
-    # so that an instance it resolves stops inside it; starts 1..S-1 then run
-    # as lanes of one call. The searches of a start run side by side and
-    # share its evaluation budget.
-    starts_used = 0
-    if not best.done(cfg.tol):
-        work = warm + [(x_id, gr) for gr in partitions(np.random.default_rng((cfg.seed, 0)))]
-        _lane_search(engine, [(0, work)], cfg.max_iters, cfg.tol, best)
-        starts_used = 1
-    if not best.done(cfg.tol) and cfg.starts > 1:
-        lanes = []
-        for i in range(1, cfg.starts):
-            rng = np.random.default_rng((cfg.seed, i))
-            theta = rng.standard_normal(m * m) * (np.pi / (2.0 * np.sqrt(m)))
-            x0 = engine.coords(expm_antihermitian(theta, m))
-            lanes.append((i, [(x0, gr) for gr in partitions(rng)]))
-        _lane_search(engine, lanes, cfg.max_iters, cfg.tol, best)
-        starts_used = cfg.starts
-
-    closest = engine.isometry(best.x)
-    if best.pos is not None and best.neg is not None:
-        # g_pos > 0 > g_neg, so t g_pos + (1 - t) g_neg = 0 for t in (0, 1); the
-        # t : 1 - t mixture is the ensemble of [sqrt(t) V_pos ; sqrt(1 - t) V_neg]
-        (g_pos, _, x_pos, groups_pos), (g_neg, _, x_neg, groups_neg) = best.pos, best.neg
-        t = g_neg / (g_neg - g_pos)
-        v = np.concatenate([np.sqrt(t) * engine.isometry(x_pos),
-                            np.sqrt(1.0 - t) * engine.isometry(x_neg)])
-        groups = groups_pos + tuple(tuple(j + m for j in g) for g in groups_neg)
-    else:
-        v, groups = closest, best.groups
-    ensemble = ensemble_from_unitary(rho, v, groups)
-    return CorrelationResult(value=d0_objective(ensemble, a), ensemble=ensemble,
-                             starts_used=starts_used, argmin_isometry=closest,
-                             argmin_partition=best.groups)
+    return _solve(rho, [a], cfg or OptimizerConfig(), extra_starts)[0]
 
 
 def minimize_d_simple(rho: BipartiteState, a: np.ndarray, b: np.ndarray,
@@ -656,11 +711,12 @@ def separability_verdict(rho: BipartiteState, cfg: OptimizerConfig | None = None
     the canonical partial-transpose witness when one exists, and
     ``n_observables`` (>= 0) seeded random probes.
 
-    The infimum is taken independently per probe; the verdict never assumes
-    a decomposition shared across observables. See ``classify``. The
-    witness is the first probe with the largest value; with no probe (a PPT
-    state, ``n_observables == 0``) it is the identity, whose d0 is 0 for
-    every state, and nothing is solved.
+    The infimum is taken independently per probe, by one solve of all the
+    probes (``_solve``) that gives each the value ``minimize_d0`` gives it
+    alone; the verdict never assumes a decomposition shared across
+    observables. See ``classify``. The witness is the first probe with the
+    largest value; with no probe (a PPT state, ``n_observables == 0``) it
+    is the identity, whose d0 is 0 for every state, and nothing is solved.
     """
     if n_observables < 0:
         raise ConfigInvalid(f"n_observables must be >= 0, got {n_observables}")
@@ -668,17 +724,14 @@ def separability_verdict(rho: BipartiteState, cfg: OptimizerConfig | None = None
     dim = rho.space.dim
     pt_min, eta = ppt_min_eig_and_vector(rho)
 
-    probes: list[tuple[str, np.ndarray]] = []
-    witness = _pt_witness(rho, pt_min, eta)
-    if witness is not None:
-        probes.append(("pt-witness", witness))
-    rng = np.random.default_rng((cfg.seed, 10_000))
-    for k in range(n_observables):
-        probes.append((f"random-{k}", random_hermitian_probe(rng, dim)))
+    witness, rng = _pt_witness(rho, pt_min, eta), np.random.default_rng((cfg.seed, 10_000))
+    probes = ([("pt-witness", witness)] if witness is not None else []) + [
+        (f"random-{k}", random_hermitian_probe(rng, dim)) for k in range(n_observables)]
 
-    results = tuple((label, minimize_d0(rho, probe, cfg).value) for label, probe in probes)
-    max_d0, max_probe = 0.0, np.eye(dim, dtype=np.complex128)
+    results, max_d0, max_probe = (), 0.0, np.eye(dim, dtype=np.complex128)
     if probes:
+        solved = _solve(rho, [a for _, a in probes], cfg)
+        results = tuple((label, res.value) for (label, _), res in zip(probes, solved))
         k = max(range(len(probes)), key=lambda j: results[j][1])  # the first of the largest
         max_d0, max_probe = results[k][1], probes[k][1]
 

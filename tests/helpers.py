@@ -22,7 +22,7 @@ import numpy as np
 
 from qcorr.bipartite import TRACE_ATOL, BipartiteSpace, BipartiteState
 from qcorr.correlation import (ARMIJO, FIRST_STEP, LBFGS_MEMORY, MAX_BACKTRACKS, STALL_REL, _Best, _Engine,
-                               _labels)
+                               _labels, _LaneSet)
 from qcorr.errors import BadPartition, InvalidDensityMatrix, NotHermitian
 from qcorr.gns import LocalDecomposition, _INV_SQRT2
 from qcorr.linalg import PSD_CLAMP, dagger, hermitian_basis, matrix_units, psd_sqrt, require_hermitian
@@ -189,8 +189,9 @@ def werner_third_product_ensemble(extra_identity_weight: float = 0.0) -> Ensembl
 
 def point_gap(engine: _Engine, x: np.ndarray, groups) -> float:
     """The engine's signed gap at one point x (2mr,) with one partition, as a
-    one-lane kernel call; ``engine.gradient()[0]`` is its gradient."""
-    return engine.signed_gap(x[None], _labels(groups, engine.m)[None])[0]
+    one-lane kernel call of its first probe; ``engine.gradient()[0]`` is its
+    gradient."""
+    return engine.signed_gap(x[None], _LaneSet(engine, np.zeros(1, dtype=int), _labels(groups, engine.m)[None]))[0]
 
 
 def _lbfgs_direction(grad: np.ndarray, memory) -> np.ndarray:

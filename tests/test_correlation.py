@@ -22,6 +22,8 @@ from qcorr.correlation import (
     N_RANDOM_PARTITIONS,
     _Best,
     _Engine,
+    _LaneSet,
+    _labels,
     _lane_search,
     _random_partition,
     canonical_pt_witness,
@@ -29,6 +31,7 @@ from qcorr.correlation import (
     factored_product_value,
     minimize_d0,
     minimize_d_simple,
+    random_hermitian_probe,
     separability_verdict,
 )
 from qcorr.errors import ConfigInvalid, DimensionMismatch, NotHermitian, RankTooSmall
@@ -286,9 +289,10 @@ def test_verdict_without_probes_solves_nothing(monkeypatch):
     # a PPT state with no random probe runs no solve: d0 of the identity is 0
     # for every state, so it is the reported witness
     def no_solve(*args, **kwargs):
-        raise AssertionError("minimize_d0 called")
+        raise AssertionError("solve called")
 
-    monkeypatch.setattr("qcorr.correlation.minimize_d0", no_solve)
+    monkeypatch.setattr("qcorr.correlation._solve", no_solve)
+    monkeypatch.setattr("qcorr.correlation._Engine", no_solve)
     res = separability_verdict(make_werner(0.2), FAST, n_observables=0)
     assert res.verdict == SEPARABLE
     assert res.max_d0 == 0.0 and res.probes == ()
@@ -308,9 +312,9 @@ def test_trivial_decomposition_decides_without_a_start(monkeypatch, case):
     kernel_ndim = []
     signed_gap = _Engine.signed_gap
 
-    def recorded(self, x, labels):
+    def recorded(self, x, lanes):
         kernel_ndim.append(x.ndim)
-        return signed_gap(self, x, labels)
+        return signed_gap(self, x, lanes)
 
     monkeypatch.setattr(_Engine, "signed_gap", recorded)
     cfg = OptimizerConfig()
@@ -445,7 +449,7 @@ def test_lane_kernel_matches_point_kernel(d1, d2):
     for k, groups in enumerate(parts):
         for label, g in enumerate(groups):
             labels[k, list(g)] = label
-    gaps = engine.signed_gap(x, labels)
+    gaps = engine.signed_gap(x, _LaneSet(engine, np.zeros(len(parts), dtype=int), labels))
     grads = engine.gradient()
     assert gaps.shape == (len(parts),) and grads.shape == x.shape
     assert np.isnan(gaps[1]) and np.isnan(point_gap(engine, x[1], parts[1]))
@@ -498,9 +502,9 @@ def test_one_start_never_exceeds_max_iters(monkeypatch, p, observable, max_iters
     records, kernel_ndim = [], []
     signed_gap = _Engine.signed_gap
 
-    def recorded(self, x, labels):
+    def recorded(self, x, lanes):
         kernel_ndim.append(x.ndim)
-        return signed_gap(self, x, labels)
+        return signed_gap(self, x, lanes)
 
     def recorder():
         records.append(_Recorder())
@@ -556,9 +560,9 @@ def _npt_2x3_state():
 @pytest.mark.parametrize("case", ["werner-witness", "npt-2x3", "werner-witness-warm", "npt-2x3-warm"])
 def test_lockstep_matches_sequential_starts(case):
     # on entangled instances no search stops early and no start's budget
-    # binds, so the lane driver's result, start 0 alone and then starts
-    # 1..S-1 as lanes, is the scalar per-start loop's; a warm start from an
-    # earlier solve runs first in start 0
+    # binds, so the lane driver's result, starts 0..S-1 as lanes of one
+    # batch, is the scalar per-start loop's; a warm start from an earlier
+    # solve runs first in start 0
     state, a = (make_werner(0.7), canonical_witness()) if case.startswith("werner") else _npt_2x3_state()
     extra = ()
     if case.endswith("-warm"):
@@ -588,16 +592,16 @@ def test_lane_trajectory_independent_of_batch(seed, dims, n_lanes, max_iters):
     r = np.linalg.matrix_rank(state.rho)
     m = int(rng.integers(r, space.dim ** 2 + 1))
     engine = _Engine(state, random_hermitian(space.dim, rng), m)
-    lanes = [(i, [(engine.coords(expm_antihermitian(rng.standard_normal(m * m), m)), _random_partition(rng, m))
-                  for _ in range(int(rng.integers(1, 4)))])
+    lanes = [(0, i, [(engine.coords(expm_antihermitian(rng.standard_normal(m * m), m)), _random_partition(rng, m))
+                     for _ in range(int(rng.integers(1, 4)))])
              for i in range(1, n_lanes + 1)]
     batch = _Trajectories()
-    _lane_search(engine, lanes, max_iters, 1e-9, batch)
+    _lane_search(engine, lanes, max_iters, 1e-9, [batch])
     for lane in lanes:
         alone = _Trajectories()
-        _lane_search(engine, [lane], max_iters, 1e-9, alone)
-        assert 0 < len(alone.seen[lane[0]]) <= max_iters
-        assert alone.seen[lane[0]] == batch.seen[lane[0]]
+        _lane_search(engine, [lane], max_iters, 1e-9, [alone])
+        assert 0 < len(alone.seen[lane[1]]) <= max_iters
+        assert alone.seen[lane[1]] == batch.seen[lane[1]]
 
 
 class _Steps(_Trajectories):
@@ -621,7 +625,7 @@ class _Steps(_Trajectories):
 def _alone(engine, start, search, max_iters):
     """A search's evaluations as the only search of a one-search start."""
     rec = _Steps()
-    _lane_search(engine, [(start, [search])], max_iters, 1e-9, rec)
+    _lane_search(engine, [(0, start, [search])], max_iters, 1e-9, [rec])
     return [evals for (evals,) in rec.of_start(start)]
 
 
@@ -640,12 +644,19 @@ def _shared_budget(trajectories, max_iters):
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 @pytest.mark.parametrize("max_iters", [3, 5, 8, 12])
-@pytest.mark.parametrize("case", ["werner-2x2", "npt-2x3"])
+@pytest.mark.parametrize("case", ["werner-2x2", "npt-2x3", "separable-2x2-random"])
 def test_binding_budget_evaluates_first_live_searches(monkeypatch, case, max_iters, warm):
     # every lane call of a solve, rerun never done: at each step a start with
     # b evaluations left evaluates only its first b live searches, each on
-    # its own trajectory, and never spends more than max_iters
-    state, a = (make_werner(0.8), canonical_witness()) if case == "werner-2x2" else _npt_2x3_state()
+    # its own trajectory, and never spends more than max_iters. The product
+    # bound of the two entangled cases exceeds tol, so start 0 cannot end the
+    # search and runs beside starts 1..S-1; on the separable state it is 0,
+    # and start 0 runs first, alone
+    if case == "separable-2x2-random":
+        rng = np.random.default_rng(35)  # neither start 0 nor its warm start resolves it
+        state, a = make_werner(rng.uniform(0.0, 1.0 / 3.0)), random_hermitian(4, rng)
+    else:
+        state, a = (make_werner(0.8), canonical_witness()) if case == "werner-2x2" else _npt_2x3_state()
     extra = ()
     if warm:
         prev = minimize_d0(state, a, OptimizerConfig(starts=1, max_iters=20))
@@ -653,18 +664,19 @@ def test_binding_budget_evaluates_first_live_searches(monkeypatch, case, max_ite
     calls = []
     lane_search = _lane_search
 
-    def spy(engine, lanes, budget, tol, best):
+    def spy(engine, lanes, budget, tol, bests):
         calls.append((engine, lanes, budget))
-        return lane_search(engine, lanes, budget, tol, best)
+        return lane_search(engine, lanes, budget, tol, bests)
 
     monkeypatch.setattr("qcorr.correlation._lane_search", spy)
     minimize_d0(state, a, OptimizerConfig(starts=3, max_iters=max_iters), extra_starts=extra)
-    assert [[i for i, _ in lanes] for _, lanes, _ in calls] == [[0], [1, 2]]
-    assert len(calls[0][1][0][1]) == N_RANDOM_PARTITIONS + 1 + len(extra)
+    schedule = [[0], [1, 2]] if case.startswith("separable") else [[0, 1, 2]]
+    assert [[i for _, i, _ in lanes] for _, lanes, _ in calls] == schedule
+    assert len(calls[0][1][0][2]) == N_RANDOM_PARTITIONS + 1 + len(extra)
     for engine, lanes, budget in calls:
         batch = _Steps()
-        lane_search(engine, lanes, budget, 1e-9, batch)
-        for start, searches in lanes:
+        lane_search(engine, lanes, budget, 1e-9, [batch])
+        for _, start, searches in lanes:
             alone = [_alone(engine, start, search, budget) for search in searches]
             assert sum(map(len, alone)) > budget  # the budget binds
             expected = _shared_budget(alone, budget)
@@ -690,12 +702,12 @@ def test_search_trajectory_same_alone_and_in_full_batch(seed, dims, n_starts):
     for i in range(n_starts):
         x0 = engine.coords(expm_antihermitian(rng.standard_normal(m * m), m))
         parts = [singleton_partition(m)] + [_random_partition(rng, m) for _ in range(int(rng.integers(0, 3)))]
-        lanes.append((i, [(x0, groups) for groups in parts]))
-    alone = {i: [_alone(engine, i, search, 2000) for search in searches] for i, searches in lanes}
+        lanes.append((0, i, [(x0, groups) for groups in parts]))
+    alone = {i: [_alone(engine, i, search, 2000) for search in searches] for _, i, searches in lanes}
     assume(all(len(t) < 2000 for ts in alone.values() for t in ts))  # each search ends by itself
     budget = max(sum(map(len, ts)) for ts in alone.values())
     batch = _Steps()
-    _lane_search(engine, lanes, budget, 1e-9, batch)
+    _lane_search(engine, lanes, budget, 1e-9, [batch])
     for i, ts in alone.items():
         steps = batch.of_start(i)
         assert steps == [[t[k] for t in ts if k < len(t)] for k in range(max(map(len, ts)))]
@@ -719,6 +731,26 @@ def test_lane_memory_ceiling_4x4():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak <= 80e6
+
+
+def test_verdict_memory_ceiling_4x4():
+    # a 4x4 rank-2 verdict solves 9 probes; starts 1..S-1 run one probe at a
+    # time, so its lanes, 93 at most, stay within the one-probe ceiling of
+    # test_lane_memory_ceiling_4x4 (batched across probes they would hold
+    # 9 x 93 lanes, about 0.9 GB of L-BFGS memory at the default max_iters)
+    rng = np.random.default_rng(3)
+    while True:
+        state = BipartiteState(BipartiteSpace(4, 4), random_density(16, rng, rank=2))
+        if canonical_pt_witness(state) is not None:
+            break
+    tracemalloc.start()
+    try:
+        res = separability_verdict(state, OptimizerConfig(starts=32, max_iters=3), n_observables=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(res.probes) == 9
     assert peak <= 80e6
 
 
@@ -816,8 +848,8 @@ def test_argmin_params_rebuild_closest_ensemble(monkeypatch, case):
     closest = [np.inf]
     signed_gap = _Engine.signed_gap
 
-    def recorded(self, x, labels):
-        g = signed_gap(self, x, labels)
+    def recorded(self, x, lanes):
+        g = signed_gap(self, x, lanes)
         closest[0] = min(closest[0], np.min(np.abs(g)))
         return g
 
@@ -885,3 +917,154 @@ def test_engine_gap_is_gap_of_completed_isometry(seed, dims, log_cond, scale):
     assert abs(g - (c - evaluate_boxtimes(boxtimes(e), a).real)) <= 1e-12
     bary = sum(w * mem for w, mem in zip(e.weights, e.members))
     assert np.linalg.norm(bary - state.rho) <= 1e-10
+
+
+def _separable(space, rng):
+    """A random mixture of 1 to 4 product states."""
+    d1, d2 = space.d1, space.d2
+    acc = sum(w * np.kron(random_density(d1, rng), random_density(d2, rng))
+              for w in rng.dirichlet(np.ones(int(rng.integers(1, 5)))))
+    return BipartiteState(space, acc)
+
+
+def _verdict_probes(state, cfg, n_observables):
+    """The observables ``separability_verdict`` probes, in its order."""
+    witness = canonical_pt_witness(state)
+    rng = np.random.default_rng((cfg.seed, 10_000))
+    return ([witness] if witness is not None else []) + [
+        random_hermitian_probe(rng, state.space.dim) for _ in range(n_observables)]
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from([(2, 2), (2, 3), (3, 2)]),
+       separable=st.booleans(), n_observables=st.integers(0, 4))
+def test_verdict_probe_values_are_those_of_lone_solves(seed, dims, separable, n_observables):
+    # the probes of a verdict share kernel calls, never a search or a budget:
+    # each value is, to the bit, that of minimize_d0 on the probe alone
+    rng = np.random.default_rng(seed)
+    space = BipartiteSpace(*dims)
+    state = _separable(space, rng) if separable else BipartiteState(space, random_density(space.dim, rng, rank=2))
+    cfg = OptimizerConfig(starts=3, max_iters=40, seed=seed % 1000)
+    res = separability_verdict(state, cfg, n_observables=n_observables)
+    probes = _verdict_probes(state, cfg, n_observables)
+    assert len(res.probes) == len(probes)
+    assert [value for _, value in res.probes] == [minimize_d0(state, a, cfg).value for a in probes]
+
+
+def test_verdict_trivial_decompositions_share_one_kernel_call(monkeypatch):
+    # a separable verdict with 8 probes evaluates {1, rho} of every probe in
+    # its first kernel call, one lane each, and never again
+    state = separable_state(3, np.random.default_rng(12))
+    calls, records = [], []
+    signed_gap = _Engine.signed_gap
+
+    def recorded(self, x, lanes):
+        g = signed_gap(self, x, lanes)
+        calls.append((x.copy(), g.copy()))
+        return g
+
+    class Partitions(_Recorder):
+        def __init__(self):
+            super().__init__()
+            self.offered = []
+            records.append(self)
+
+        def offer_lanes(self, g, x, groups, starts):
+            self.offered.extend(groups)
+            super().offer_lanes(g, x, groups, starts)
+
+    monkeypatch.setattr(_Engine, "signed_gap", recorded)
+    monkeypatch.setattr("qcorr.correlation._Best", Partitions)
+    res = separability_verdict(state, OptimizerConfig(), n_observables=8)
+    assert len(res.probes) == 8 and len(records) == 8
+    x, g = calls[0]
+    x_id = _Engine(state, np.eye(4), 16).coords(np.eye(16))
+    assert len(x) == 8 and all(np.array_equal(row, x_id) for row in x)
+    trivial = (tuple(range(16)),)
+    for p, best in enumerate(records):
+        assert best.offered[0] == trivial and best.offered.count(trivial) == 1
+        assert best.seen[0][0] == (g[p].tobytes(), x_id.tobytes())
+
+
+@pytest.mark.parametrize("case", ["werner-witness", "npt-2x3", "npt-2x3-perturbed"])
+def test_start_zero_joins_the_batch_when_the_bound_exceeds_tol(monkeypatch, case):
+    # where the product bound proves that no evaluation comes within tol of
+    # zero or crosses it, start 0 cannot end the search: one lane batch runs
+    # starts 0..S-1
+    if case == "werner-witness":
+        state, a = make_werner(0.7), canonical_witness()
+    else:
+        state, a = _npt_2x3_state()
+        if case == "npt-2x3-perturbed":  # not a partially transposed projector
+            a = a + 0.02 * random_hermitian(6, np.random.default_rng(0))
+    cfg = OptimizerConfig(starts=5, max_iters=60)
+    calls = []
+    lane_search = _lane_search
+
+    def spy(engine, lanes, budget, tol, bests):
+        calls.append([(p, i) for p, i, _ in lanes])
+        return lane_search(engine, lanes, budget, tol, bests)
+
+    monkeypatch.setattr("qcorr.correlation._lane_search", spy)
+    res = minimize_d0(state, a, cfg)
+    assert res.lower > cfg.tol
+    assert calls == [[(0, i) for i in range(cfg.starts)]]
+    assert res.starts_used == cfg.starts
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from([(2, 2), (2, 3), (3, 2)]),
+       kind=st.sampled_from(["random", "separable", "npt-witness"]))
+def test_product_bound_below_value(seed, dims, kind):
+    # L <= d0 <= value: lower never exceeds the certified value, and it is 0
+    # on a separable state, whatever the observable
+    rng = np.random.default_rng(seed)
+    space = BipartiteSpace(*dims)
+    state = _separable(space, rng) if kind == "separable" else BipartiteState(
+        space, random_density(space.dim, rng, rank=int(rng.integers(1, space.dim + 1))))
+    a = canonical_pt_witness(state) if kind == "npt-witness" else None
+    a = random_hermitian(space.dim, rng) if a is None else a
+    res = minimize_d0(state, a, OptimizerConfig(starts=2, max_iters=60))
+    assert 0.0 <= res.lower <= res.value
+    if kind == "separable":
+        assert res.lower == 0.0
+
+
+@pytest.mark.parametrize("p", [0.0, 0.2, 1.0 / 3.0, 0.34, 0.5, 0.75, 1.0])
+def test_product_bound_of_werner_witness(p):
+    # dist(c, [P_lo, P_hi]) for the canonical witness is (3p - 1)/4 above the
+    # separable boundary p = 1/3 and 0 below it; it equals |lambda_min(rho^Gamma)|
+    state = make_werner(p)
+    res = minimize_d0(state, canonical_witness(), OptimizerConfig(starts=1, max_iters=1))
+    assert abs(res.lower - max(0.0, (3.0 * p - 1.0) / 4.0)) <= 1e-12
+    assert abs(res.lower - max(0.0, -ppt_min_eigenvalue(state))) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from([(2, 2), (2, 3), (3, 2)]))
+def test_kernel_gaps_respect_product_bound(seed, dims):
+    # at random points and partitions, in one kernel call over a stack of
+    # probes, every gap has |g| >= lower - margin, and where lower > margin
+    # the gaps of a probe all have one sign
+    rng = np.random.default_rng(seed)
+    space = BipartiteSpace(*dims)
+    state = BipartiteState(space, random_density(space.dim, rng, rank=int(rng.integers(1, space.dim + 1))))
+    probes = [random_hermitian(space.dim, rng) * rng.uniform(0.1, 10.0) for _ in range(3)]
+    witness = canonical_pt_witness(state)
+    probes += [] if witness is None else [witness, -witness]
+    r = np.linalg.matrix_rank(state.rho)
+    m = int(rng.integers(r, space.dim ** 2 + 1))
+    engine = _Engine(state, np.array(probes), m)
+    lanes = 40
+    probe = np.repeat(np.arange(len(probes)), lanes)
+    x = np.array([engine.coords(expm_antihermitian(rng.standard_normal(m * m), m)) for _ in probe])
+    labels = np.array([_labels(_random_partition(rng, m), m) for _ in probe])
+    g = engine.signed_gap(x, _LaneSet(engine, probe, labels)).reshape(len(probes), lanes)
+    assert np.all(np.abs(g) >= (engine.lower - engine.margin)[:, None])
+    for k in np.flatnonzero(engine.lower > engine.margin):
+        assert np.all(g[k] > 0.0) or np.all(g[k] < 0.0)
+    # a probe's gaps are those of a one-probe engine
+    single = _Engine(state, probes[-1], m)
+    assert single.lower[0] == engine.lower[-1]
+    assert np.array_equal(single.signed_gap(x[-lanes:], _LaneSet(single, np.zeros(lanes, dtype=int), labels[-lanes:])),
+                          g[-1])
