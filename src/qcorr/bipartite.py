@@ -133,6 +133,8 @@ def make_random_state(space: BipartiteSpace, rank: int, seed: int) -> BipartiteS
     """Seeded random state G G† / Tr(G G†) with G a complex Gaussian (dim x rank)."""
     if rank < 1 or rank > space.dim:
         raise OutOfRange(f"rank must lie in [1, {space.dim}], got {rank}")
+    if seed < 0:
+        raise OutOfRange(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((space.dim, rank)) + 1j * rng.standard_normal((space.dim, rank))
     rho = g @ dagger(g)
@@ -145,6 +147,8 @@ def random_full_rank_density(d: int, seed: int) -> np.ndarray:
     spectrum stays bounded away from zero."""
     if d < 1:
         raise OutOfRange(f"dimension must be >= 1, got {d}")
+    if seed < 0:
+        raise OutOfRange(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = g @ dagger(g)

@@ -25,6 +25,7 @@ from .bipartite import (
     singlet_vector,
 )
 from .correlation import (
+    N_RANDOM_PROBES,
     OptimizerConfig,
     classify,
     decomposition_terms,
@@ -55,38 +56,40 @@ def _fmt(x: float) -> str:
 
 
 def _default_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("QCORR_SEED")
-    if env is not None:
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("QCORR_SEED", "0")
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise ParseError(f"QCORR_SEED must be an integer, got {env!r}") from exc
-    return 0
+    if seed < 0:
+        raise OutOfRange(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def _optimizer_config(args) -> OptimizerConfig:
-    return OptimizerConfig(
-        m=args.m,
-        starts=args.starts,
-        max_iters=args.max_iters,
-        tol=args.tol,
-        seed=_default_seed(args),
-    )
+    return OptimizerConfig(m=args.m, starts=args.starts, max_iters=args.max_iters, tol=args.tol,
+                           seed=_default_seed(args))
 
 
-def _add_optimizer_args(p: argparse.ArgumentParser, starts: int = 32, max_iters: int = 2000):
+def _add_optimizer_args(p: argparse.ArgumentParser, starts: int = OptimizerConfig.starts,
+                        max_iters: int = OptimizerConfig.max_iters):
     p.add_argument("--m", type=int, default=None, help="ensemble cardinality (default (d1*d2)^2)")
     p.add_argument("--starts", type=int, default=starts)
     p.add_argument("--max-iters", type=int, default=max_iters)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=OptimizerConfig.tol)
     p.add_argument("--seed", type=int, default=None, help="PRNG seed (falls back to QCORR_SEED)")
 
 
-def _print_table(rows: list[tuple[str, str]]) -> None:
-    for key, val in rows:
-        print(f"{key}: {val}")
+def _emit(args, record: dict, rows: list[tuple[str, str]]) -> None:
+    """Print a command's one result: ``record`` as one sorted JSON object
+    under ``--format json``, otherwise one ``key: value`` line per row."""
+    if args.format == "json":
+        print(json.dumps(record, sort_keys=True))
+    else:
+        for key, val in rows:
+            print(f"{key}: {val}")
 
 
 def _load_state(path: str) -> BipartiteState:
@@ -97,28 +100,27 @@ def _load_matrix(path: str) -> np.ndarray:
     return serialize.matrix_from_json(serialize.load_json(path), path)
 
 
+# Builtin maps by name; depolarizing:LAM names the depolarizing map of
+# parameter LAM as well.
+BUILTIN_MAPS = {"identity": identity_map, "transpose": transpose_map, "reduction": reduction_map,
+                "depolarizing": lambda d: depolarizing_map(d, 0.0)}
+MAP_NAMES = "|".join(BUILTIN_MAPS) + "[:lam]"
+
+
 def _resolve_map(spec: str, d: int) -> PositiveMapSpec:
-    if spec == "identity":
-        return identity_map(d)
-    if spec == "transpose":
-        return transpose_map(d)
-    if spec == "reduction":
-        return reduction_map(d)
-    if spec.startswith("depolarizing"):
-        lam = 0.0
-        if ":" in spec:
-            try:
-                lam = float(spec.split(":", 1)[1])
-            except ValueError as exc:
-                raise ParseError(f"bad depolarizing parameter in {spec!r}") from exc
+    if spec in BUILTIN_MAPS:
+        return BUILTIN_MAPS[spec](d)
+    if spec.startswith("depolarizing:"):
+        try:
+            lam = float(spec.removeprefix("depolarizing:"))
+        except ValueError as exc:
+            raise ParseError(f"bad depolarizing parameter in {spec!r}") from exc
         if not (0.0 <= lam <= 1.0):
             raise OutOfRange(f"depolarizing parameter must lie in [0, 1], got {lam}")
         return depolarizing_map(d, lam)
     if os.path.exists(spec) or spec.endswith(".json"):
         return serialize.map_from_json(serialize.load_json(spec), spec)
-    raise ParseError(
-        f"unknown map {spec!r}: expected a JSON path or one of "
-        "identity|transpose|reduction|depolarizing[:lam]")
+    raise ParseError(f"unknown map {spec!r}: expected a JSON path or one of {MAP_NAMES}")
 
 
 def _resolve_density(spec: str) -> np.ndarray:
@@ -140,15 +142,11 @@ def _canonical_witness_2x2() -> np.ndarray:
 
 
 def _emit_result(res, args) -> None:
+    ensemble = serialize.ensemble_to_json(res.ensemble)
     if args.dump_ensemble:
-        serialize.dump_json(args.dump_ensemble, serialize.ensemble_to_json(res.ensemble))
-    if args.format == "json":
-        print(json.dumps({"value": res.value, "starts_used": res.starts_used,
-                          "ensemble": serialize.ensemble_to_json(res.ensemble)},
-                         sort_keys=True))
-    else:
-        _print_table([("value", _fmt(res.value)),
-                      ("starts_used", str(res.starts_used))])
+        serialize.dump_json(args.dump_ensemble, ensemble)
+    _emit(args, {"value": res.value, "starts_used": res.starts_used, "ensemble": ensemble},
+          [("value", _fmt(res.value)), ("starts_used", str(res.starts_used))])
 
 
 def cmd_d0(args) -> int:
@@ -172,18 +170,13 @@ def cmd_verdict(args) -> int:
     state = _load_state(args.state)
     cfg = _optimizer_config(args)
     res = separability_verdict(state, cfg, n_observables=args.n_observables)
+    witness = serialize.matrix_to_json(res.witness)
     if args.dump_witness:
-        serialize.dump_json(args.dump_witness, serialize.matrix_to_json(res.witness))
-    if args.format == "json":
-        print(json.dumps({
-            "verdict": res.verdict, "max_d0": res.max_d0,
-            "witness": serialize.matrix_to_json(res.witness),
-            "probes": [{"label": lbl, "value": val} for lbl, val in res.probes],
-        }, sort_keys=True))
-    else:
-        _print_table([("verdict", res.verdict), ("max_d0", _fmt(res.max_d0))])
-        for label, value in res.probes:
-            print(f"probe {label}: {_fmt(value)}")
+        serialize.dump_json(args.dump_witness, witness)
+    _emit(args, {"verdict": res.verdict, "max_d0": res.max_d0, "witness": witness,
+                 "probes": [{"label": lbl, "value": val} for lbl, val in res.probes]},
+          [("verdict", res.verdict), ("max_d0", _fmt(res.max_d0))]
+          + [(f"probe {lbl}", _fmt(val)) for lbl, val in res.probes])
     return EXIT_OK
 
 
@@ -191,11 +184,8 @@ def cmd_ppt(args) -> int:
     state = _load_state(args.state)
     min_eig = ppt_min_eigenvalue(state)
     psd = min_eig >= -PPT_ATOL
-    if args.format == "json":
-        print(json.dumps({"ppt_min_eig": min_eig, "psd": psd}, sort_keys=True))
-    else:
-        _print_table([("ppt_min_eig", _fmt(min_eig)),
-                      ("psd", "yes" if psd else "no")])
+    _emit(args, {"ppt_min_eig": min_eig, "psd": psd},
+          [("ppt_min_eig", _fmt(min_eig)), ("psd", "yes" if psd else "no")])
     return EXIT_OK
 
 
@@ -204,15 +194,9 @@ def cmd_boxtimes(args) -> int:
     observable = _load_matrix(args.observable)
     # checks the observable's shape and Hermiticity
     barycenter_term, boxtimes_term, _ = decomposition_terms(ensemble, observable)
-    gap = abs(barycenter_term - boxtimes_term)
-    if args.format == "json":
-        print(json.dumps({"barycenter_term": barycenter_term.real,
-                          "boxtimes_term": boxtimes_term.real,
-                          "gap": gap}, sort_keys=True))
-    else:
-        _print_table([("barycenter_term", _fmt(barycenter_term.real)),
-                      ("boxtimes_term", _fmt(boxtimes_term.real)),
-                      ("gap", _fmt(gap))])
+    terms = {"barycenter_term": barycenter_term.real, "boxtimes_term": boxtimes_term.real,
+             "gap": abs(barycenter_term - boxtimes_term)}
+    _emit(args, terms, [(key, _fmt(val)) for key, val in terms.items()])
     return EXIT_OK
 
 
@@ -226,16 +210,13 @@ def cmd_gns_verify(args) -> int:
     ok = (report["residual_max"] <= 1e-9
           and report["v_norm"] <= report["bound"] + 1e-9
           and omega_residual <= 1e-10)
-    if args.format == "json":
-        print(json.dumps(report, sort_keys=True))
-    else:
-        _print_table([("map", alpha.name or args.map),
-                      ("dim_gns", str(report["dim_gns"])),
-                      ("residual_max", _fmt(report["residual_max"])),
-                      ("v_norm", _fmt(report["v_norm"])),
-                      ("bound", _fmt(report["bound"])),
-                      ("omega_residual", _fmt(omega_residual)),
-                      ("verdict", "PASS" if ok else "FAIL")])
+    _emit(args, report, [("map", alpha.name or args.map),
+                         ("dim_gns", str(report["dim_gns"])),
+                         ("residual_max", _fmt(report["residual_max"])),
+                         ("v_norm", _fmt(report["v_norm"])),
+                         ("bound", _fmt(report["bound"])),
+                         ("omega_residual", _fmt(omega_residual)),
+                         ("verdict", "PASS" if ok else "FAIL")])
     return EXIT_OK if ok else 1
 
 
@@ -248,12 +229,9 @@ def cmd_kadison(args) -> int:
     for _ in range(args.samples):
         a = rng.standard_normal((alpha.d, alpha.d)) + 1j * rng.standard_normal((alpha.d, alpha.d))
         worst = min(worst, kadison_defect(alpha, a))
-    if args.format == "json":
-        print(json.dumps({"min_defect": worst, "samples": args.samples}, sort_keys=True))
-    else:
-        _print_table([("map", alpha.name or args.map),
-                      ("samples", str(args.samples)),
-                      ("min_defect", _fmt(worst))])
+    _emit(args, {"min_defect": worst, "samples": args.samples},
+          [("map", alpha.name or args.map), ("samples", str(args.samples)),
+           ("min_defect", _fmt(worst))])
     return EXIT_OK
 
 
@@ -307,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dump-ensemble", default=None)
 
     p = command("verdict", "separability verdict over a probe set", "state")
-    p.add_argument("--n-observables", type=int, default=8)
+    p.add_argument("--n-observables", type=int, default=N_RANDOM_PROBES)
     _add_optimizer_args(p)
     p.add_argument("--dump-witness", default=None)
 
@@ -315,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("boxtimes", "evaluate both sides of the decomposition gap", "ensemble", "observable")
 
     p = command("gns-verify", "build and certify the intertwiner construction")
-    p.add_argument("map", help="JSON path or identity|transpose|reduction|depolarizing[:lam]")
+    p.add_argument("map", help=f"JSON path or {MAP_NAMES}")
     p.add_argument("state", help="matrix JSON path or random:D:SEED")
     p.add_argument("--single", action="store_true",
                    help="single-representation variant (bound 1, self-adjoint span)")

@@ -70,7 +70,7 @@ from .measures import (
     singleton_partition,
     state_spectral_data,
 )
-from .posmaps import PPT_ATOL, partial_transpose, ppt_min_eig_and_vector
+from .posmaps import PPT_ATOL, partial_transpose, partial_transpose_matrix, ppt_min_eig_and_vector
 
 # Optimization is restricted to small total dimensions.
 MAX_OPT_DIM = 16
@@ -78,6 +78,8 @@ MAX_OPT_DIM = 16
 DECISION_THRESHOLD = 1e-4
 # Random coarse-graining partitions tried per start.
 N_RANDOM_PARTITIONS = 2
+# Random probes of a separability verdict, by default.
+N_RANDOM_PROBES = 8
 # L-BFGS search: curvature pairs kept, Armijo constant, length of the first
 # (steepest-descent) step, backtracking halvings per iteration, and the
 # relative change of |c - S| at or below which the search has stalled.
@@ -135,6 +137,8 @@ class OptimizerConfig:
             raise ConfigInvalid(f"max_iters must be >= 1, got {self.max_iters}")
         if not (self.tol > 0.0):
             raise ConfigInvalid(f"tol must be > 0, got {self.tol}")
+        if self.seed < 0:
+            raise ConfigInvalid(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -251,8 +255,7 @@ class _Engine:
         self.a_sig = np.ascontiguousarray(a5.transpose(0, 1, 3, 4, 2).reshape(-1, d1 * d1, d2 * d2))
         self.a_sig_h = np.ascontiguousarray(dagger(self.a_sig))
         h = (a + dagger(a)) / 2.0  # the part the real kernel values read
-        h_pt = h.reshape(a5.shape).transpose(0, 3, 2, 1, 4).reshape(a.shape)  # transposed on factor 1
-        w = np.linalg.eigvalsh(np.concatenate([h, h_pt]))
+        w = np.linalg.eigvalsh(np.concatenate([h, partial_transpose_matrix(h, d1, d2)]))
         lo, hi = np.maximum(*np.split(w[:, 0], 2)), np.minimum(*np.split(w[:, -1], 2))
         self.lower = np.abs(self.c - np.clip(self.c, lo, hi))
         self.margin = BOUND_MARGIN * d1 * d2 * np.abs(w[:len(a)]).max(axis=-1)
@@ -706,7 +709,7 @@ def classify(value: float, ppt_min: float, dims: tuple[int, int]) -> str:
 
 
 def separability_verdict(rho: BipartiteState, cfg: OptimizerConfig | None = None,
-                         n_observables: int = 8) -> VerdictResult:
+                         n_observables: int = N_RANDOM_PROBES) -> VerdictResult:
     """Aggregate the minimizer over a probe set of Hermitian observables:
     the canonical partial-transpose witness when one exists, and
     ``n_observables`` (>= 0) seeded random probes.

@@ -127,13 +127,14 @@ def is_unital(alpha: PositiveMapSpec) -> bool:
 
 
 def partial_transpose_matrix(rho: np.ndarray, d1: int, d2: int) -> np.ndarray:
-    """Transpose on the first factor of a raw matrix: swap the two
-    first-factor indices of rho[(a, i), (b, j)]. Returns a new array, also
-    when d1 == 1 and the swap is a no-op."""
-    rho = as_matrix(rho, "rho")
-    if rho.shape != (d1 * d2, d1 * d2):
-        raise DimensionMismatch(f"matrix shape {rho.shape} != ({d1 * d2}, {d1 * d2})")
-    return rho.reshape(d1, d2, d1, d2).transpose(2, 1, 0, 3).reshape(d1 * d2, d1 * d2).copy()
+    """Transpose on the first factor of a raw matrix, or of each matrix of a
+    (k, n, n) stack: swap the two first-factor indices of rho[(a, i), (b, j)].
+    Returns a new array, also when d1 == 1 and the swap is a no-op."""
+    rho = as_matrix(rho, "rho", stack=np.ndim(rho) == 3)
+    n = d1 * d2
+    if rho.shape[-2:] != (n, n):
+        raise DimensionMismatch(f"matrix shape {rho.shape} != {rho.shape[:-2] + (n, n)}")
+    return rho.reshape(-1, d1, d2, d1, d2).transpose(0, 3, 2, 1, 4).reshape(rho.shape).copy()
 
 
 def partial_transpose(s: BipartiteState) -> np.ndarray:

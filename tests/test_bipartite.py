@@ -116,6 +116,8 @@ def test_random_state_contract():
     assert np.linalg.matrix_rank(low.rho, tol=1e-10) == 2
     with pytest.raises(OutOfRange):
         make_random_state(BipartiteSpace(2, 2), 5, seed=1)
+    with pytest.raises(OutOfRange):
+        make_random_state(BipartiteSpace(2, 2), 4, seed=-1)
 
 
 def test_state_validation():
@@ -136,6 +138,8 @@ def test_random_full_rank_density():
     w = np.linalg.eigvalsh(rho)
     assert w[0] > 0.01
     assert abs(np.trace(rho).real - 1.0) <= 1e-10
+    with pytest.raises(OutOfRange):
+        random_full_rank_density(3, -1)
 
 
 def test_validate_density_hermiticity_errors_are_density_errors():

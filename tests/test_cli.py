@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,22 +229,37 @@ def test_every_error_exits_with_its_documented_code(monkeypatch, capsys, cls):
     assert err.startswith("error: ")
 
 
-@pytest.mark.parametrize("argv", [
-    ["boxtimes", "{ensemble}", "{observable_3x3}"],
-    ["kadison", "transpose", "-d", "-1"],
-    ["kadison", "depolarizing:0.5", "-d", "-1"],
-    ["gns-verify", "transpose", "random:-2:1"],
-    ["verdict", "{state}", "--n-observables", "-3", "--starts", "1", "--max-iters", "10"],
+FAST = ["--starts", "1", "--max-iters", "10"]
+
+
+@pytest.mark.parametrize("argv,env", [
+    (["boxtimes", "{ensemble}", "{observable_3x3}"], {}),
+    (["kadison", "transpose", "-d", "-1"], {}),
+    (["kadison", "depolarizing:0.5", "-d", "-1"], {}),
+    (["gns-verify", "transpose", "random:-2:1"], {}),
+    (["verdict", "{state}", "--n-observables", "-3", *FAST], {}),
+    (["d0", "{state}", "{observable}", *FAST, "--seed", "-1"], {}),
+    (["verdict", "{state}", *FAST, "--seed", "-1"], {}),
+    (["werner-sweep", *FAST, "--seed", "-1"], {}),
+    (["werner-sweep", *FAST], {"QCORR_SEED": "-3"}),
+    (["kadison", "identity", "--seed", "-5"], {}),
+    (["gns-verify", "identity", "random:2:-1"], {}),
 ], ids=["boxtimes-3x3-observable", "kadison-transpose-d-1", "kadison-depolarizing-d-1",
-        "gns-verify-random-d-2", "verdict-negative-probes"])
-def test_malformed_arguments_exit_3(tmp_path, capsys, argv):
-    # negative sizes and a mis-shaped observable are domain errors, reported on stderr
+        "gns-verify-random-d-2", "verdict-negative-probes", "d0-negative-seed",
+        "verdict-negative-seed", "werner-sweep-negative-seed", "werner-sweep-negative-env-seed",
+        "kadison-negative-seed", "gns-verify-random-negative-seed"])
+def test_malformed_arguments_exit_3(tmp_path, monkeypatch, capsys, argv, env):
+    # negative sizes and seeds and a mis-shaped observable are domain errors,
+    # reported on stderr
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
     paths = {"ensemble": tmp_path / "ens.json", "observable_3x3": tmp_path / "obs.json",
-             "state": tmp_path / "state.json"}
+             "state": tmp_path / "state.json", "observable": tmp_path / "proj.json"}
     serialize.dump_json(str(paths["ensemble"]),
                         serialize.ensemble_to_json(werner_third_product_ensemble()))
     serialize.dump_json(str(paths["observable_3x3"]), serialize.matrix_to_json(np.eye(3)))
     serialize.dump_json(str(paths["state"]), serialize.state_to_json(make_werner(0.2)))
+    serialize.dump_json(str(paths["observable"]), serialize.matrix_to_json(singlet_proj()))
     code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 3
     assert out == ""
@@ -278,6 +295,23 @@ def test_malformed_json_exit_2(tmp_path, capsys, argv, kind, edit):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("spec,code", [
+    ("depolarizing0.5", 2), ("depolarizingX", 2), ("bogus", 2), ("depolarizing:", 2),
+    ("depolarizing:2", 3), ("depolarizing", 0), ("depolarizing:0.5", 0), ("depolarizing_t.json", 0),
+])
+def test_map_names_follow_the_strict_grammar(tmp_path, monkeypatch, capsys, spec, code):
+    # a builtin name is matched whole; any other name is a JSON path, here a
+    # file whose name starts with "depolarizing" but which holds the transpose map
+    monkeypatch.chdir(tmp_path)
+    serialize.dump_json("depolarizing_t.json", serialize.map_to_json(transpose_map(2)))
+    got, out, err = run(capsys, "kadison", spec, "--samples", "2")
+    assert got == code
+    if code == 2 and ":" not in spec:
+        assert "unknown map" in err
+    if spec.endswith(".json"):
+        assert out.splitlines()[0] == "map: transpose"
 
 
 @pytest.mark.parametrize("kind", ["directory", "non-utf8"])
@@ -333,6 +367,62 @@ def test_json_format_output(capsys, bell_path, proj_path):
     ens = serialize.ensemble_from_json(data["ensemble"])
     from qcorr.correlation import d0_objective
     assert abs(d0_objective(ens, singlet_proj()) - data["value"]) <= 1e-9
+
+
+@pytest.fixture
+def output_inputs(tmp_path, bell_path, proj_path):
+    """The arguments of every record-printing command, on small inputs."""
+    werner = tmp_path / "werner.json"
+    serialize.dump_json(str(werner), serialize.state_to_json(make_werner(0.5)))
+    sz = tmp_path / "sz.json"
+    serialize.dump_json(str(sz), serialize.matrix_to_json(np.diag([1.0, -1.0])))
+    ens = tmp_path / "ens.json"
+    serialize.dump_json(str(ens), serialize.ensemble_to_json(werner_third_product_ensemble()))
+    return {"d0": ["d0", bell_path, proj_path, *FAST],
+            "d": ["d", bell_path, str(sz), str(sz), *FAST],
+            "verdict": ["verdict", str(werner), "--n-observables", "2", *FAST],
+            "ppt": ["ppt", str(werner)],
+            "boxtimes": ["boxtimes", str(ens), proj_path],
+            "gns-verify": ["gns-verify", "transpose", "random:2:3"],
+            "kadison": ["kadison", "transpose", "--samples", "3"]}
+
+
+# Per command: the table keys in order and the JSON record's key set.
+OUTPUT_KEYS = {
+    "d0": (["value", "starts_used"], {"value", "starts_used", "ensemble"}),
+    "d": (["value", "starts_used"], {"value", "starts_used", "ensemble"}),
+    "verdict": (["verdict", "max_d0", "probe pt-witness", "probe random-0", "probe random-1"],
+                {"verdict", "max_d0", "witness", "probes"}),
+    "ppt": (["ppt_min_eig", "psd"], {"ppt_min_eig", "psd"}),
+    "boxtimes": (["barycenter_term", "boxtimes_term", "gap"],
+                 {"barycenter_term", "boxtimes_term", "gap"}),
+    "gns-verify": (["map", "dim_gns", "residual_max", "v_norm", "bound", "omega_residual", "verdict"],
+                   {"residual_max", "v_norm", "dim_gns", "bound"}),
+    "kadison": (["map", "samples", "min_defect"], {"min_defect", "samples"}),
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("command", list(OUTPUT_KEYS))
+def test_output_keys_of_every_command(capsys, output_inputs, command, fmt):
+    code, out, err = run(capsys, *output_inputs[command], "--format", fmt)
+    assert (code, err) == (0, "")
+    table_keys, json_keys = OUTPUT_KEYS[command]
+    if fmt == "json":
+        assert out.count("\n") == 1
+        assert set(json.loads(out)) == json_keys
+    else:
+        assert [line.split(": ")[0] for line in out.splitlines()] == table_keys
+
+
+def test_json_is_printed_only_by_the_emitter_and_the_sweep():
+    # every record goes through _emit; werner-sweep's list of rows is the one
+    # output that is not a record
+    tree = ast.parse(Path(cli.__file__).read_text())
+    callers = sorted(getattr(top, "name", "<module>") for top in tree.body for node in ast.walk(top)
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                     and node.func.attr == "dumps" and getattr(node.func.value, "id", None) == "json")
+    assert callers == ["_emit", "cmd_werner_sweep"]
 
 
 def test_parser_built_once_keeps_no_state_between_calls(tmp_path, capsys):

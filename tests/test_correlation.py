@@ -188,6 +188,8 @@ def test_minimize_errors():
         OptimizerConfig(starts=0)
     with pytest.raises(ConfigInvalid):
         OptimizerConfig(tol=0.0)
+    with pytest.raises(ConfigInvalid):
+        OptimizerConfig(seed=-1)
 
 
 def test_d_simple_bell_sigma_z():

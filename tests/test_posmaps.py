@@ -117,6 +117,19 @@ def test_partial_transpose_matches_naive():
                            naive_partial_transpose_first(s.rho, d1, d2), atol=1e-13)
 
 
+def test_partial_transpose_of_a_stack_is_that_of_each_matrix():
+    rng = np.random.default_rng(9)
+    for d1, d2 in ((1, 3), (2, 2), (2, 3), (3, 2)):
+        stack = np.array([random_density(d1 * d2, rng) for _ in range(3)])
+        pt = partial_transpose_matrix(stack, d1, d2)
+        assert pt.shape == stack.shape and not np.shares_memory(pt, stack)
+        for x, y in zip(stack, pt):
+            assert np.array_equal(y, partial_transpose_matrix(x, d1, d2))
+            assert np.array_equal(y, naive_partial_transpose_first(x, d1, d2))
+    with pytest.raises(DimensionMismatch):
+        partial_transpose_matrix(np.zeros((2, 4, 4)), 2, 3)
+
+
 def test_partial_transpose_involution():
     s = make_random_state(BipartiteSpace(2, 3), 6, seed=7)
     pt = partial_transpose(s)
