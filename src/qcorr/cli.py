@@ -69,8 +69,7 @@ def _default_seed(args) -> int:
 
 
 def _optimizer_config(args) -> OptimizerConfig:
-    return OptimizerConfig(m=args.m, starts=args.starts, max_iters=args.max_iters, tol=args.tol,
-                           seed=_default_seed(args))
+    return OptimizerConfig(m=args.m, starts=args.starts, max_iters=args.max_iters, seed=_default_seed(args))
 
 
 def _add_optimizer_args(p: argparse.ArgumentParser, starts: int = OptimizerConfig.starts,
@@ -78,7 +77,6 @@ def _add_optimizer_args(p: argparse.ArgumentParser, starts: int = OptimizerConfi
     p.add_argument("--m", type=int, default=None, help="ensemble cardinality (default (d1*d2)^2)")
     p.add_argument("--starts", type=int, default=starts)
     p.add_argument("--max-iters", type=int, default=max_iters)
-    p.add_argument("--tol", type=float, default=OptimizerConfig.tol)
     p.add_argument("--seed", type=int, default=None, help="PRNG seed (falls back to QCORR_SEED)")
 
 

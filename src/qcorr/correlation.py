@@ -27,7 +27,7 @@ decomposition {1, rho} of every probe is one call; (B) start 0 runs first,
 alone, in one batch across probes, so that an instance it resolves stops
 inside it; (C) each probe still open runs starts 1..S-1 in lockstep as one
 batch, joined by start 0 where the product bound (``CorrelationResult.lower``)
-shows that no evaluation comes within tol of zero or crosses it. Each
+shows that no evaluation comes within TOL of zero or crosses it. Each
 lane keeps its own step length and L-BFGS memory. The search also keeps the
 closest evaluation on each side of zero, from any partition and start.
 S is affine in the decomposition measure and the decompositions of a state
@@ -103,6 +103,8 @@ BOUND_MARGIN = 1e-13
 # also exact with a trivial factor (d1 == 1 or d2 == 1), where every state
 # is a product state.
 PPT_EXACT_DIMS = {(2, 2), (2, 3), (3, 2)}
+# The d0 stop rule: a search stops once its closest |c - S| is at or below this.
+TOL = 1e-9
 
 SEPARABLE = "Separable"
 ENTANGLED = "Entangled"
@@ -125,7 +127,6 @@ class OptimizerConfig:
     m: int | None = None
     starts: int = 32
     max_iters: int = 2000
-    tol: float = 1e-9
     seed: int = 0
 
     def __post_init__(self):
@@ -135,8 +136,6 @@ class OptimizerConfig:
             raise ConfigInvalid(f"starts must be >= 1, got {self.starts}")
         if self.max_iters < 1:
             raise ConfigInvalid(f"max_iters must be >= 1, got {self.max_iters}")
-        if not (self.tol > 0.0):
-            raise ConfigInvalid(f"tol must be > 0, got {self.tol}")
         if self.seed < 0:
             raise ConfigInvalid(f"seed must be >= 0, got {self.seed}")
 
@@ -393,9 +392,9 @@ class _Best:
         for k in sorted({pos, neg}):
             self.offer(float(g[k]), x[k], groups[k], int(starts[k]))
 
-    def done(self, tol: float) -> bool:
-        """Within tol, or both sides of zero seen (a zero-gap mixture exists)."""
-        return self.value <= tol or (self.pos is not None and self.neg is not None)
+    def done(self) -> bool:
+        """Within TOL, or both sides of zero seen (a zero-gap mixture exists)."""
+        return self.value <= TOL or (self.pos is not None and self.neg is not None)
 
 
 def _random_partition(rng: np.random.Generator, m: int):
@@ -456,7 +455,7 @@ def _compact(arrays, live: np.ndarray) -> list:
     return [a[:live.size] for a in arrays]
 
 
-def _lane_search(engine: _Engine, lanes, max_iters: int, tol: float, bests) -> None:
+def _lane_search(engine: _Engine, lanes, max_iters: int, bests) -> None:
     """L-BFGS with Armijo backtracking on |c - S(x)|, for every search of
     one or many entries at once, each search a lane, stepped in lockstep.
 
@@ -473,9 +472,9 @@ def _lane_search(engine: _Engine, lanes, max_iters: int, tol: float, bests) -> N
     FIRST_STEP along the steepest descent. A search ends when a trial
     changes |c - S| by at most STALL_REL of its value, after MAX_BACKTRACKS
     rejected trials, or at a zero gradient. A probe's lanes end once its
-    best is done (within ``tol``, or evaluations seen on both sides of
-    zero). Every test compares terms of equal degree in A, so each decision
-    is invariant under A -> cA.
+    best is done (``_Best.done``). Every test but the absolute one against
+    TOL compares terms of equal degree in A, so those decisions are
+    invariant under A -> cA.
 
     Each lane keeps its own accepted point, step length and L-BFGS memory.
     No lane reads another lane's state, nor an entry another's budget, so a
@@ -523,7 +522,7 @@ def _lane_search(engine: _Engine, lanes, max_iters: int, tol: float, bests) -> N
         for lo, hi in zip(cuts, cuts[1:]):  # each probe's lanes, in lane order, to its best
             best = bests[probe[lo]]
             best.offer_lanes(gap[lo:hi], pt[lo:hi], groups[lo:hi], start[lo:hi])
-            ended[lo:hi] |= best.done(tol)
+            ended[lo:hi] |= best.done()
         accept = ~ended & (new <= f + ARMIJO * t * slope)
         if accept.any():
             new_grad = np.sign(gap)[:, None] * engine.gradient()
@@ -602,16 +601,15 @@ def _solve(rho: BipartiteState, observables, cfg: OptimizerConfig,
         parts = [singleton_partition(m)] + [_random_partition(rng, m) for _ in range(N_RANDOM_PARTITIONS)]
         return (warm if i == 0 else []) + [(x0, gr) for gr in parts]
 
-    open_probes = [p for p, best in enumerate(bests) if not best.done(cfg.tol)]
-    alone = [p for p in open_probes if engine.lower[p] <= cfg.tol + engine.margin[p]]
+    open_probes = [p for p, best in enumerate(bests) if not best.done()]
+    alone = [p for p in open_probes if engine.lower[p] <= TOL + engine.margin[p]]
     starts_used = [0] * len(a)
     if alone:
-        _lane_search(engine, [(p, 0, work(0)) for p in alone], cfg.max_iters, cfg.tol, bests)
+        _lane_search(engine, [(p, 0, work(0)) for p in alone], cfg.max_iters, bests)
     for p in open_probes:
         starts_used[p] = first = int(p in alone)  # 1 where start 0 ran above
-        if first < cfg.starts and not bests[p].done(cfg.tol):
-            _lane_search(engine, [(p, i, work(i)) for i in range(first, cfg.starts)],
-                         cfg.max_iters, cfg.tol, bests)
+        if first < cfg.starts and not bests[p].done():
+            _lane_search(engine, [(p, i, work(i)) for i in range(first, cfg.starts)], cfg.max_iters, bests)
             starts_used[p] = cfg.starts
 
     results = []

@@ -80,11 +80,6 @@ class GnsRepresentation:
         out = zm @ a if self.anti else a @ zm
         return out.reshape(*a.shape[:-2], -1)
 
-    def coords(self, a: np.ndarray) -> np.ndarray:
-        """Orthonormal coordinates of the class of a (of each matrix of a
-        stack): a acting on the class of the unit."""
-        return self.act(a, self.omega_vec)
-
 
 def _gns(w: np.ndarray) -> tuple[GnsRepresentation, GnsRepresentation]:
     """Left representation and right anti-representation of a validated
@@ -156,16 +151,6 @@ def _tilde_rep(left: GnsRepresentation, right: GnsRepresentation | None,
     return np.block([[m1, np.zeros_like(m2)], [np.zeros_like(m1), m2]])
 
 
-def _tilde_coords(left: GnsRepresentation, right: GnsRepresentation | None,
-                  a: np.ndarray) -> np.ndarray:
-    """Coordinates of the class of a (of each matrix of a stack) in the
-    space ``_tilde_rep`` acts on: the realified left coordinates, or with
-    ``right`` both summands scaled by 1/sqrt(2)."""
-    if right is None:
-        return _realify_vec(left.coords(a))
-    return np.concatenate([left.coords(a) * _INV_SQRT2, right.coords(a) * _INV_SQRT2], axis=-1)
-
-
 def _act(left: GnsRepresentation, right: GnsRepresentation | None,
          a: np.ndarray, z: np.ndarray) -> np.ndarray:
     """``_tilde_rep(a) @ z`` for each matrix of a (K, d, d) stack, as
@@ -230,8 +215,11 @@ def _build_intertwiner(alpha: PositiveMapSpec, rho, doubled: bool) -> LocalDecom
         z = m.reshape(*m.shape[:-2], -1)
         return z if doubled else _realify_vec(z)
 
+    # the class of a is a acting on the class of the unit, scaled after the action
+    omega, scale = ((np.concatenate([left.omega_vec, right.omega_vec]), _INV_SQRT2) if doubled
+                    else (_realify_vec(left.omega_vec), 1.0))
     basis = matrix_units(d) if doubled else hermitian_basis(d)
-    x = _tilde_coords(left, right, basis)
+    x = _act(left, right, basis, omega) * scale
     targets = hs_vec(apply_map(alpha, basis) @ sqrt_rho)
     v = _solve_intertwiner(x.T, targets.T, basis)
 
@@ -241,7 +229,7 @@ def _build_intertwiner(alpha: PositiveMapSpec, rho, doubled: bool) -> LocalDecom
     residual = float(np.max(np.linalg.norm(lhs - targets, axis=-1)))
     return LocalDecomposition(
         left=left, right=right,
-        tilde_omega=_tilde_coords(left, right, np.eye(d, dtype=np.complex128)), v=v,
+        tilde_omega=omega * scale, v=v,
         norm_bound=float(np.sqrt(2.0)) if doubled else 1.0,
         residual_max=residual, v_norm=operator_norm(v), sqrt_rho_vec=sr_vec)
 

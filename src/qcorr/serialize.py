@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .bipartite import BipartiteSpace, BipartiteState
-from .errors import InvalidDensityMatrix, ParseError
+from .errors import InvalidDensityMatrix, ParseError, QcorrError
 from .measures import Ensemble
 from .posmaps import PositiveMapSpec
 
@@ -32,9 +32,12 @@ def load_json(path: str):
 
 
 def dump_json(path: str, obj) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(path, "w", newline="\n") as fh:
+            json.dump(obj, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise QcorrError(f"{path}: cannot write ({exc})") from exc
 
 
 def matrix_to_json(m: np.ndarray) -> dict:

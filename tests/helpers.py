@@ -209,19 +209,18 @@ def _lbfgs_direction(grad: np.ndarray, memory) -> np.ndarray:
     return -q
 
 
-def _gradient_search(engine: _Engine, groups, x0: np.ndarray, budget: int, tol: float,
-                     best: _Best) -> int:
+def _gradient_search(engine: _Engine, groups, x0: np.ndarray, budget: int, best: _Best) -> int:
     """L-BFGS with Armijo backtracking on |c - S(x)|.
 
     Trial points along the search direction are evaluated until the Armijo
     test accepts one; only the accepted point is differentiated. The first
     step, and any step after the memory is reset, has length FIRST_STEP
     along the steepest descent. The search ends once ``best`` is done
-    (within ``tol``, or evaluations seen on both sides of zero, which
-    includes any zero crossing of this search), on spending ``budget``
-    evaluations, or when a trial changes the objective by at most STALL_REL
-    of its value. Every test compares terms of equal degree in A, so each
-    decision is invariant under A -> cA.
+    (within TOL, or evaluations seen on both sides of zero, which includes
+    any zero crossing of this search), on spending ``budget`` evaluations,
+    or when a trial changes the objective by at most STALL_REL of its value.
+    Every test but the absolute one against TOL compares terms of equal
+    degree in A, so those decisions are invariant under A -> cA.
     """
     evals = 0
 
@@ -235,7 +234,7 @@ def _gradient_search(engine: _Engine, groups, x0: np.ndarray, budget: int, tol: 
     x, g = x0, f(x0)
     grad, step = None, None
     memory: deque = deque(maxlen=LBFGS_MEMORY)
-    while not best.done(tol):
+    while not best.done():
         new_grad = np.sign(g) * engine.gradient()[0]
         if grad is not None:
             y = new_grad - grad
@@ -256,7 +255,7 @@ def _gradient_search(engine: _Engine, groups, x0: np.ndarray, budget: int, tol: 
             if evals >= budget:
                 return evals
             g_new = f(x + t * d)
-            if best.done(tol) or abs(abs(g_new) - abs(g)) <= STALL_REL * abs(g):
+            if best.done() or abs(abs(g_new) - abs(g)) <= STALL_REL * abs(g):
                 return evals
             if abs(g_new) <= abs(g) + ARMIJO * t * slope:
                 break

@@ -1,5 +1,7 @@
+import argparse
 import ast
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -326,6 +328,46 @@ def test_unreadable_input_exit_2(tmp_path, capsys, kind):
     assert out == ""
     assert err.startswith("error: ")
     assert "input.json" in err
+
+
+@pytest.mark.parametrize("command,target", [
+    ("d0", "missing-dir"), ("d", "directory"), ("verdict", "missing-dir"), ("verdict", "directory")])
+def test_unwritable_output_exits_4(tmp_path, capsys, bell_path, proj_path, command, target):
+    # a dump path that cannot be opened for writing is a construction
+    # failure: one error line naming the path, nothing on stdout
+    path = tmp_path / "missing" / "out.json" if target == "missing-dir" else tmp_path
+    sz = tmp_path / "sz.json"
+    serialize.dump_json(str(sz), serialize.matrix_to_json(np.diag([1.0, -1.0])))
+    argv = {"d0": ["d0", bell_path, proj_path, "--dump-ensemble"],
+            "d": ["d", bell_path, str(sz), str(sz), "--dump-ensemble"],
+            "verdict": ["verdict", bell_path, "--n-observables", "1", "--dump-witness"]}[command]
+    code, out, err = run(capsys, *argv, str(path), *FAST)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
+@pytest.mark.parametrize("command", ["d0", "d", "verdict", "werner-sweep"])
+def test_tol_is_not_an_option(capsys, bell_path, proj_path, command):
+    # the search stops at the fixed TOL; asking for another is a usage error
+    argv = {"d0": ["d0", bell_path, proj_path], "d": ["d", bell_path, proj_path, proj_path],
+            "verdict": ["verdict", bell_path], "werner-sweep": ["werner-sweep"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tol", "1e-3", *FAST])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+def test_readme_lists_the_optimizer_flags():
+    # README's "Common optimizer flags" line names exactly the options
+    # _add_optimizer_args adds, in order
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (line,) = [ln for ln in readme.splitlines() if ln.startswith("Common optimizer flags:")]
+    parser = argparse.ArgumentParser(add_help=False)
+    cli._add_optimizer_args(parser)
+    flags = [opt for action in parser._actions for opt in action.option_strings]
+    assert re.findall(r"`(--[\w-]+)`", line) == flags
 
 
 def test_determinism_byte_identical(capsys, bell_path, proj_path):

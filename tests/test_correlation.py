@@ -17,6 +17,7 @@ from qcorr.bipartite import (
 from qcorr.correlation import (
     ENTANGLED,
     SEPARABLE,
+    TOL,
     CorrelationResult,
     OptimizerConfig,
     N_RANDOM_PARTITIONS,
@@ -187,8 +188,6 @@ def test_minimize_errors():
     with pytest.raises(ConfigInvalid):
         OptimizerConfig(starts=0)
     with pytest.raises(ConfigInvalid):
-        OptimizerConfig(tol=0.0)
-    with pytest.raises(ConfigInvalid):
         OptimizerConfig(seed=-1)
 
 
@@ -321,7 +320,7 @@ def test_trivial_decomposition_decides_without_a_start(monkeypatch, case):
     monkeypatch.setattr(_Engine, "signed_gap", recorded)
     cfg = OptimizerConfig()
     res = minimize_d0(state, a, cfg)
-    assert res.starts_used == 0 and res.value <= cfg.tol
+    assert res.starts_used == 0 and res.value <= TOL
     assert kernel_ndim == [2]
 
 
@@ -476,7 +475,7 @@ class _Recorder(_Best):
 class _Trajectories(_Recorder):
     """Never done, so every lane runs until its own budget or searches end."""
 
-    def done(self, tol):
+    def done(self):
         return False
 
 
@@ -546,7 +545,7 @@ def _sequential_starts(state, a, cfg, extra_starts=()):
         for x_init, groups in work:
             if spent >= cfg.max_iters:
                 break
-            spent += _gradient_search(engine, groups, x_init, cfg.max_iters - spent, cfg.tol, best)
+            spent += _gradient_search(engine, groups, x_init, cfg.max_iters - spent, best)
     return best
 
 
@@ -572,7 +571,7 @@ def test_lockstep_matches_sequential_starts(case):
         extra = ((prev.argmin_isometry, prev.argmin_partition),)
     cfg = OptimizerConfig(starts=5, max_iters=150, seed=3)
     ref = _sequential_starts(state, a, cfg, extra)
-    assert not ref.done(cfg.tol)
+    assert not ref.done()
     res = minimize_d0(state, a, cfg, extra_starts=extra)
     assert abs(res.value - ref.value) <= 1e-12
     assert res.starts_used == cfg.starts
@@ -598,10 +597,10 @@ def test_lane_trajectory_independent_of_batch(seed, dims, n_lanes, max_iters):
                      for _ in range(int(rng.integers(1, 4)))])
              for i in range(1, n_lanes + 1)]
     batch = _Trajectories()
-    _lane_search(engine, lanes, max_iters, 1e-9, [batch])
+    _lane_search(engine, lanes, max_iters, [batch])
     for lane in lanes:
         alone = _Trajectories()
-        _lane_search(engine, [lane], max_iters, 1e-9, [alone])
+        _lane_search(engine, [lane], max_iters, [alone])
         assert 0 < len(alone.seen[lane[1]]) <= max_iters
         assert alone.seen[lane[1]] == batch.seen[lane[1]]
 
@@ -627,7 +626,7 @@ class _Steps(_Trajectories):
 def _alone(engine, start, search, max_iters):
     """A search's evaluations as the only search of a one-search start."""
     rec = _Steps()
-    _lane_search(engine, [(0, start, [search])], max_iters, 1e-9, [rec])
+    _lane_search(engine, [(0, start, [search])], max_iters, [rec])
     return [evals for (evals,) in rec.of_start(start)]
 
 
@@ -651,7 +650,7 @@ def test_binding_budget_evaluates_first_live_searches(monkeypatch, case, max_ite
     # every lane call of a solve, rerun never done: at each step a start with
     # b evaluations left evaluates only its first b live searches, each on
     # its own trajectory, and never spends more than max_iters. The product
-    # bound of the two entangled cases exceeds tol, so start 0 cannot end the
+    # bound of the two entangled cases exceeds TOL, so start 0 cannot end the
     # search and runs beside starts 1..S-1; on the separable state it is 0,
     # and start 0 runs first, alone
     if case == "separable-2x2-random":
@@ -666,9 +665,9 @@ def test_binding_budget_evaluates_first_live_searches(monkeypatch, case, max_ite
     calls = []
     lane_search = _lane_search
 
-    def spy(engine, lanes, budget, tol, bests):
+    def spy(engine, lanes, budget, bests):
         calls.append((engine, lanes, budget))
-        return lane_search(engine, lanes, budget, tol, bests)
+        return lane_search(engine, lanes, budget, bests)
 
     monkeypatch.setattr("qcorr.correlation._lane_search", spy)
     minimize_d0(state, a, OptimizerConfig(starts=3, max_iters=max_iters), extra_starts=extra)
@@ -677,7 +676,7 @@ def test_binding_budget_evaluates_first_live_searches(monkeypatch, case, max_ite
     assert len(calls[0][1][0][2]) == N_RANDOM_PARTITIONS + 1 + len(extra)
     for engine, lanes, budget in calls:
         batch = _Steps()
-        lane_search(engine, lanes, budget, 1e-9, [batch])
+        lane_search(engine, lanes, budget, [batch])
         for _, start, searches in lanes:
             alone = [_alone(engine, start, search, budget) for search in searches]
             assert sum(map(len, alone)) > budget  # the budget binds
@@ -709,7 +708,7 @@ def test_search_trajectory_same_alone_and_in_full_batch(seed, dims, n_starts):
     assume(all(len(t) < 2000 for ts in alone.values() for t in ts))  # each search ends by itself
     budget = max(sum(map(len, ts)) for ts in alone.values())
     batch = _Steps()
-    _lane_search(engine, lanes, budget, 1e-9, [batch])
+    _lane_search(engine, lanes, budget, [batch])
     for i, ts in alone.items():
         steps = batch.of_start(i)
         assert steps == [[t[k] for t in ts if k < len(t)] for k in range(max(map(len, ts)))]
@@ -990,7 +989,7 @@ def test_verdict_trivial_decompositions_share_one_kernel_call(monkeypatch):
 
 @pytest.mark.parametrize("case", ["werner-witness", "npt-2x3", "npt-2x3-perturbed"])
 def test_start_zero_joins_the_batch_when_the_bound_exceeds_tol(monkeypatch, case):
-    # where the product bound proves that no evaluation comes within tol of
+    # where the product bound proves that no evaluation comes within TOL of
     # zero or crosses it, start 0 cannot end the search: one lane batch runs
     # starts 0..S-1
     if case == "werner-witness":
@@ -1003,13 +1002,13 @@ def test_start_zero_joins_the_batch_when_the_bound_exceeds_tol(monkeypatch, case
     calls = []
     lane_search = _lane_search
 
-    def spy(engine, lanes, budget, tol, bests):
+    def spy(engine, lanes, budget, bests):
         calls.append([(p, i) for p, i, _ in lanes])
-        return lane_search(engine, lanes, budget, tol, bests)
+        return lane_search(engine, lanes, budget, bests)
 
     monkeypatch.setattr("qcorr.correlation._lane_search", spy)
     res = minimize_d0(state, a, cfg)
-    assert res.lower > cfg.tol
+    assert res.lower > TOL
     assert calls == [[(0, i) for i in range(cfg.starts)]]
     assert res.starts_used == cfg.starts
 

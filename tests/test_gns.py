@@ -4,7 +4,7 @@ import pytest
 from qcorr.bipartite import random_full_rank_density
 from qcorr.errors import InvalidDensityMatrix, InvalidMatrix, MapNotUnital, WellDefinednessFailure
 from qcorr.gns import (
-    _tilde_coords,
+    _act,
     build_intertwiner_single,
     build_intertwiner_doubled,
     gns_left,
@@ -41,7 +41,7 @@ def test_gns_left_tracial_qubit():
     # form is Tr(a†b)/2 on the full algebra
     for a in matrix_units(2):
         for b in matrix_units(2):
-            form = np.vdot(rep.coords(a), rep.coords(b))
+            form = np.vdot(rep.act(a, rep.omega_vec), rep.act(b, rep.omega_vec))
             assert abs(form - np.trace(a.conj().T @ b) / 2) <= 1e-12
     # class of the unit is proportional to the vectorized identity
     omega = rep.omega_vec / np.linalg.norm(rep.omega_vec)
@@ -208,7 +208,7 @@ def test_stacked_build_matches_per_element_reference(d):
                 ref = loop_intertwining_residual(ld, alpha, rho)
                 assert abs(ld.residual_max - ref) <= 1e-13, (alpha.name, build.__name__)
                 basis = intertwiner_basis(ld)
-                stacked = _tilde_coords(ld.left, ld.right, basis)
+                stacked = _act(ld.left, ld.right, basis, ld.tilde_omega)
                 looped = np.stack([loop_tilde_coords(ld, a) for a in basis])
                 assert np.max(np.abs(stacked - looped)) <= 1e-15, (alpha.name, build.__name__)
     assert min(ranks) < d <= max(ranks)
