@@ -123,11 +123,8 @@ def _resolve_map(spec: str, d: int) -> PositiveMapSpec:
 
 def _resolve_density(spec: str) -> np.ndarray:
     if spec.startswith("random:"):
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ParseError(f"random state spec must be 'random:D:SEED', got {spec!r}")
         try:
-            d, seed = int(parts[1]), int(parts[2])
+            d, seed = map(int, spec.removeprefix("random:").split(":"))
         except ValueError as exc:
             raise ParseError(f"random state spec must be 'random:D:SEED', got {spec!r}") from exc
         return random_full_rank_density(d, seed)
@@ -139,10 +136,18 @@ def _canonical_witness_2x2() -> np.ndarray:
     return 0.5 * np.eye(4, dtype=np.complex128) - np.outer(v, v.conj())
 
 
+def _require_writable(path: str | None) -> None:
+    """Fail as ``dump_json`` would, but before any solve and creating nothing."""
+    folder = os.path.dirname(os.path.abspath(path or "."))
+    if path and (os.path.isdir(path) or not os.path.isdir(folder)
+                 or not os.access(path if os.path.exists(path) else folder, os.W_OK)):
+        raise QcorrError(f"{path}: cannot write (not a writable file path in an existing directory)")
+
+
 def _emit_result(res, args) -> None:
     ensemble = serialize.ensemble_to_json(res.ensemble)
-    if args.dump_ensemble:
-        serialize.dump_json(args.dump_ensemble, ensemble)
+    if args.dump:
+        serialize.dump_json(args.dump, ensemble)
     _emit(args, {"value": res.value, "starts_used": res.starts_used, "ensemble": ensemble},
           [("value", _fmt(res.value)), ("starts_used", str(res.starts_used))])
 
@@ -169,8 +174,8 @@ def cmd_verdict(args) -> int:
     cfg = _optimizer_config(args)
     res = separability_verdict(state, cfg, n_observables=args.n_observables)
     witness = serialize.matrix_to_json(res.witness)
-    if args.dump_witness:
-        serialize.dump_json(args.dump_witness, witness)
+    if args.dump:
+        serialize.dump_json(args.dump, witness)
     _emit(args, {"verdict": res.verdict, "max_d0": res.max_d0, "witness": witness,
                  "probes": [{"label": lbl, "value": val} for lbl, val in res.probes]},
           [("verdict", res.verdict), ("max_d0", _fmt(res.max_d0))]
@@ -280,12 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (command("d0", "general correlation coefficient for one observable", "state", "observable"),
               command("d", "simple-tensor correlation coefficient", "state", "a", "b")):
         _add_optimizer_args(p)
-        p.add_argument("--dump-ensemble", default=None)
+        p.add_argument("--dump-ensemble", dest="dump", metavar="PATH")
 
     p = command("verdict", "separability verdict over a probe set", "state")
     p.add_argument("--n-observables", type=int, default=N_RANDOM_PROBES)
     _add_optimizer_args(p)
-    p.add_argument("--dump-witness", default=None)
+    p.add_argument("--dump-witness", dest="dump", metavar="PATH")
 
     command("ppt", "partial-transpose spectrum check", "state")
     command("boxtimes", "evaluate both sides of the decomposition gap", "ensemble", "observable")
@@ -313,6 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _require_writable(vars(args).get("dump"))
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except QcorrError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,6 +22,7 @@ and the real adjoint are ordinary matrix operations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,7 @@ from .linalg import (
     psd_sqrt,
     psd_support,
 )
-from .posmaps import PositiveMapSpec, apply_map, is_unital
+from .posmaps import PositiveMapSpec, apply_map
 
 # Singular values below this (relative) are treated as null directions of
 # the defining data.
@@ -69,9 +70,7 @@ class GnsRepresentation:
         if a.shape != (self.d, self.d):
             raise DimensionMismatch(f"element shape {a.shape} != ({self.d}, {self.d})")
         eye = np.eye(self.rank, dtype=np.complex128)
-        if self.anti:
-            return np.kron(eye, a.T)
-        return np.kron(a, eye)
+        return np.kron(eye, a.T) if self.anti else np.kron(a, eye)
 
     def act(self, a: np.ndarray, z: np.ndarray) -> np.ndarray:
         """``rep(a) @ z`` for a or each matrix of a stack: a @ Z, or Z @ a
@@ -166,8 +165,7 @@ def _act(left: GnsRepresentation, right: GnsRepresentation | None,
 def _induced_state_density(alpha: PositiveMapSpec, rho: np.ndarray) -> np.ndarray:
     """Density matrix of a -> Tr(rho alpha(a)), i.e. the adjoint map applied
     to rho. Fails when alpha is not positive enough to produce a state."""
-    c4 = alpha.choi4
-    x = np.einsum("ab,kbla->lk", rho, c4)
+    x = np.einsum("ab,kbla->lk", rho, alpha.choi4)
     try:
         return validate_density(x, alpha.d, "induced state")
     except InvalidDensityMatrix as exc:
@@ -201,10 +199,18 @@ def _solve_intertwiner(x: np.ndarray, y: np.ndarray, elements: list[np.ndarray])
     return v
 
 
+@functools.cache
+def _basis(d: int, doubled: bool) -> np.ndarray:
+    """Read-only matrix units (doubled) or Hermitian basis (single), made once."""
+    basis = matrix_units(d) if doubled else hermitian_basis(d)
+    basis.setflags(write=False)
+    return basis
+
+
 def _build_intertwiner(alpha: PositiveMapSpec, rho, doubled: bool) -> LocalDecomposition:
     d = alpha.d
     rho = validate_density(rho, d, "rho")
-    if not is_unital(alpha):
+    if not alpha.unital:
         raise MapNotUnital(f"map {alpha.name or '<anon>'} is not unital")
     left, right = _gns(_induced_state_density(alpha, rho))
     right = right if doubled else None
@@ -218,7 +224,7 @@ def _build_intertwiner(alpha: PositiveMapSpec, rho, doubled: bool) -> LocalDecom
     # the class of a is a acting on the class of the unit, scaled after the action
     omega, scale = ((np.concatenate([left.omega_vec, right.omega_vec]), _INV_SQRT2) if doubled
                     else (_realify_vec(left.omega_vec), 1.0))
-    basis = matrix_units(d) if doubled else hermitian_basis(d)
+    basis = _basis(d, doubled)
     x = _act(left, right, basis, omega) * scale
     targets = hs_vec(apply_map(alpha, basis) @ sqrt_rho)
     v = _solve_intertwiner(x.T, targets.T, basis)

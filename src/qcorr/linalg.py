@@ -3,9 +3,9 @@ Kronecker products and operator norms.
 
 Matrices are plain ``numpy.ndarray`` values with ``complex128`` dtype and
 row-major layout. All dimensions in scope are small (states up to 16, GNS
-spaces up to 256), so everything is dense. Eigensolves are delegated to
-LAPACK via ``numpy.linalg`` behind the contracts below.
-"""
+spaces up to 256), so everything is dense. Eigenvalues (with eigenvectors
+only where they are read) and singular values come from LAPACK via
+``numpy.linalg`` behind the contracts below."""
 
 from __future__ import annotations
 
@@ -26,13 +26,13 @@ def as_matrix(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
     """Coerce to a finite 2-D complex128 array, or with ``stack`` a 3-D stack."""
     try:
         a = np.asarray(m, dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidMatrix(f"{name} is not an array of numbers ({exc})") from exc
     if a.ndim != 2 + stack:
         raise InvalidMatrix(f"{name} must be {2 + stack}-D, got shape {a.shape}")
     if a.size == 0:
         raise InvalidMatrix(f"{name} must be non-empty")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise InvalidMatrix(f"{name} contains non-finite entries")
     return a
 
@@ -52,6 +52,14 @@ def require_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def _lapack(solver, m: np.ndarray, **kwargs):
+    """``solver(m, **kwargs)``, a LAPACK failure raised as ``ConvergenceFailure``."""
+    try:
+        return solver(m, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"{solver.__name__} failed: {exc}") from exc
+
+
 def hermitian_eigendecompose(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose a Hermitian matrix.
 
@@ -60,11 +68,13 @@ def hermitian_eigendecompose(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     input to 1e-10 relative Frobenius error.
     """
     m = require_hermitian(m)
-    try:
-        w, v = np.linalg.eigh((m + dagger(m)) / 2.0)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
-    return w, v
+    return tuple(_lapack(np.linalg.eigh, (m + dagger(m)) / 2.0))
+
+
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """The eigenvalues of ``hermitian_eigendecompose``, with its checks."""
+    m = require_hermitian(m)
+    return _lapack(np.linalg.eigvalsh, (m + dagger(m)) / 2.0)
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -96,10 +106,12 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def operator_norm(m: np.ndarray) -> float:
-    """Largest singular value, via the Hermitian eigenproblem of m†m."""
-    m = as_matrix(m)
-    w, _ = hermitian_eigendecompose(dagger(m) @ m)
-    return float(np.sqrt(max(w[-1], 0.0)))
+    """Largest singular value of m itself: no Gram matrix m†m is formed, so
+    any norm within the float range is accurate; one beyond it is invalid."""
+    norm = float(_lapack(np.linalg.svd, as_matrix(m), compute_uv=False)[0])
+    if not np.isfinite(norm):
+        raise InvalidMatrix("matrix operator norm overflows")
+    return norm
 
 
 def matrix_units(d: int) -> np.ndarray:

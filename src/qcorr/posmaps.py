@@ -9,6 +9,7 @@ C4[k, a, l, b] = <a| alpha(E_kl) |b>.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .bipartite import BipartiteState
 from .errors import DimensionMismatch, MapNotUnital, OutOfRange
-from .linalg import as_matrix, dagger, hermitian_eigendecompose, matrix_units
+from .linalg import as_matrix, dagger, hermitian_eigendecompose, hermitian_eigenvalues, matrix_units
 
 UNITAL_ATOL = 1e-10
 POSITIVITY_ATOL = 1e-9
@@ -28,8 +29,8 @@ PPT_ATOL = 1e-10
 
 @dataclass(frozen=True)
 class PositiveMapSpec:
-    """Linear map on M_d given by its Choi matrix; unitality is read off the
-    Choi matrix by ``is_unital``."""
+    """Linear map on M_d given by its read-only Choi matrix; unitality is
+    read off the Choi matrix once per map object (``unital``)."""
 
     d: int
     choi: np.ndarray
@@ -48,6 +49,11 @@ class PositiveMapSpec:
     @property
     def choi4(self) -> np.ndarray:
         return self.choi.reshape(self.d, self.d, self.d, self.d)
+
+    @functools.cached_property
+    def unital(self) -> bool:
+        """alpha(1) = 1 to UNITAL_ATOL; cached, since the Choi matrix is read-only."""
+        return bool(np.max(np.abs(apply_map(self, np.eye(self.d)) - np.eye(self.d))) <= UNITAL_ATOL)
 
 
 def map_from_function(d: int, fn: Callable[[np.ndarray], np.ndarray], name: str = "") -> PositiveMapSpec:
@@ -71,8 +77,7 @@ def apply_tensor_id(alpha: PositiveMapSpec, s: BipartiteState) -> np.ndarray:
     if alpha.d != d1:
         raise DimensionMismatch(f"map dimension {alpha.d} != first factor {d1}")
     r4 = s.rho.reshape(d1, d2, d1, d2)
-    out = np.einsum("kalb,kilj->aibj", alpha.choi4, r4)
-    return out.reshape(d1 * d2, d1 * d2)
+    return np.einsum("kalb,kilj->aibj", alpha.choi4, r4).reshape(d1 * d2, d1 * d2)
 
 
 def identity_map(d: int) -> PositiveMapSpec:
@@ -104,13 +109,12 @@ def convex_combination(a: PositiveMapSpec, b: PositiveMapSpec, t: float, name: s
         raise DimensionMismatch("convex combination needs equal dimensions")
     if not (0.0 <= t <= 1.0):
         raise DimensionMismatch(f"mixing weight must lie in [0, 1], got {t}")
-    choi = t * a.choi + (1.0 - t) * b.choi
-    return PositiveMapSpec(a.d, choi, name or f"mix({a.name},{b.name},{t:g})")
+    return PositiveMapSpec(a.d, t * a.choi + (1.0 - t) * b.choi, name or f"mix({a.name},{b.name},{t:g})")
 
 
 def builtin_maps(d: int) -> list[PositiveMapSpec]:
     """Positive unital reference maps on M_d."""
-    maps = [
+    return [
         identity_map(d),
         transpose_map(d),
         reduction_map(d),
@@ -118,12 +122,11 @@ def builtin_maps(d: int) -> list[PositiveMapSpec]:
         depolarizing_map(d, 0.5),
         convex_combination(identity_map(d), transpose_map(d), 0.5, "mix(identity,transpose)"),
     ]
-    return maps
 
 
 def is_unital(alpha: PositiveMapSpec) -> bool:
-    eye = np.eye(alpha.d, dtype=np.complex128)
-    return bool(np.max(np.abs(apply_map(alpha, eye) - eye)) <= UNITAL_ATOL)
+    """alpha(1) = 1 to UNITAL_ATOL, computed once per map object."""
+    return alpha.unital
 
 
 def partial_transpose_matrix(rho: np.ndarray, d1: int, d2: int) -> np.ndarray:
@@ -155,18 +158,18 @@ def ppt_min_eig_and_vector(s: BipartiteState) -> tuple[float, np.ndarray]:
 def kadison_defect(alpha: PositiveMapSpec, a: np.ndarray) -> float:
     """Minimum eigenvalue of alpha(a†a + aa†) - alpha(a†)alpha(a) - alpha(a)alpha(a†).
 
-    Nonnegative (to -1e-10) for genuinely positive unital maps.
+    Nonnegative (to -1e-10) for genuinely positive unital maps. Checks the
+    cached ``unital``; applies the Choi matrix to the checked ``a`` directly.
     """
-    if not is_unital(alpha):
+    if not alpha.unital:
         raise MapNotUnital(f"map {alpha.name or '<anon>'} is not unital")
     a = as_matrix(a, "a")
     if a.shape != (alpha.d, alpha.d):
         raise DimensionMismatch(f"element shape {a.shape} != ({alpha.d}, {alpha.d})")
     ad = dagger(a)
-    lhs, aa, aad = apply_map(alpha, np.stack([ad @ a + a @ ad, a, ad]))
+    lhs, aa, aad = np.einsum("...kl,kalb->...ab", np.stack([ad @ a + a @ ad, a, ad]), alpha.choi4)
     defect = lhs - aad @ aa - aa @ aad
-    w, _ = hermitian_eigendecompose((defect + dagger(defect)) / 2.0)
-    return float(w[0])
+    return float(hermitian_eigenvalues((defect + dagger(defect)) / 2.0)[0])
 
 
 def find_positivity_violation(alpha: PositiveMapSpec, n_samples: int = 200,
@@ -208,9 +211,7 @@ def find_positivity_violation(alpha: PositiveMapSpec, n_samples: int = 200,
         val, pair = min_pair(psi)
         if val < worst[0]:
             worst = (val, pair[0], pair[1])
-    if worst[0] < -POSITIVITY_ATOL:
-        return worst
-    return None
+    return worst if worst[0] < -POSITIVITY_ATOL else None
 
 
 def is_positive_map(alpha: PositiveMapSpec, n_samples: int = 200, seed: int = 0) -> bool:

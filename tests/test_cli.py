@@ -348,6 +348,38 @@ def test_unwritable_output_exits_4(tmp_path, capsys, bell_path, proj_path, comma
     assert str(path) in err
 
 
+class _Solved(Exception):
+    pass
+
+
+@pytest.mark.parametrize("command", ["d0", "d", "verdict"])
+@pytest.mark.parametrize("target", ["missing-dir", "directory", "file-as-dir", "writable"])
+def test_dump_path_is_checked_before_the_solve(monkeypatch, tmp_path, capsys, bell_path, proj_path,
+                                              command, target):
+    # an unwritable dump path fails before any solve starts and creates no
+    # file; a writable one reaches the solve, still with no file made
+    def solve(*args, **kwargs):
+        raise _Solved
+    for name in ("minimize_d0", "minimize_d_simple", "separability_verdict"):
+        monkeypatch.setattr(cli, name, solve)
+    path = {"missing-dir": tmp_path / "missing" / "out.json", "directory": tmp_path,
+            "file-as-dir": Path(bell_path) / "out.json", "writable": tmp_path / "out.json"}[target]
+    flag = "--dump-witness" if command == "verdict" else "--dump-ensemble"
+    argv = {"d0": ["d0", bell_path, proj_path], "d": ["d", bell_path, proj_path, proj_path],
+            "verdict": ["verdict", bell_path]}[command]
+    before = sorted(tmp_path.rglob("*"))
+    if target == "writable":
+        with pytest.raises(_Solved):
+            main([*argv, flag, str(path)])
+    else:
+        code, out, err = run(capsys, *argv, flag, str(path))
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("command", ["d0", "d", "verdict", "werner-sweep"])
 def test_tol_is_not_an_option(capsys, bell_path, proj_path, command):
     # the search stops at the fixed TOL; asking for another is a usage error

@@ -3,8 +3,10 @@ import pytest
 
 from qcorr.bipartite import random_full_rank_density
 from qcorr.errors import InvalidDensityMatrix, InvalidMatrix, MapNotUnital, WellDefinednessFailure
+from qcorr import gns, posmaps
 from qcorr.gns import (
     _act,
+    _basis,
     build_intertwiner_single,
     build_intertwiner_doubled,
     gns_left,
@@ -17,6 +19,7 @@ from qcorr.posmaps import (
     builtin_maps,
     depolarizing_map,
     identity_map,
+    is_unital,
     kadison_defect,
     map_from_function,
     transpose_map,
@@ -242,6 +245,60 @@ def test_requires_unital_map():
     shrink = map_from_function(2, lambda x: x / 2, "halve")
     with pytest.raises(MapNotUnital):
         build_intertwiner_doubled(shrink, np.eye(2) / 2)
+
+
+def _spy_on_apply_map(monkeypatch):
+    """Record the input of every apply_map call, whichever module calls it."""
+    calls, real = [], posmaps.apply_map
+
+    def spy(alpha, x):
+        calls.append(np.array(x))
+        return real(alpha, x)
+    for module in (posmaps, gns):
+        monkeypatch.setattr(module, "apply_map", spy)
+    return calls
+
+
+def test_unitality_is_computed_once_per_map(monkeypatch):
+    # both builds and four defects on one map apply it to the unit once;
+    # the defects apply the Choi matrix directly and call apply_map never
+    calls = _spy_on_apply_map(monkeypatch)
+    alpha = map_from_function(3, lambda x: x.T, "transpose")
+    rho = random_full_rank_density(3, 5)
+    build_intertwiner_doubled(alpha, rho)
+    build_intertwiner_single(alpha, rho)
+    rng = np.random.default_rng(6)
+    for _ in range(4):
+        kadison_defect(alpha, rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    assert is_unital(alpha)
+    units = [x for x in calls if x.shape == (3, 3) and np.array_equal(x, np.eye(3))]
+    assert len(units) == 1
+    assert len(calls) == 3  # the unit, then each build's basis stack
+
+
+def test_non_unital_map_is_refused_on_every_call(monkeypatch):
+    calls = _spy_on_apply_map(monkeypatch)
+    shrink = map_from_function(2, lambda x: x / 2, "halve")
+    rho = np.eye(2, dtype=complex) / 2
+    for _ in range(3):
+        assert not is_unital(shrink)
+        for entry in (build_intertwiner_doubled, build_intertwiner_single):
+            with pytest.raises(MapNotUnital, match="halve"):
+                entry(shrink, rho)
+        with pytest.raises(MapNotUnital, match="halve"):
+            kadison_defect(shrink, np.eye(2, dtype=complex))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_cached_bases_are_read_only_copies_of_the_public_ones(d):
+    for doubled, public in ((True, matrix_units), (False, hermitian_basis)):
+        basis = _basis(d, doubled)
+        assert basis is _basis(d, doubled)
+        assert not basis.flags.writeable
+        assert np.array_equal(basis, public(d))
+        fresh = public(d)
+        assert fresh.flags.writeable and not np.shares_memory(fresh, basis)
 
 
 def test_nonpositive_map_detected_by_state_construction():

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from qcorr.errors import NotHermitian, NotPSD
+from qcorr.errors import ConvergenceFailure, InvalidMatrix, NotHermitian, NotPSD
 from qcorr.linalg import (
     hermitian_eigendecompose,
+    hermitian_eigenvalues,
     kron,
     matrix_units,
     hermitian_basis,
@@ -123,6 +124,44 @@ def test_operator_norm_unitary_invariance():
         m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         u, w = random_unitary(3, rng), random_unitary(3, rng)
         assert abs(operator_norm(u @ m @ w) - operator_norm(m)) <= 1e-9
+
+
+@pytest.mark.parametrize("shape", [(5, 7), (7, 5), (16, 32)])
+def test_operator_norm_is_accurate_at_any_scale(shape):
+    # the norm is read off m itself, so no Gram-matrix roundoff of order
+    # ||m||^2 can fail a Hermiticity check or shift the result
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for c in np.logspace(-6, 6, 13):
+        exact = c * np.linalg.norm(m, 2)
+        assert abs(operator_norm(c * m) - exact) <= 1e-12 * exact, c
+
+
+@pytest.mark.parametrize("m", [[[np.nan, 0.0]], [[np.inf]], [[10 ** 400]], np.full((2, 2), 1e308)],
+                         ids=["nan", "inf", "int-overflow", "norm-overflow"])
+def test_operator_norm_rejects_non_finite_or_overflowing_input(m):
+    with pytest.raises(InvalidMatrix):
+        operator_norm(m)
+
+
+def test_hermitian_eigenvalues_are_those_of_the_decomposition():
+    rng = np.random.default_rng(11)
+    for d in (1, 2, 5, 16):
+        h = random_hermitian(d, rng)
+        w, _ = hermitian_eigendecompose(h)
+        assert np.abs(hermitian_eigenvalues(h) - w).max() <= 1e-12
+    with pytest.raises(NotHermitian):
+        hermitian_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+@pytest.mark.parametrize("solver,call", [
+    ("eigh", hermitian_eigendecompose), ("eigvalsh", hermitian_eigenvalues), ("svd", operator_norm)])
+def test_lapack_failure_is_a_convergence_failure(monkeypatch, solver, call):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+    monkeypatch.setattr(np.linalg, solver, fail)
+    with pytest.raises(ConvergenceFailure, match="did not converge"):
+        call(np.eye(2, dtype=complex))
 
 
 def test_bases():

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcorr.bipartite import BipartiteSpace, BipartiteState, make_bell, make_random_state, make_werner
-from qcorr.errors import DimensionMismatch, MapNotUnital
+from qcorr.errors import DimensionMismatch, InvalidMatrix, MapNotUnital
+from qcorr.linalg import dagger, hermitian_eigendecompose
 from qcorr.posmaps import (
     apply_map,
     apply_tensor_id,
@@ -218,6 +220,30 @@ def test_kadison_reads_unitality_from_choi():
     for _ in range(20):
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         assert kadison_defect(transpose, a) >= -1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3, 4]), k=st.integers(0, 5),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_kadison_defect_is_the_eigendecomposition_minimum(seed, d, k, scale):
+    # the eigenvalue-only defect equals the smallest eigenvalue of the same
+    # symmetrized defect, formed through apply_map and fully eigendecomposed
+    alpha = builtin_maps(d)[k]
+    rng = np.random.default_rng(seed)
+    a = scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    ad = dagger(a)
+    defect = apply_map(alpha, ad @ a + a @ ad) - apply_map(alpha, ad) @ apply_map(alpha, a) \
+        - apply_map(alpha, a) @ apply_map(alpha, ad)
+    w, _ = hermitian_eigendecompose((defect + dagger(defect)) / 2.0)
+    assert abs(kadison_defect(alpha, a) - w[0]) <= 1e-12 * max(1.0, scale * scale)
+
+
+@pytest.mark.parametrize("a", [np.full((2, 2), np.nan), np.full((2, 2), 1e200)], ids=["nan", "overflow"])
+def test_kadison_rejects_non_finite_or_overflowing_elements(a):
+    # a^dagger a overflows for the second element (numpy's overflow warning is
+    # expected there), so the defect is not finite
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidMatrix):
+        kadison_defect(identity_map(2), a)
 
 
 def test_is_positive_map_examples():
