@@ -18,11 +18,12 @@ gap c - S(X). That gradient reuses the eigendecomposition of each
 evaluation, so only objective evaluations count against the budget. A start
 runs several searches, each from its own point with its own coarse-graining
 partition: any warm starts (start 0 only), the singleton partition and
-random partitions. One driver runs every search as a lane, side by side with
-the other searches of its start, which share the start's budget. The gap and
-gradient kernel takes only lane stacks, each lane with its probe (observable)
-and its partition as a vector of group labels: every step is one kernel call
-on all live lanes. The probes of a solve share calls: (A) the trivial
+random partitions, each a vector of m group labels from the draw to the
+witness (see ``measures.normalize_partition``). One driver runs every search
+as a lane, side by side with the other searches of its start, which share
+the start's budget. The gap and gradient kernel takes only lane stacks, each
+lane with its probe (observable) and its labels: every step is one kernel
+call on all live lanes. The probes of a solve share calls: (A) the trivial
 decomposition {1, rho} of every probe is one call; (B) start 0 runs first,
 alone, in one batch across probes, so that an instance it resolves stops
 inside it; (C) each probe still open runs starts 1..S-1 in lockstep as one
@@ -130,14 +131,14 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.m is not None and self.m < 1:
-            raise ConfigInvalid(f"m must be >= 1, got {self.m}")
-        if self.starts < 1:
-            raise ConfigInvalid(f"starts must be >= 1, got {self.starts}")
-        if self.max_iters < 1:
-            raise ConfigInvalid(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.seed < 0:
-            raise ConfigInvalid(f"seed must be >= 0, got {self.seed}")
+        for name, low in (("m", 1), ("starts", 1), ("max_iters", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if value is None and name == "m":  # resolved to (d1 d2)^2 by the solve
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigInvalid(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ConfigInvalid(f"{name} must be >= {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -170,7 +171,7 @@ class CorrelationResult:
     ensemble: Ensemble
     starts_used: int
     argmin_isometry: np.ndarray
-    argmin_partition: tuple
+    argmin_partition: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -220,7 +221,7 @@ def factored_product_value(pe, a: np.ndarray, b: np.ndarray) -> float:
 
 
 class _Engine:
-    """Signed gap g(x) = c - S(x, groups) for a fixed state and one
+    """Signed gap g(x) = c - S(x, labels) for a fixed state and one
     observable or a stack of them (the probes), mirroring
     ensemble_from_unitary semantics exactly, and its gradient.
 
@@ -360,29 +361,29 @@ class _Engine:
 
 
 class _Best:
-    """Closest evaluation to zero (value, x, groups), and the closest
+    """Closest evaluation to zero (value, x, labels), and the closest
     evaluation on each side of zero (pos, neg), each as (g, start, x,
-    groups). Equal values go to the lower start index, then to the earlier
+    labels). Equal values go to the lower start index, then to the earlier
     step, then to the earlier search of the start, so the choice does not
-    depend on which lanes share a lockstep call."""
+    depend on which lanes share a lockstep call. Points and labels are kept
+    as copies, since the lane driver moves its rows in place."""
 
-    __slots__ = ("value", "start", "x", "groups", "pos", "neg")
+    __slots__ = ("value", "start", "x", "labels", "pos", "neg")
 
     def __init__(self):
         self.value, self.start = np.inf, 0
-        self.x = self.groups = self.pos = self.neg = None
+        self.x = self.labels = self.pos = self.neg = None
 
-    def offer(self, g: float, x: np.ndarray, groups, start: int = 0):
+    def offer(self, g: float, x: np.ndarray, labels: np.ndarray, start: int = 0):
         if g > 0.0 and (self.pos is None or (g, start) < self.pos[:2]):
-            self.pos = (g, start, x.copy(), groups)
+            self.pos = (g, start, x.copy(), labels.copy())
         elif g < 0.0 and (self.neg is None or (-g, start) < (-self.neg[0], self.neg[1])):
-            self.neg = (g, start, x.copy(), groups)
+            self.neg = (g, start, x.copy(), labels.copy())
         if (abs(g), start) < (self.value, self.start):
             self.value, self.start = abs(g), start
-            self.x = x.copy()
-            self.groups = groups
+            self.x, self.labels = x.copy(), labels.copy()
 
-    def offer_lanes(self, g: np.ndarray, x: np.ndarray, groups, starts: np.ndarray):
+    def offer_lanes(self, g: np.ndarray, x: np.ndarray, labels: np.ndarray, starts: np.ndarray):
         """Offer one evaluation per lane, lanes in (start, search) order. Only
         the smallest g >= 0 and the largest g < 0 can change anything; argmin
         and argmax return the first lane of a tie (a nan lane is neither),
@@ -390,27 +391,17 @@ class _Best:
         pos = int(np.argmin(np.where(g >= 0.0, g, np.inf)))
         neg = int(np.argmax(np.where(g < 0.0, g, -np.inf)))
         for k in sorted({pos, neg}):
-            self.offer(float(g[k]), x[k], groups[k], int(starts[k]))
+            self.offer(float(g[k]), x[k], labels[k], int(starts[k]))
 
     def done(self) -> bool:
         """Within TOL, or both sides of zero seen (a zero-gap mixture exists)."""
         return self.value <= TOL or (self.pos is not None and self.neg is not None)
 
 
-def _random_partition(rng: np.random.Generator, m: int):
+def _random_partition(rng: np.random.Generator, m: int) -> np.ndarray:
+    """Labels drawn uniformly from a random number of groups, 1 to m."""
     n_groups = int(rng.integers(1, m + 1))
-    labels = rng.integers(0, n_groups, size=m)
-    order = np.argsort(labels, kind="stable")  # each label's members ascending
-    cuts = np.flatnonzero(np.diff(labels[order])) + 1
-    return tuple(tuple(g.tolist()) for g in np.split(order, cuts))
-
-
-def _labels(groups, m: int) -> np.ndarray:
-    """The group index of each of the m members under a partition of
-    range(m): member j of group k has label k."""
-    labels = np.empty(m, dtype=np.intp)
-    labels[[j for g in groups for j in g]] = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
-    return labels
+    return normalize_partition(rng.integers(0, n_groups, size=m), m)
 
 
 class _LaneSet:
@@ -461,7 +452,7 @@ def _lane_search(engine: _Engine, lanes, max_iters: int, bests) -> None:
 
     ``lanes`` holds the entries (probe, start index, searches), those of a
     probe together and in ascending start order; searches is a list of
-    (x0, partition), each searched from its own x0, side by side, sharing
+    (x0, labels), each searched from its own x0, side by side, sharing
     the entry's ``max_iters`` evaluations: at each step, an entry with b
     evaluations left evaluates only its first b live searches and its other
     searches end. Every step evaluates one point per live lane with one
@@ -483,10 +474,9 @@ def _lane_search(engine: _Engine, lanes, max_iters: int, bests) -> None:
     place.
     """
     n = engine.n_params
-    key, probe, start, pt, groups = zip(*[(k, p, i, x0, gr) for k, (p, i, work) in enumerate(lanes)
-                                          for x0, gr in work])
-    size, key, probe, start, pt = len(key), np.array(key), np.array(probe), np.array(start), np.array(pt, dtype=float)
-    labels = np.array([_labels(gr, engine.m) for gr in groups])
+    searches = [(k, p, i, x0, lab) for k, (p, i, work) in enumerate(lanes) for x0, lab in work]
+    key, probe, start, pt, labels = map(np.array, zip(*searches))
+    size = len(key)
     lane_set = _LaneSet(engine, probe, labels)
     left = np.full(len(lanes), max_iters)  # evaluations left, by (probe, start) entry
     # f = |g| at the accepted point x; f = inf with d = 0 marks the first point
@@ -511,7 +501,7 @@ def _lane_search(engine: _Engine, lanes, max_iters: int, bests) -> None:
             key, probe, start, labels, pt, x, d, grad, f, t, slope, gamma, count = _compact(
                 (key, probe, start, labels, pt, x, d, grad, f, t, slope, gamma, count), live)
             _compact(mem, live)
-            mem, groups = mem[:, :live.size], [groups[k] for k in live]
+            mem = mem[:, :live.size]
             lane_set = _LaneSet(engine, probe, labels)
         gap = engine.signed_gap(pt, lane_set)
         left -= np.bincount(key, minlength=left.size)
@@ -521,7 +511,7 @@ def _lane_search(engine: _Engine, lanes, max_iters: int, bests) -> None:
         cuts = [0, *(np.flatnonzero(np.diff(probe)) + 1), len(probe)]
         for lo, hi in zip(cuts, cuts[1:]):  # each probe's lanes, in lane order, to its best
             best = bests[probe[lo]]
-            best.offer_lanes(gap[lo:hi], pt[lo:hi], groups[lo:hi], start[lo:hi])
+            best.offer_lanes(gap[lo:hi], pt[lo:hi], labels[lo:hi], start[lo:hi])
             ended[lo:hi] |= best.done()
         accept = ~ended & (new <= f + ARMIJO * t * slope)
         if accept.any():
@@ -587,11 +577,10 @@ def _solve(rho: BipartiteState, observables, cfg: OptimizerConfig,
 
     # {1, rho}, the merge-everything partition (every label 0), does not
     # depend on the isometry: evaluate it once
-    trivial = (tuple(range(m)),)
-    gap = engine.signed_gap(np.repeat(x_id[None], len(a), axis=0),
-                            _LaneSet(engine, np.arange(len(a)), np.zeros((len(a), m), dtype=np.intp)))
+    trivial = np.zeros((len(a), m), dtype=np.intp)
+    gap = engine.signed_gap(np.repeat(x_id[None], len(a), axis=0), _LaneSet(engine, np.arange(len(a)), trivial))
     for p, best in enumerate(bests):
-        best.offer_lanes(gap[p:p + 1], x_id[None], [trivial], np.zeros(1, dtype=int))
+        best.offer_lanes(gap[p:p + 1], x_id[None], trivial[p:p + 1], np.zeros(1, dtype=int))
 
     @functools.cache
     def work(i):  # start i's searches, drawn from (seed, i) once per solve
@@ -599,7 +588,7 @@ def _solve(rho: BipartiteState, observables, cfg: OptimizerConfig,
         theta = rng.standard_normal(m * m) * (np.pi / (2.0 * np.sqrt(m))) if i else None
         x0 = engine.coords(expm_antihermitian(theta, m)) if i else x_id
         parts = [singleton_partition(m)] + [_random_partition(rng, m) for _ in range(N_RANDOM_PARTITIONS)]
-        return (warm if i == 0 else []) + [(x0, gr) for gr in parts]
+        return (warm if i == 0 else []) + [(x0, labels) for labels in parts]
 
     open_probes = [p for p, best in enumerate(bests) if not best.done()]
     alone = [p for p in open_probes if engine.lower[p] <= TOL + engine.margin[p]]
@@ -618,17 +607,17 @@ def _solve(rho: BipartiteState, observables, cfg: OptimizerConfig,
         if best.pos is not None and best.neg is not None:
             # g_pos > 0 > g_neg, so t g_pos + (1 - t) g_neg = 0 for t in (0, 1); the
             # t : 1 - t mixture is the ensemble of [sqrt(t) V_pos ; sqrt(1 - t) V_neg]
-            (g_pos, _, x_pos, groups_pos), (g_neg, _, x_neg, groups_neg) = best.pos, best.neg
+            (g_pos, _, x_pos, labels_pos), (g_neg, _, x_neg, labels_neg) = best.pos, best.neg
             t = g_neg / (g_neg - g_pos)
             v = np.concatenate([np.sqrt(t) * engine.isometry(x_pos),
                                 np.sqrt(1.0 - t) * engine.isometry(x_neg)])
-            groups = groups_pos + tuple(tuple(j + m for j in g) for g in groups_neg)
+            labels = np.concatenate([labels_pos, labels_neg + m])  # the groups of V_neg after V_pos's
         else:
-            v, groups = closest, best.groups
-        ensemble = ensemble_from_unitary(rho, v, groups)
+            v, labels = closest, best.labels
+        ensemble = ensemble_from_unitary(rho, v, labels)
         results.append(CorrelationResult(value=d0_objective(ensemble, a[p]), lower=float(engine.lower[p]),
                                          ensemble=ensemble, starts_used=starts_used[p],
-                                         argmin_isometry=closest, argmin_partition=best.groups))
+                                         argmin_isometry=closest, argmin_partition=best.labels))
     return results
 
 

@@ -48,7 +48,7 @@ class RankTooSmall(DomainError):
 
 
 class BadPartition(DomainError):
-    """Index groups do not partition the expected range."""
+    """A partition is not m integer group labels, or no group carries weight."""
 
 
 class ConfigInvalid(DomainError):

@@ -4,7 +4,9 @@ decompositions of a given state.
 
 Only finitely supported measures are represented; every decomposition is a
 coarse-graining of a pure-state refinement, and every pure refinement comes
-from an isometry applied to the spectral decomposition.
+from an isometry applied to the spectral decomposition. A partition of the m
+pure pieces is m integer group labels, group k the k-th smallest distinct
+label; ``normalize_partition`` validates one and relabels it to 0..k-1.
 """
 
 from __future__ import annotations
@@ -14,15 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bipartite import BipartiteSpace, BipartiteState, marginal, validate_density
-from .errors import BadPartition, DimensionMismatch, RankTooSmall
+from .errors import BadPartition, DimensionMismatch, OutOfRange, RankTooSmall
 from .linalg import as_matrix, dagger, psd_support
 
 WEIGHT_SUM_ATOL = 1e-10
 BARYCENTER_ATOL = 1e-8
 # Groups whose weight falls below this are dropped and the rest renormalized.
 ZERO_WEIGHT_TOL = 1e-14
-
-Partition = tuple[tuple[int, ...], ...]
 
 
 def _validated_weights(weights) -> np.ndarray:
@@ -111,19 +111,22 @@ def evaluate_boxtimes(pe: ProductEnsemble, a: np.ndarray) -> complex:
     return complex(pe.weights @ values)
 
 
-def normalize_partition(partition, m: int) -> Partition:
-    """Validate that the groups cover range(m) disjointly."""
-    groups = tuple(tuple(int(j) for j in g) for g in partition)
-    seen = [j for g in groups for j in g]
-    if sorted(seen) != list(range(m)):
-        raise BadPartition(f"groups must partition 0..{m - 1}, got {groups}")
-    if any(len(g) == 0 for g in groups):
-        raise BadPartition("empty group in partition")
-    return groups
+def normalize_partition(labels, m: int) -> np.ndarray:
+    """The partition given by m integer group labels, relabelled so that
+    group k is the k-th smallest distinct label; BadPartition for anything
+    else, a legacy tuple of groups (2-D or ragged) included."""
+    try:
+        labels = np.asarray(labels)
+    except ValueError as exc:
+        raise BadPartition(f"partition must be {m} integer group labels: {exc}") from exc
+    if labels.shape != (m,) or not np.issubdtype(labels.dtype, np.integer):
+        raise BadPartition(f"partition must be {m} integer group labels, "
+                           f"got shape {labels.shape} of {labels.dtype}")
+    return np.unique(labels, return_inverse=True)[1].reshape(m)
 
 
-def singleton_partition(m: int) -> Partition:
-    return tuple((j,) for j in range(m))
+def singleton_partition(m: int) -> np.ndarray:
+    return np.arange(m)
 
 
 def hermitian_from_params(params: np.ndarray, m: int) -> np.ndarray:
@@ -143,11 +146,13 @@ def hermitian_from_params(params: np.ndarray, m: int) -> np.ndarray:
     return h
 
 
-def embed_partition(partition, m_from: int, m_to: int) -> Partition:
-    """Extend a partition of range(m_from) with singleton groups, the
-    partition of an isometry padded with m_to - m_from zero rows."""
-    groups = normalize_partition(partition, m_from)
-    return groups + tuple((j,) for j in range(m_from, m_to))
+def embed_partition(partition, m_from: int, m_to: int) -> np.ndarray:
+    """Extend a partition of m_from pieces with singleton groups, the one of
+    an isometry padded with m_to - m_from zero rows (OutOfRange if < 0)."""
+    if m_to < m_from:
+        raise OutOfRange(f"cannot embed a partition of {m_from} pieces into {m_to}")
+    labels = normalize_partition(partition, m_from)
+    return normalize_partition(np.concatenate([labels, np.arange(m_from, m_to)]), m_to)
 
 
 def expm_antihermitian(params: np.ndarray, m: int) -> np.ndarray:
@@ -167,8 +172,8 @@ def state_spectral_data(rho: BipartiteState) -> tuple[np.ndarray, np.ndarray]:
 
 def ensemble_from_unitary(rho: BipartiteState, u: np.ndarray, partition) -> Ensemble:
     """Ensemble of rho from an m x n matrix U, n >= r = rank rho, applied to
-    its spectral decomposition and coarse-grained by the index partition.
-    Only the first r columns, an isometry, are read. Stacking two
+    its spectral decomposition and coarse-grained by the partition (m group
+    labels). Only the first r columns, an isometry, are read. Stacking two
     isometries as [sqrt(t) V1 ; sqrt(1 - t) V2] gives the t : 1 - t mixture
     of their ensembles.
 
@@ -183,11 +188,11 @@ def ensemble_from_unitary(rho: BipartiteState, u: np.ndarray, partition) -> Ense
         raise RankTooSmall(f"cardinality {m} below rank {r}")
     if u.shape[1] < r:
         raise DimensionMismatch(f"U has {u.shape[1]} columns, fewer than rank {r}")
-    groups = normalize_partition(partition, m)
+    labels = normalize_partition(partition, m)
     phi = psi @ (np.sqrt(p)[:, None] * u[:, :r].conj().T)  # (dim, m)
-    # each group's sum of |phi_j><phi_j|, its members taken in group order
-    cols = phi[:, np.concatenate(groups)].T
-    sizes = np.array(list(map(len, groups)))
+    # each group's sum of |phi_j><phi_j|, group by group, its pieces ascending
+    cols = phi[:, np.argsort(labels, kind="stable")].T
+    sizes = np.bincount(labels)
     x = np.add.reduceat(cols[:, :, None] * cols.conj()[:, None, :], np.cumsum(sizes) - sizes)
     lam = np.einsum("kaa->k", x).real
     keep = lam >= ZERO_WEIGHT_TOL
@@ -201,7 +206,7 @@ def ensemble_from_unitary(rho: BipartiteState, u: np.ndarray, partition) -> Ense
 def hjw_ensemble(rho: BipartiteState, isometry_params: np.ndarray, m: int, partition) -> Ensemble:
     """Ensemble of rho indexed by isometry parameters (anti-Hermitian
     exponential coordinates of an m x m unitary) and a coarse-graining
-    partition of the m pure pieces. Raises RankTooSmall when m is below
-    the rank of rho."""
+    partition of the m pure pieces (m group labels). Raises RankTooSmall
+    when m is below the rank of rho."""
     u = expm_antihermitian(np.asarray(isometry_params, dtype=float), m)
     return ensemble_from_unitary(rho, u, partition)

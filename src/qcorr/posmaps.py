@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .bipartite import BipartiteState
-from .errors import DimensionMismatch, MapNotUnital, OutOfRange
+from .errors import DimensionMismatch, InvalidMatrix, MapNotUnital, OutOfRange
 from .linalg import as_matrix, dagger, hermitian_eigendecompose, hermitian_eigenvalues, matrix_units
 
 UNITAL_ATOL = 1e-10
@@ -25,6 +25,8 @@ POSITIVITY_ATOL = 1e-9
 REFINE_STEPS = 30
 # A partial transpose whose smallest eigenvalue is at least -PPT_ATOL is PSD.
 PPT_ATOL = 1e-10
+# Largest operator norm of a kadison_defect element, so that a†a stays finite.
+KADISON_MAX_NORM = 1e150
 
 
 @dataclass(frozen=True)
@@ -166,6 +168,8 @@ def kadison_defect(alpha: PositiveMapSpec, a: np.ndarray) -> float:
     a = as_matrix(a, "a")
     if a.shape != (alpha.d, alpha.d):
         raise DimensionMismatch(f"element shape {a.shape} != ({alpha.d}, {alpha.d})")
+    if np.abs(a).max() * alpha.d > KADISON_MAX_NORM:  # d max|a_ij| >= ||a||
+        raise InvalidMatrix(f"a has norm up to {np.abs(a).max() * alpha.d:.3e} > {KADISON_MAX_NORM:.0e}")
     ad = dagger(a)
     lhs, aa, aad = np.einsum("...kl,kalb->...ab", np.stack([ad @ a + a @ ad, a, ad]), alpha.choi4)
     defect = lhs - aad @ aa - aa @ aad

@@ -22,7 +22,7 @@ import numpy as np
 
 from qcorr.bipartite import TRACE_ATOL, BipartiteSpace, BipartiteState
 from qcorr.correlation import (ARMIJO, FIRST_STEP, LBFGS_MEMORY, MAX_BACKTRACKS, STALL_REL, _Best, _Engine,
-                               _labels, _LaneSet)
+                               _LaneSet)
 from qcorr.errors import BadPartition, InvalidDensityMatrix, NotHermitian
 from qcorr.gns import LocalDecomposition, _INV_SQRT2
 from qcorr.linalg import PSD_CLAMP, dagger, hermitian_basis, matrix_units, psd_sqrt, require_hermitian
@@ -187,11 +187,12 @@ def werner_third_product_ensemble(extra_identity_weight: float = 0.0) -> Ensembl
     return Ensemble(space, np.asarray(weights), tuple(members), bary)
 
 
-def point_gap(engine: _Engine, x: np.ndarray, groups) -> float:
-    """The engine's signed gap at one point x (2mr,) with one partition, as a
-    one-lane kernel call of its first probe; ``engine.gradient()[0]`` is its
-    gradient."""
-    return engine.signed_gap(x[None], _LaneSet(engine, np.zeros(1, dtype=int), _labels(groups, engine.m)[None]))[0]
+def point_gap(engine: _Engine, x: np.ndarray, labels) -> float:
+    """The engine's signed gap at one point x (2mr,) with one partition of m
+    group labels, as a one-lane kernel call of its first probe;
+    ``engine.gradient()[0]`` is its gradient."""
+    lanes = _LaneSet(engine, np.zeros(1, dtype=int), normalize_partition(labels, engine.m)[None])
+    return engine.signed_gap(x[None], lanes)[0]
 
 
 def _lbfgs_direction(grad: np.ndarray, memory) -> np.ndarray:
@@ -209,7 +210,7 @@ def _lbfgs_direction(grad: np.ndarray, memory) -> np.ndarray:
     return -q
 
 
-def _gradient_search(engine: _Engine, groups, x0: np.ndarray, budget: int, best: _Best) -> int:
+def _gradient_search(engine: _Engine, labels, x0: np.ndarray, budget: int, best: _Best) -> int:
     """L-BFGS with Armijo backtracking on |c - S(x)|.
 
     Trial points along the search direction are evaluated until the Armijo
@@ -227,8 +228,8 @@ def _gradient_search(engine: _Engine, groups, x0: np.ndarray, budget: int, best:
     def f(x):
         nonlocal evals
         evals += 1
-        g = point_gap(engine, x, groups)
-        best.offer(g, x, groups)
+        g = point_gap(engine, x, labels)
+        best.offer(g, x, labels)
         return g
 
     x, g = x0, f(x0)
@@ -321,14 +322,16 @@ def loop_validate_density(members, dim: int, name: str) -> None:
             raise InvalidDensityMatrix(f"{who} min eigenvalue {w[0]:.3e} < -{PSD_CLAMP:.1e}")
 
 
-def loop_ensemble_from_unitary(rho: BipartiteState, u: np.ndarray, partition):
-    """Weights and members of ``ensemble_from_unitary``, one group at a time."""
+def loop_ensemble_from_unitary(rho: BipartiteState, u: np.ndarray, labels):
+    """Weights and members of ``ensemble_from_unitary``, one group at a time:
+    the pieces of each distinct label, labels in ascending order."""
     p, psi = state_spectral_data(rho)
     r = p.size
     phi = psi @ (np.sqrt(p)[:, None] * u[:, :r].conj().T)
+    labels = np.asarray(labels)
     weights, members = [], []
-    for g in normalize_partition(partition, u.shape[0]):
-        block = phi[:, list(g)]
+    for label in sorted(set(labels.tolist())):
+        block = phi[:, labels == label]
         lam = float(np.einsum("ij,ij->", block, block.conj()).real)
         if lam < ZERO_WEIGHT_TOL:
             continue

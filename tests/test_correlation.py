@@ -24,7 +24,6 @@ from qcorr.correlation import (
     _Best,
     _Engine,
     _LaneSet,
-    _labels,
     _lane_search,
     _random_partition,
     canonical_pt_witness,
@@ -191,6 +190,16 @@ def test_minimize_errors():
         OptimizerConfig(seed=-1)
 
 
+@pytest.mark.parametrize("field,value", [("m", 16.0), ("starts", 2.5), ("max_iters", 10.5), ("seed", "1"),
+                                         ("max_iters", True), ("seed", None)])
+def test_optimizer_config_rejects_non_integers(field, value):
+    # a non-integer count or seed fails at construction, not as a TypeError
+    # deep in the solve
+    with pytest.raises(ConfigInvalid, match=f"{field} must be an integer"):
+        OptimizerConfig(**{field: value})
+    assert OptimizerConfig(**{field: np.int64(16)}).__getattribute__(field) == 16
+
+
 def test_d_simple_bell_sigma_z():
     res = minimize_d_simple(make_bell(), SZ, SZ, FAST)
     assert abs(res.value - 1.0) <= 1e-6
@@ -239,7 +248,7 @@ def test_d_simple_is_minimize_d0_of_the_product(case):
     joint = minimize_d0(state, np.kron(a, b), FAST)
     assert simple.value == joint.value
     assert simple.starts_used == joint.starts_used
-    assert simple.argmin_partition == joint.argmin_partition
+    assert np.array_equal(simple.argmin_partition, joint.argmin_partition)
     assert np.array_equal(simple.ensemble.weights, joint.ensemble.weights)
 
 
@@ -358,16 +367,16 @@ def test_result_fields():
     assert res.ensemble.barycenter.space.dim == 4
 
 
-def _check_engine_gradient(engine, x, groups, rng):
+def _check_engine_gradient(engine, x, labels, rng):
     """engine.gradient() against central differences of signed_gap at x."""
     m, r, n = engine.m, engine.r, engine.n_params
-    point_gap(engine, x, groups)
+    point_gap(engine, x, labels)
     grad = engine.gradient()[0]
     h = 1e-6
 
     def central(direction):
-        return (point_gap(engine, x + h * direction, groups)
-                - point_gap(engine, x - h * direction, groups)) / (2.0 * h)
+        return (point_gap(engine, x + h * direction, labels)
+                - point_gap(engine, x - h * direction, labels)) / (2.0 * h)
 
     # every real and imaginary coordinate of the top r x r block of X, then a
     # sample of the other rows, then random directions through all coordinates
@@ -394,11 +403,11 @@ def test_engine_gradient_matches_finite_differences(d1, d2, partition, at_zero):
     state = BipartiteState(space, random_density(space.dim, rng))
     m = space.dim ** 2
     engine = _Engine(state, random_hermitian(space.dim, rng), m)
-    groups = singleton_partition(m) if partition == "singleton" else _random_partition(rng, m)
+    labels = singleton_partition(m) if partition == "singleton" else _random_partition(rng, m)
     x = engine.coords(np.eye(m))
     if not at_zero:
         x = x + 0.4 * rng.standard_normal(engine.n_params)
-    _check_engine_gradient(engine, x, groups, rng)
+    _check_engine_gradient(engine, x, labels, rng)
 
 
 @pytest.mark.parametrize("case", ["rank2-2x3", "square-2x2"])
@@ -411,11 +420,11 @@ def test_engine_gradient_rank_deficient_and_square(case):
         state, m = BipartiteState(BipartiteSpace(2, 2), random_density(4, rng)), 4
     engine = _Engine(state, random_hermitian(state.space.dim, rng), m)
     assert engine.r == (2 if case == "rank2-2x3" else m)
-    for groups in (singleton_partition(m), _random_partition(rng, m)):
-        _check_engine_gradient(engine, engine.coords(np.eye(m)), groups, rng)
+    for labels in (singleton_partition(m), _random_partition(rng, m)):
+        _check_engine_gradient(engine, engine.coords(np.eye(m)), labels, rng)
         _check_engine_gradient(
             engine, engine.coords(np.eye(m)) + 0.4 * rng.standard_normal(engine.n_params),
-            groups, rng)
+            labels, rng)
 
 
 def test_engine_rejects_singular_gram():
@@ -442,15 +451,11 @@ def test_lane_kernel_matches_point_kernel(d1, d2):
     state = BipartiteState(space, random_density(space.dim, rng))
     m = space.dim ** 2
     engine = _Engine(state, random_hermitian(space.dim, rng), m)
-    parts = [singleton_partition(m), (tuple(range(m)),)] + [_random_partition(rng, m) for _ in range(3)]
+    parts = [singleton_partition(m), np.zeros(m, dtype=int)] + [_random_partition(rng, m) for _ in range(3)]
     x = engine.coords(np.eye(m)) + 0.4 * rng.standard_normal((len(parts), engine.n_params))
     x[1, ::engine.r] = 0.0  # real parts of column 0 of lane 1's X
     x[1, m * engine.r::engine.r] = 0.0  # and its imaginary parts
-    labels = np.zeros((len(parts), m), dtype=int)
-    for k, groups in enumerate(parts):
-        for label, g in enumerate(groups):
-            labels[k, list(g)] = label
-    gaps = engine.signed_gap(x, _LaneSet(engine, np.zeros(len(parts), dtype=int), labels))
+    gaps = engine.signed_gap(x, _LaneSet(engine, np.zeros(len(parts), dtype=int), np.array(parts)))
     grads = engine.gradient()
     assert gaps.shape == (len(parts),) and grads.shape == x.shape
     assert np.isnan(gaps[1]) and np.isnan(point_gap(engine, x[1], parts[1]))
@@ -466,10 +471,10 @@ class _Recorder(_Best):
         super().__init__()
         self.seen = {}
 
-    def offer_lanes(self, g, x, groups, starts):
+    def offer_lanes(self, g, x, labels, starts):
         for k, start in enumerate(starts):
             self.seen.setdefault(int(start), []).append((g[k].tobytes(), x[k].tobytes()))
-        super().offer_lanes(g, x, groups, starts)
+        super().offer_lanes(g, x, labels, starts)
 
 
 class _Trajectories(_Recorder):
@@ -529,7 +534,7 @@ def _sequential_starts(state, a, cfg, extra_starts=()):
     m = state.space.dim ** 2
     engine, best = _Engine(state, a, m), _Best()
     x_id = engine.coords(np.eye(m))
-    trivial = (tuple(range(m)),)
+    trivial = np.zeros(m, dtype=int)
     best.offer(point_gap(engine, x_id, trivial), x_id, trivial)
     for i in range(cfg.starts):
         rng = np.random.default_rng((cfg.seed, i))
@@ -540,12 +545,12 @@ def _sequential_starts(state, a, cfg, extra_starts=()):
         work = [(x0, singleton_partition(m))] + [(x0, _random_partition(rng, m))
                                                  for _ in range(N_RANDOM_PARTITIONS)]
         if i == 0:
-            work = [(engine.coords(v), groups) for v, groups in extra_starts] + work
+            work = [(engine.coords(v), labels) for v, labels in extra_starts] + work
         spent = 0
-        for x_init, groups in work:
+        for x_init, labels in work:
             if spent >= cfg.max_iters:
                 break
-            spent += _gradient_search(engine, groups, x_init, cfg.max_iters - spent, best)
+            spent += _gradient_search(engine, labels, x_init, cfg.max_iters - spent, best)
     return best
 
 
@@ -613,9 +618,9 @@ class _Steps(_Trajectories):
         super().__init__()
         self.steps = []
 
-    def offer_lanes(self, g, x, groups, starts):
+    def offer_lanes(self, g, x, labels, starts):
         self.steps.append([(int(s), g[k].tobytes(), x[k].tobytes()) for k, s in enumerate(starts)])
-        super().offer_lanes(g, x, groups, starts)
+        super().offer_lanes(g, x, labels, starts)
 
     def of_start(self, start):
         """The start's evaluations, one list per step it evaluated in."""
@@ -703,7 +708,7 @@ def test_search_trajectory_same_alone_and_in_full_batch(seed, dims, n_starts):
     for i in range(n_starts):
         x0 = engine.coords(expm_antihermitian(rng.standard_normal(m * m), m))
         parts = [singleton_partition(m)] + [_random_partition(rng, m) for _ in range(int(rng.integers(0, 3)))]
-        lanes.append((0, i, [(x0, groups) for groups in parts]))
+        lanes.append((0, i, [(x0, labels) for labels in parts]))
     alone = {i: [_alone(engine, i, search, 2000) for search in searches] for _, i, searches in lanes}
     assume(all(len(t) < 2000 for ts in alone.values() for t in ts))  # each search ends by itself
     budget = max(sum(map(len, ts)) for ts in alone.values())
@@ -756,42 +761,51 @@ def test_verdict_memory_ceiling_4x4():
 
 
 def _random_partition_by_label_scan(rng, m):
-    """The label-by-label construction _random_partition replaced."""
+    """A label-by-label construction of _random_partition: the k-th drawn
+    label that some piece carries, in ascending order, becomes group k."""
     n_groups = int(rng.integers(1, m + 1))
-    labels = rng.integers(0, n_groups, size=m)
-    groups = tuple(tuple(int(j) for j in np.nonzero(labels == g)[0])
-                   for g in range(n_groups) if np.any(labels == g))
-    return normalize_partition(groups, m)
+    drawn = rng.integers(0, n_groups, size=m)
+    labels = np.full(m, -1)
+    for k, g in enumerate(g for g in range(n_groups) if np.any(drawn == g)):
+        labels[drawn == g] = k
+    return labels
 
 
 @pytest.mark.parametrize("m", [1, 2, 4, 16, 36, 256])
 def test_random_partition_matches_label_scan(m):
-    # the same two draws give the same groups, in the same order, as Python
-    # ints, and leave the generator in the same state
+    # the same two draws give the same groups, in the same order, as labels
+    # 0..k-1 of an integer dtype, and leave the generator in the same state
     for seed in range(300):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        groups = _random_partition(rng, m)
-        assert groups == _random_partition_by_label_scan(ref_rng, m)
-        assert all(type(j) is int for g in groups for j in g)
+        labels = _random_partition(rng, m)
+        assert labels.dtype.kind == "i"
+        assert np.array_equal(labels, _random_partition_by_label_scan(ref_rng, m))
+        assert np.array_equal(labels, normalize_partition(labels, m))
         assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
 
 
 def test_best_ties_go_to_lower_start():
     # equal |g| from a later step keeps the lower start index, and the two
     # candidates of a lockstep step are offered in lane order
+    # candidates of a lockstep step are offered in lane order; labels (here
+    # one per evaluation, its start) and points are kept as copies, since
+    # the lane driver moves its rows in place
     x = np.zeros(2)
     best = _Best()
-    best.offer(0.5, x + 3, ("c",), 3)
-    best.offer(-0.5, x + 1, ("a",), 1)
-    best.offer(0.5, x + 2, ("b",), 2)
-    assert (best.value, best.start, best.groups) == (0.5, 1, ("a",))
+    best.offer(0.5, x + 3, np.array([3]), 3)
+    best.offer(-0.5, x + 1, np.array([1]), 1)
+    best.offer(0.5, x + 2, np.array([2]), 2)
+    assert (best.value, best.start, best.labels.tolist()) == (0.5, 1, [1])
     assert best.pos[:2] == (0.5, 2) and best.neg[:2] == (-0.5, 1)
     lanes = _Best()
     lanes.offer_lanes(np.array([0.25, -0.25, 0.25, -0.5]), np.arange(8.0).reshape(4, 2),
-                      ["p", "q", "r", "s"], np.array([4, 5, 6, 7]))
-    lanes.offer_lanes(np.array([-0.25, 0.25]), np.zeros((2, 2)), ["t", "u"], np.array([2, 3]))
-    assert (lanes.value, lanes.start, lanes.groups) == (0.25, 2, "t")
+                      np.array([[4], [5], [6], [7]]), np.array([4, 5, 6, 7]))
+    rows, points = np.array([[2], [3]]), np.zeros((2, 2))
+    lanes.offer_lanes(np.array([-0.25, 0.25]), points, rows, np.array([2, 3]))
+    rows[:], points[:] = -1, 1.0
+    assert (lanes.value, lanes.start, lanes.labels.tolist()) == (0.25, 2, [2])
     assert lanes.pos[1] == 3 and lanes.neg[1] == 2
+    assert lanes.pos[3].tolist() == [3] and lanes.neg[3].tolist() == [2]
     assert np.array_equal(lanes.x, np.zeros(2))
 
 
@@ -873,13 +887,13 @@ def test_extra_starts_reject_malformed_isometry(case, match):
     # the first r are read and must be orthonormal
     state, a = make_werner(0.7), canonical_witness()
     v = np.linalg.qr(np.random.default_rng(5).standard_normal((16, 4)))[0]
-    groups = singleton_partition(16)
+    labels = singleton_partition(16)
     wide = np.concatenate([v, np.ones((16, 1))], axis=1)  # the fifth column is not read
-    assert minimize_d0(state, a, FAST, extra_starts=((wide, groups),)).argmin_isometry.shape == (16, 4)
+    assert minimize_d0(state, a, FAST, extra_starts=((wide, labels),)).argmin_isometry.shape == (16, 4)
     bad = {"rows": v[:15], "columns": v[:, :3], "rank-deficient": v[:, [0, 0, 1, 2]],
            "scaled": (1.0 + 1e-6) * v, "not-finite": np.where(np.eye(16, 4) > 0, np.nan, v)}[case]
     with pytest.raises(DimensionMismatch, match=match):
-        minimize_d0(state, a, FAST, extra_starts=((bad, groups),))
+        minimize_d0(state, a, FAST, extra_starts=((bad, labels),))
 
 
 @settings(max_examples=40, deadline=None)
@@ -902,15 +916,15 @@ def test_engine_gap_is_gap_of_completed_isometry(seed, dims, log_cond, scale):
     right = np.linalg.qr(rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)))[0]
     xm = scale * (left * np.geomspace(1.0, 10.0 ** -log_cond, r)) @ right
     x = np.concatenate([xm.real.ravel(), xm.imag.ravel()])
-    groups = _random_partition(rng, m)
-    g = point_gap(engine, x, groups)
+    labels = _random_partition(rng, m)
+    g = point_gap(engine, x, labels)
     v = engine.isometry(x)
     assert v.shape == (m, r)
     u = np.concatenate([v, np.linalg.qr(v, mode="complete")[0][:, r:]], axis=1)
     assert np.abs(u.conj().T @ u - np.eye(m)).max() <= 1e-10
-    e = ensemble_from_unitary(state, u, groups)
+    e = ensemble_from_unitary(state, u, labels)
     # the m x r isometry alone builds the same ensemble
-    e_iso = ensemble_from_unitary(state, v, groups)
+    e_iso = ensemble_from_unitary(state, v, labels)
     assert len(e_iso) == len(e)
     assert np.abs(e_iso.weights - e.weights).max() <= 1e-12
     assert max(np.abs(iso - full).max() for iso, full in zip(e_iso.members, e.members)) <= 1e-12
@@ -970,9 +984,9 @@ def test_verdict_trivial_decompositions_share_one_kernel_call(monkeypatch):
             self.offered = []
             records.append(self)
 
-        def offer_lanes(self, g, x, groups, starts):
-            self.offered.extend(groups)
-            super().offer_lanes(g, x, groups, starts)
+        def offer_lanes(self, g, x, labels, starts):
+            self.offered.extend(labels.tolist())
+            super().offer_lanes(g, x, labels, starts)
 
     monkeypatch.setattr(_Engine, "signed_gap", recorded)
     monkeypatch.setattr("qcorr.correlation._Best", Partitions)
@@ -981,7 +995,7 @@ def test_verdict_trivial_decompositions_share_one_kernel_call(monkeypatch):
     x, g = calls[0]
     x_id = _Engine(state, np.eye(4), 16).coords(np.eye(16))
     assert len(x) == 8 and all(np.array_equal(row, x_id) for row in x)
-    trivial = (tuple(range(16)),)
+    trivial = [0] * 16
     for p, best in enumerate(records):
         assert best.offered[0] == trivial and best.offered.count(trivial) == 1
         assert best.seen[0][0] == (g[p].tobytes(), x_id.tobytes())
@@ -1059,7 +1073,7 @@ def test_kernel_gaps_respect_product_bound(seed, dims):
     lanes = 40
     probe = np.repeat(np.arange(len(probes)), lanes)
     x = np.array([engine.coords(expm_antihermitian(rng.standard_normal(m * m), m)) for _ in probe])
-    labels = np.array([_labels(_random_partition(rng, m), m) for _ in probe])
+    labels = np.array([_random_partition(rng, m) for _ in probe])
     g = engine.signed_gap(x, _LaneSet(engine, probe, labels)).reshape(len(probes), lanes)
     assert np.all(np.abs(g) >= (engine.lower - engine.margin)[:, None])
     for k in np.flatnonzero(engine.lower > engine.margin):

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from qcorr.bipartite import BipartiteSpace, BipartiteState, make_bell, make_random_state, validate_density
 from qcorr.correlation import _Engine, _random_partition, factored_product_value
-from qcorr.errors import BadPartition, DimensionMismatch, InvalidDensityMatrix, InvalidMatrix, RankTooSmall
+from qcorr.errors import BadPartition, DimensionMismatch, InvalidDensityMatrix, InvalidMatrix, OutOfRange, RankTooSmall
 from qcorr.linalg import matrix_units
 from qcorr.measures import (
     Ensemble,
@@ -16,6 +16,7 @@ from qcorr.measures import (
     evaluate_boxtimes,
     expm_antihermitian,
     hjw_ensemble,
+    normalize_partition,
     singleton_partition,
     state_spectral_data,
 )
@@ -96,11 +97,11 @@ def test_product_members_are_fixed_points():
 
 def test_hjw_pure_state_trivial():
     bell = make_bell()
-    e = hjw_ensemble(bell, np.zeros(1), 1, ((0,),))
+    e = hjw_ensemble(bell, np.zeros(1), 1, [0])
     assert len(e) == 1
     assert np.allclose(e.members[0], bell.rho, atol=1e-12)
     rng = np.random.default_rng(5)
-    e2 = hjw_ensemble(bell, rng.standard_normal(9), 3, ((0,), (1,), (2,)))
+    e2 = hjw_ensemble(bell, rng.standard_normal(9), 3, [0, 1, 2])
     for m in e2.members:
         assert np.allclose(m, bell.rho, atol=1e-10)
 
@@ -120,7 +121,7 @@ def test_hjw_hadamard_on_maximally_mixed_qubit():
     # treat a bare qubit as a 2x1 bipartite system
     s = BipartiteState(BipartiteSpace(2, 1), np.eye(2) / 2)
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    e = ensemble_from_unitary(s, h, ((0,), (1,)))
+    e = ensemble_from_unitary(s, h, [0, 1])
     plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
     minus = np.array([1, -1], dtype=complex) / np.sqrt(2)
     assert np.allclose(e.weights, [0.5, 0.5], atol=1e-12)
@@ -138,16 +139,14 @@ def test_hjw_barycenter_invariant_random_sweep():
         for m in (r, r + 1, 2 * r):
             theta = rng.standard_normal(m * m)
             labels = rng.integers(0, max(1, m // 2) + 1, size=m)
-            groups = tuple(tuple(int(i) for i in np.nonzero(labels == g)[0])
-                           for g in set(labels.tolist()))
-            e = hjw_ensemble(s, theta, m, groups)
+            e = hjw_ensemble(s, theta, m, labels)
             acc = sum(w * mm for w, mm in zip(e.weights, e.members))
             assert np.linalg.norm(acc - s.rho) <= 1e-8
 
 
 def test_hjw_merge_all_groups_gives_trivial():
     s = make_random_state(BipartiteSpace(2, 2), 4, seed=17)
-    e = hjw_ensemble(s, np.random.default_rng(1).standard_normal(16), 4, (tuple(range(4)),))
+    e = hjw_ensemble(s, np.random.default_rng(1).standard_normal(16), 4, [0, 0, 0, 0])
     assert len(e) == 1
     assert abs(e.weights[0] - 1.0) <= 1e-12
     assert np.allclose(e.members[0], s.rho, atol=1e-10)
@@ -156,23 +155,24 @@ def test_hjw_merge_all_groups_gives_trivial():
 def test_hjw_errors():
     s = make_random_state(BipartiteSpace(2, 2), 4, seed=19)
     with pytest.raises(RankTooSmall):
-        hjw_ensemble(s, np.zeros(4), 2, ((0,), (1,)))
+        hjw_ensemble(s, np.zeros(4), 2, [0, 1])
+    # a legacy tuple of groups, here overlapping, and labels for too few pieces
     with pytest.raises(BadPartition):
         hjw_ensemble(s, np.zeros(16), 4, ((0, 1), (1, 2, 3)))
     with pytest.raises(BadPartition):
-        hjw_ensemble(s, np.zeros(16), 4, ((0, 1),))
+        hjw_ensemble(s, np.zeros(16), 4, [0, 0])
 
 
 def test_ensemble_from_unitary_reads_first_r_columns():
     rng = np.random.default_rng(31)
     s = make_random_state(BipartiteSpace(2, 2), 2, seed=37)
     u1, u2 = (expm_antihermitian(rng.standard_normal(16), 4) for _ in range(2))
-    g1, g2 = ((0, 1), (2,), (3,)), ((0,), (1, 2, 3))
+    g1, g2 = np.array([0, 0, 1, 2]), np.array([0, 1, 1, 1])
     # fewer than r = 2 columns, or fewer than r rows, cannot carry an isometry
     with pytest.raises(DimensionMismatch, match="columns"):
         ensemble_from_unitary(s, u1[:, :1], g1)
     with pytest.raises(RankTooSmall):
-        ensemble_from_unitary(s, u1[:1, :2], ((0,),))
+        ensemble_from_unitary(s, u1[:1, :2], [0])
     # the m x r isometry gives the ensemble of its completion
     e1, e2 = ensemble_from_unitary(s, u1, g1), ensemble_from_unitary(s, u2, g2)
     e_iso = ensemble_from_unitary(s, u1[:, :2], g1)
@@ -181,7 +181,7 @@ def test_ensemble_from_unitary_reads_first_r_columns():
     # the stacked isometry [sqrt(t) V1 ; sqrt(1 - t) V2] gives the t : 1 - t mixture
     t = 0.3
     stacked = np.concatenate([np.sqrt(t) * u1[:, :2], np.sqrt(1.0 - t) * u2[:, :2]])
-    mix = ensemble_from_unitary(s, stacked, g1 + tuple(tuple(j + 4 for j in g) for g in g2))
+    mix = ensemble_from_unitary(s, stacked, np.concatenate([g1, g2 + 4]))
     weights = np.concatenate([t * e1.weights, (1.0 - t) * e2.weights])
     assert np.abs(mix.weights - weights).max() <= 1e-12
     members = np.concatenate([e1.members, e2.members])
@@ -221,21 +221,69 @@ def test_embedding_preserves_ensemble():
     # k zero rows appended to an isometry, with the partition extended by
     # singletons, add only zero-weight pieces: X^dagger X, the ensemble and
     # the engine's gap are unchanged
-    assert embed_partition(((0, 1), (2,)), 3, 5) == ((0, 1), (2,), (3,), (4,))
+    assert embed_partition([0, 0, 1], 3, 5).tolist() == [0, 0, 1, 2, 3]
     rng = np.random.default_rng(2)
     for dims, rank, m, k in [((2, 2), 4, 4, 2), ((2, 2), 2, 5, 11), ((2, 3), 3, 6, 30)]:
         s = make_random_state(BipartiteSpace(*dims), rank, seed=31)
         a = random_hermitian(s.space.dim, rng)
         v = expm_antihermitian(rng.standard_normal(m * m), m)[:, :rank]
-        groups = _random_partition(rng, m)
-        padded, big = np.pad(v, ((0, k), (0, 0))), embed_partition(groups, m, m + k)
-        e, e_pad = ensemble_from_unitary(s, v, groups), ensemble_from_unitary(s, padded, big)
+        labels = _random_partition(rng, m)
+        padded, big = np.pad(v, ((0, k), (0, 0))), embed_partition(labels, m, m + k)
+        e, e_pad = ensemble_from_unitary(s, v, labels), ensemble_from_unitary(s, padded, big)
         assert len(e_pad) == len(e)
         assert np.abs(e_pad.weights - e.weights).max() <= 1e-15
         assert max(np.abs(x - y).max() for x, y in zip(e_pad.members, e.members)) <= 1e-15
         gaps = [point_gap(engine, engine.coords(w), g)
-                for engine, w, g in [(_Engine(s, a, m), v, groups), (_Engine(s, a, m + k), padded, big)]]
+                for engine, w, g in [(_Engine(s, a, m), v, labels), (_Engine(s, a, m + k), padded, big)]]
         assert abs(gaps[0] - gaps[1]) <= 1e-14
+
+
+def test_embed_partition_rejects_fewer_pieces():
+    # embedding into fewer pieces than the partition has is not an embedding
+    with pytest.raises(OutOfRange):
+        embed_partition([0, 0, 1], 3, 2)
+    assert embed_partition([4, -2], 2, 2).tolist() == [1, 0]
+
+
+@pytest.mark.parametrize("labels", [
+    ((0, 1.5, 2),), [0.0, 1.0, 1.0], ["a", "b", "a"], [0, "b", 1], ((0, 1), (2,)), [[0], [1], [2]],
+    [[0, 1, 2]], [0, 1, 2, 3], [0, 1], None,
+], ids=["float-group", "float", "string", "mixed", "ragged", "2-D-column", "2-D-row", "too-long", "too-short",
+        "none"])
+def test_normalize_partition_rejects_non_labels(labels):
+    # anything but three integer labels fails as BadPartition, a legacy tuple
+    # of groups (2-D or ragged) included, never silently or as a bare error
+    with pytest.raises(BadPartition):
+        normalize_partition(labels, 3)
+
+
+def test_normalize_partition_relabels_by_ascending_label():
+    # group k is the k-th smallest distinct label, whatever the label values
+    assert normalize_partition([7, -3, 7, 40, -3], 5).tolist() == [1, 0, 1, 2, 0]
+    assert normalize_partition(np.array([2, 2], dtype=np.uint8), 2).tolist() == [0, 0]
+    assert normalize_partition(range(3), 3).tolist() == [0, 1, 2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from([(2, 2), (2, 3), (3, 2)]), data=st.data())
+def test_ensemble_from_unitary_on_any_labels_matches_reference(seed, dims, data):
+    # arbitrary integer labels, with unused and non-contiguous values, give
+    # the groups of the distinct labels in ascending order, as the
+    # one-group-at-a-time reference builds them
+    rng = np.random.default_rng(seed)
+    space = BipartiteSpace(*dims)
+    s = make_random_state(space, int(rng.integers(1, space.dim + 1)), seed=seed)
+    r = len(state_spectral_data(s)[0])
+    m = data.draw(st.integers(r, 2 * space.dim), label="m")
+    labels = data.draw(st.lists(st.integers(-5, 3 * m), min_size=m, max_size=m), label="labels")
+    u = _isometry(rng, m, r, 0)
+    e = ensemble_from_unitary(s, u, labels)
+    weights, members = loop_ensemble_from_unitary(s, u, labels)
+    assert len(e) == len(weights)
+    assert np.abs(e.weights - weights).max() <= 1e-14
+    assert np.abs(e.members - np.stack(members)).max() <= 1e-14
+    relabelled = ensemble_from_unitary(s, u, normalize_partition(labels, m))
+    assert np.array_equal(e.weights, relabelled.weights) and np.array_equal(e.members, relabelled.members)
 
 
 @settings(max_examples=40, deadline=None)
@@ -280,10 +328,10 @@ def test_stacked_recompute_matches_per_member_reference(seed, dims, t, zero_rows
     u = _isometry(rng, m, r, zero_rows)
     if t is not None:
         u = np.concatenate([np.sqrt(t) * u, np.sqrt(1.0 - t) * _isometry(rng, m, r, zero_rows)])
-    groups = _random_partition(rng, len(u))
+    labels = _random_partition(rng, len(u))
     a, b1, b2 = (random_hermitian(d, rng) for d in (space.dim, *dims))
-    e = ensemble_from_unitary(s, u, groups)
-    weights, members = loop_ensemble_from_unitary(s, u, groups)
+    e = ensemble_from_unitary(s, u, labels)
+    weights, members = loop_ensemble_from_unitary(s, u, labels)
     assert len(e) == len(weights)
     assert np.abs(e.weights - weights).max() <= 1e-14
     assert np.abs(e.members - np.stack(members)).max() <= 1e-14

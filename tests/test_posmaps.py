@@ -6,6 +6,7 @@ from qcorr.bipartite import BipartiteSpace, BipartiteState, make_bell, make_rand
 from qcorr.errors import DimensionMismatch, InvalidMatrix, MapNotUnital
 from qcorr.linalg import dagger, hermitian_eigendecompose
 from qcorr.posmaps import (
+    KADISON_MAX_NORM,
     apply_map,
     apply_tensor_id,
     builtin_maps,
@@ -240,10 +241,21 @@ def test_kadison_defect_is_the_eigendecomposition_minimum(seed, d, k, scale):
 
 @pytest.mark.parametrize("a", [np.full((2, 2), np.nan), np.full((2, 2), 1e200)], ids=["nan", "overflow"])
 def test_kadison_rejects_non_finite_or_overflowing_elements(a):
-    # a^dagger a overflows for the second element (numpy's overflow warning is
-    # expected there), so the defect is not finite
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidMatrix):
+    # a^dagger a would overflow for the second element: it is rejected before
+    # it is formed, with no numpy warning, and the error names a
+    with pytest.raises(InvalidMatrix, match="^a "):
         kadison_defect(identity_map(2), a)
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_kadison_norm_cap_sits_between_finite_and_overflowing(d):
+    # an element at the largest admitted norm gives a finite defect for every
+    # builtin map; one just past it is refused
+    at_cap = np.full((d, d), KADISON_MAX_NORM / d)
+    for alpha in builtin_maps(d):
+        assert np.isfinite(kadison_defect(alpha, at_cap))
+        with pytest.raises(InvalidMatrix, match="a has norm"):
+            kadison_defect(alpha, at_cap * 1.01)
 
 
 def test_is_positive_map_examples():
