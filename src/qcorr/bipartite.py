@@ -149,9 +149,6 @@ def random_full_rank_density(d: int, seed: int) -> np.ndarray:
         raise OutOfRange(f"dimension must be >= 1, got {d}")
     if seed < 0:
         raise OutOfRange(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    rho = g @ dagger(g)
-    rho /= np.trace(rho).real
+    rho = make_random_state(BipartiteSpace(d, 1), d, seed).rho
     rho = 0.9 * rho + 0.1 * np.eye(d, dtype=np.complex128) / d
     return validate_density(rho, d)

@@ -71,7 +71,7 @@ from .measures import (
     singleton_partition,
     state_spectral_data,
 )
-from .posmaps import PPT_ATOL, partial_transpose, partial_transpose_matrix, ppt_min_eig_and_vector
+from .posmaps import is_ppt, partial_transpose, partial_transpose_matrix, ppt_min_eig_and_vector
 
 # Optimization is restricted to small total dimensions.
 MAX_OPT_DIM = 16
@@ -675,7 +675,7 @@ def canonical_pt_witness(rho: BipartiteState) -> np.ndarray | None:
 
 def _pt_witness(rho: BipartiteState, pt_min: float, eta: np.ndarray) -> np.ndarray | None:
     """``canonical_pt_witness`` from an already computed smallest eigenpair."""
-    if pt_min >= -PPT_ATOL:
+    if is_ppt(pt_min):
         return None
     proj = BipartiteState(rho.space, np.outer(eta, eta.conj()))
     return partial_transpose(proj)
@@ -686,11 +686,15 @@ def classify(value: float, ppt_min: float, dims: tuple[int, int]) -> str:
     partial-transpose eigenvalue. Entangled needs a value above ten times
     DECISION_THRESHOLD; Separable needs every value at or below it plus exact
     partial-transpose agreement, which is only available at 2x2, 2x3 and
-    with a trivial factor."""
+    with a trivial factor.
+
+    ``value`` is an upper bound on d0, so Entangled proves nothing: a search
+    cut short (few starts or evaluations) leaves the bound high and can
+    print Entangled for a separable state."""
     if value > 10.0 * DECISION_THRESHOLD:
         return ENTANGLED
     if (value <= DECISION_THRESHOLD and (1 in dims or dims in PPT_EXACT_DIMS)
-            and ppt_min >= -PPT_ATOL):
+            and is_ppt(ppt_min)):
         return SEPARABLE
     return INCONCLUSIVE
 

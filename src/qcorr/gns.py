@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidDensityMatrix, MapNotUnital, WellDefinednessFailure
+from .errors import DimensionMismatch, InvalidDensityMatrix, WellDefinednessFailure
 from .bipartite import validate_density
 from .linalg import (
     as_matrix,
@@ -38,7 +38,7 @@ from .linalg import (
     psd_sqrt,
     psd_support,
 )
-from .posmaps import PositiveMapSpec, apply_map
+from .posmaps import PositiveMapSpec, apply_map, require_unital
 
 # Singular values below this (relative) are treated as null directions of
 # the defining data.
@@ -48,6 +48,11 @@ WELLDEF_TARGET_TOL = 1e-8
 # Scale of each summand of the doubled space; multiplied in, since dividing by
 # sqrt(2) rounds differently and would shift the certified residuals.
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
+# A certificate passes when its intertwining residual, its excess of ||V||
+# over the bound and its unit-class residual are within these.
+RESIDUAL_TOL = 1e-9
+NORM_SLACK = 1e-9
+OMEGA_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -210,8 +215,7 @@ def _basis(d: int, doubled: bool) -> np.ndarray:
 def _build_intertwiner(alpha: PositiveMapSpec, rho, doubled: bool) -> LocalDecomposition:
     d = alpha.d
     rho = validate_density(rho, d, "rho")
-    if not alpha.unital:
-        raise MapNotUnital(f"map {alpha.name or '<anon>'} is not unital")
+    require_unital(alpha)
     left, right = _gns(_induced_state_density(alpha, rho))
     right = right if doubled else None
     sqrt_rho = psd_sqrt(rho)
@@ -265,10 +269,12 @@ def build_intertwiner_doubled(alpha: PositiveMapSpec, rho) -> LocalDecomposition
 
 
 def verification_report(ld: LocalDecomposition) -> dict:
-    """Flat report of the certified quantities."""
-    return {
-        "residual_max": float(ld.residual_max),
-        "v_norm": float(ld.v_norm),
-        "dim_gns": ld.dim_gns,
-        "bound": float(ld.norm_bound),
-    }
+    """The certificate as a flat record: the certified quantities, the unit
+    class residual ||V† rho^{1/2} - Omega~||, and a ``verdict``, PASS iff
+    all three checks hold to their tolerances (see RESIDUAL_TOL)."""
+    omega_residual = float(np.linalg.norm(dagger(ld.v) @ ld.sqrt_rho_vec - ld.tilde_omega))
+    ok = (ld.residual_max <= RESIDUAL_TOL and ld.v_norm <= ld.norm_bound + NORM_SLACK
+          and omega_residual <= OMEGA_TOL)
+    return {"dim_gns": ld.dim_gns, "residual_max": float(ld.residual_max), "v_norm": float(ld.v_norm),
+            "bound": float(ld.norm_bound), "omega_residual": omega_residual,
+            "verdict": "PASS" if ok else "FAIL"}

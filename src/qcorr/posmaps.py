@@ -100,17 +100,20 @@ def reduction_map(d: int) -> PositiveMapSpec:
 
 
 def depolarizing_map(d: int, lam: float) -> PositiveMapSpec:
-    """x -> lam x + (1 - lam) Tr(x) 1/d; positive and unital for lam in [0, 1]."""
+    """x -> lam x + (1 - lam) Tr(x) 1/d; positive and unital for lam in [0, 1], refused outside."""
+    if not (0.0 <= lam <= 1.0):
+        raise OutOfRange(f"depolarizing parameter must lie in [0, 1], got {lam}")
     return map_from_function(
         d, lambda x: lam * x + (1.0 - lam) * np.trace(x) * np.eye(d, dtype=np.complex128) / d,
         f"depolarizing({lam:g})")
 
 
 def convex_combination(a: PositiveMapSpec, b: PositiveMapSpec, t: float, name: str = "") -> PositiveMapSpec:
+    """t a + (1 - t) b for a mixing weight t in [0, 1] (``OutOfRange`` outside it)."""
     if a.d != b.d:
         raise DimensionMismatch("convex combination needs equal dimensions")
     if not (0.0 <= t <= 1.0):
-        raise DimensionMismatch(f"mixing weight must lie in [0, 1], got {t}")
+        raise OutOfRange(f"mixing weight must lie in [0, 1], got {t}")
     return PositiveMapSpec(a.d, t * a.choi + (1.0 - t) * b.choi, name or f"mix({a.name},{b.name},{t:g})")
 
 
@@ -124,11 +127,6 @@ def builtin_maps(d: int) -> list[PositiveMapSpec]:
         depolarizing_map(d, 0.5),
         convex_combination(identity_map(d), transpose_map(d), 0.5, "mix(identity,transpose)"),
     ]
-
-
-def is_unital(alpha: PositiveMapSpec) -> bool:
-    """alpha(1) = 1 to UNITAL_ATOL, computed once per map object."""
-    return alpha.unital
 
 
 def partial_transpose_matrix(rho: np.ndarray, d1: int, d2: int) -> np.ndarray:
@@ -147,6 +145,11 @@ def partial_transpose(s: BipartiteState) -> np.ndarray:
     return partial_transpose_matrix(s.rho, s.space.d1, s.space.d2)
 
 
+def is_ppt(ppt_min: float) -> bool:
+    """The PPT test on the smallest partial-transpose eigenvalue: PSD to PPT_ATOL."""
+    return bool(ppt_min >= -PPT_ATOL)
+
+
 def ppt_min_eigenvalue(s: BipartiteState) -> float:
     return ppt_min_eig_and_vector(s)[0]
 
@@ -157,14 +160,19 @@ def ppt_min_eig_and_vector(s: BipartiteState) -> tuple[float, np.ndarray]:
     return float(w[0]), v[:, 0]
 
 
+def require_unital(alpha: PositiveMapSpec) -> None:
+    """Raise ``MapNotUnital`` unless the cached ``alpha.unital`` holds."""
+    if not alpha.unital:
+        raise MapNotUnital(f"map {alpha.name or '<anon>'} is not unital")
+
+
 def kadison_defect(alpha: PositiveMapSpec, a: np.ndarray) -> float:
     """Minimum eigenvalue of alpha(a†a + aa†) - alpha(a†)alpha(a) - alpha(a)alpha(a†).
 
     Nonnegative (to -1e-10) for genuinely positive unital maps. Checks the
     cached ``unital``; applies the Choi matrix to the checked ``a`` directly.
     """
-    if not alpha.unital:
-        raise MapNotUnital(f"map {alpha.name or '<anon>'} is not unital")
+    require_unital(alpha)
     a = as_matrix(a, "a")
     if a.shape != (alpha.d, alpha.d):
         raise DimensionMismatch(f"element shape {a.shape} != ({alpha.d}, {alpha.d})")

@@ -140,6 +140,20 @@ def test_random_full_rank_density():
     assert abs(np.trace(rho).real - 1.0) <= 1e-10
     with pytest.raises(OutOfRange):
         random_full_rank_density(3, -1)
+    with pytest.raises(OutOfRange, match="dimension"):
+        random_full_rank_density(0, 1)
+
+
+@pytest.mark.parametrize("d,seed", [(2, 1), (3, 7), (4, 0), (16, 5)])
+def test_random_full_rank_density_matches_its_gaussian_draw(d, seed):
+    # the draw of make_random_state at full rank on C^d, mixed toward the
+    # identity, bit for bit as the draw written out
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    expected = 0.9 * rho + 0.1 * np.eye(d, dtype=np.complex128) / d
+    assert np.array_equal(random_full_rank_density(d, seed), expected)
 
 
 def test_validate_density_hermiticity_errors_are_density_errors():

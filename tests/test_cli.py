@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qcorr.bipartite import make_bell, make_product, make_werner
-from qcorr import cli, errors, serialize
+from qcorr import cli, errors, gns, serialize
 from qcorr.cli import main
 from qcorr.posmaps import transpose_map
 
@@ -471,8 +471,8 @@ OUTPUT_KEYS = {
     "boxtimes": (["barycenter_term", "boxtimes_term", "gap"],
                  {"barycenter_term", "boxtimes_term", "gap"}),
     "gns-verify": (["map", "dim_gns", "residual_max", "v_norm", "bound", "omega_residual", "verdict"],
-                   {"residual_max", "v_norm", "dim_gns", "bound"}),
-    "kadison": (["map", "samples", "min_defect"], {"min_defect", "samples"}),
+                   {"map", "residual_max", "v_norm", "dim_gns", "bound", "omega_residual", "verdict"}),
+    "kadison": (["map", "samples", "min_defect"], {"map", "min_defect", "samples"}),
 }
 
 
@@ -487,6 +487,51 @@ def test_output_keys_of_every_command(capsys, output_inputs, command, fmt):
         assert set(json.loads(out)) == json_keys
     else:
         assert [line.split(": ")[0] for line in out.splitlines()] == table_keys
+
+
+@pytest.mark.parametrize("command", list(OUTPUT_KEYS))
+def test_every_table_row_is_read_from_the_json_record(capsys, output_inputs, command):
+    # each table row prints a key of the JSON record with its value
+    # formatted (a "probe LABEL" row an entry of "probes"), so the two
+    # outputs cannot drift apart
+    _, table, _ = run(capsys, *output_inputs[command])
+    _, out, _ = run(capsys, *output_inputs[command], "--format", "json")
+    record = json.loads(out)
+    probes = {p["label"]: p["value"] for p in record.get("probes", [])}
+    for line in table.splitlines():
+        key, text = line.split(": ")
+        val = probes[key.removeprefix("probe ")] if key.startswith("probe ") else record[key]
+        expected = {True: "yes", False: "no"}[val] if isinstance(val, bool) else (
+            f"{val:.12g}" if isinstance(val, float) else str(val))
+        assert text == expected, line
+
+
+@pytest.mark.parametrize("check", [None, "RESIDUAL_TOL", "NORM_SLACK", "OMEGA_TOL"])
+@pytest.mark.parametrize("single", [False, True])
+def test_gns_verify_exits_1_iff_its_verdict_is_fail(monkeypatch, capsys, check, single):
+    # the library's verdict decides the exit code; a negative tolerance
+    # makes its check fail on any certificate
+    if check:
+        monkeypatch.setattr(gns, check, -1.0)
+    argv = ["gns-verify", "transpose", "random:2:3", *(["--single"] if single else [])]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    verdict = json.loads(out)["verdict"]
+    assert verdict == ("FAIL" if check else "PASS")
+    assert code == (1 if verdict == "FAIL" else 0)
+    table_code, table, _ = run(capsys, *argv)
+    assert table_code == code and table.splitlines()[-1] == f"verdict: {verdict}"
+
+
+def test_cli_holds_no_tolerance():
+    # every tolerance belongs to the library: cli.py holds no nonzero
+    # numeric literal below 1e-6 in magnitude and reads no *_ATOL constant
+    tree = ast.parse(Path(cli.__file__).read_text())
+    small = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+             and type(node.value) in (int, float) and 0 < abs(node.value) < 1e-6]
+    names = {getattr(node, key) for node in ast.walk(tree) for key in ("id", "attr", "name")
+             if isinstance(getattr(node, key, None), str)}
+    assert small == []
+    assert sorted(name for name in names if name.endswith("_ATOL")) == []
 
 
 def test_json_is_printed_only_by_the_emitter_and_the_sweep():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,6 @@ from qcorr.posmaps import (
     builtin_maps,
     depolarizing_map,
     identity_map,
-    is_unital,
     kadison_defect,
     map_from_function,
     transpose_map,
@@ -270,7 +271,7 @@ def test_unitality_is_computed_once_per_map(monkeypatch):
     rng = np.random.default_rng(6)
     for _ in range(4):
         kadison_defect(alpha, rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-    assert is_unital(alpha)
+    assert alpha.unital
     units = [x for x in calls if x.shape == (3, 3) and np.array_equal(x, np.eye(3))]
     assert len(units) == 1
     assert len(calls) == 3  # the unit, then each build's basis stack
@@ -281,7 +282,7 @@ def test_non_unital_map_is_refused_on_every_call(monkeypatch):
     shrink = map_from_function(2, lambda x: x / 2, "halve")
     rho = np.eye(2, dtype=complex) / 2
     for _ in range(3):
-        assert not is_unital(shrink)
+        assert not shrink.unital
         for entry in (build_intertwiner_doubled, build_intertwiner_single):
             with pytest.raises(MapNotUnital, match="halve"):
                 entry(shrink, rho)
@@ -328,7 +329,25 @@ def test_nonpositive_map_never_silently_succeeds():
 def test_verification_report_shape():
     for build, dim_gns, bound in ((build_intertwiner_single, 4, 1.0),
                                   (build_intertwiner_doubled, 8, np.sqrt(2.0))):
-        rep = verification_report(build(identity_map(2), np.eye(2) / 2))
-        assert set(rep) == {"residual_max", "v_norm", "dim_gns", "bound"}
+        ld = build(identity_map(2), np.eye(2) / 2)
+        rep = verification_report(ld)
+        assert list(rep) == ["dim_gns", "residual_max", "v_norm", "bound", "omega_residual", "verdict"]
+        assert rep["omega_residual"] == _omega_residual(ld), build.__name__
+        assert rep["verdict"] == "PASS", build.__name__
         assert rep["dim_gns"] == dim_gns, build.__name__
         assert abs(rep["bound"] - bound) <= 1e-12, build.__name__
+
+
+@pytest.mark.parametrize("doubled", [True, False])
+def test_verification_verdict_fails_on_each_check_past_its_tolerance(doubled):
+    # PASS at each tolerance exactly, FAIL just past any one of the three
+    build = build_intertwiner_doubled if doubled else build_intertwiner_single
+    ld = build(transpose_map(2), random_full_rank_density(2, 9))
+    assert verification_report(ld)["verdict"] == "PASS"
+    edge = [replace(ld, residual_max=gns.RESIDUAL_TOL),
+            replace(ld, v_norm=ld.norm_bound + gns.NORM_SLACK)]
+    past = [replace(ld, residual_max=2 * gns.RESIDUAL_TOL),
+            replace(ld, v_norm=ld.norm_bound + 2 * gns.NORM_SLACK),
+            replace(ld, v=ld.v * (1 + 1e-8))]
+    assert [verification_report(x)["verdict"] for x in edge + past] == ["PASS"] * 2 + ["FAIL"] * 3
+    assert verification_report(past[2])["omega_residual"] > gns.OMEGA_TOL

@@ -3,18 +3,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcorr.bipartite import BipartiteSpace, BipartiteState, make_bell, make_random_state, make_werner
-from qcorr.errors import DimensionMismatch, InvalidMatrix, MapNotUnital
+from qcorr.errors import DimensionMismatch, InvalidMatrix, MapNotUnital, OutOfRange
 from qcorr.linalg import dagger, hermitian_eigendecompose
 from qcorr.posmaps import (
     KADISON_MAX_NORM,
     apply_map,
     apply_tensor_id,
     builtin_maps,
+    convex_combination,
     depolarizing_map,
     find_positivity_violation,
     identity_map,
     is_positive_map,
-    is_unital,
+    is_ppt,
     kadison_defect,
     map_from_function,
     partial_transpose,
@@ -84,7 +85,7 @@ def test_choi_roundtrip():
 
 def test_unital_flags():
     for alpha in builtin_maps(2) + builtin_maps(3):
-        assert is_unital(alpha)
+        assert alpha.unital
 
 
 def test_apply_tensor_id_identity():
@@ -156,6 +157,8 @@ def test_ppt_werner_examples():
     assert abs(val + 0.5) <= 1e-12
     pt = partial_transpose(make_werner(1.0))
     assert np.linalg.norm(pt @ vec - val * vec) <= 1e-10
+    assert is_ppt(ppt_min_eigenvalue(make_werner(1.0 / 3.0))) is True
+    assert is_ppt(val) is False
 
 
 def test_separable_states_are_ppt():
@@ -256,6 +259,20 @@ def test_kadison_norm_cap_sits_between_finite_and_overflowing(d):
         assert np.isfinite(kadison_defect(alpha, at_cap))
         with pytest.raises(InvalidMatrix, match="a has norm"):
             kadison_defect(alpha, at_cap * 1.01)
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.1, float("nan")])
+def test_map_constructors_refuse_weights_outside_the_unit_interval(bad):
+    with pytest.raises(OutOfRange, match="depolarizing parameter"):
+        depolarizing_map(2, bad)
+    with pytest.raises(OutOfRange, match="mixing weight"):
+        convex_combination(identity_map(2), transpose_map(2), bad)
+
+
+def test_depolarizing_formula_past_one_is_unital_but_not_positive():
+    # why depolarizing_map refuses lam = 1.5
+    over = map_from_function(2, lambda x: 1.5 * x - 0.5 * np.trace(x) * np.eye(2) / 2)
+    assert over.unital and not is_positive_map(over, n_samples=20, seed=0)
 
 
 def test_is_positive_map_examples():

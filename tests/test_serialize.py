@@ -6,7 +6,7 @@ import qcorr.measures
 from qcorr.bipartite import BipartiteSpace, BipartiteState, make_bell, make_werner
 from qcorr.errors import InvalidDensityMatrix, ParseError
 from qcorr.measures import Ensemble
-from qcorr.posmaps import is_unital, reduction_map
+from qcorr.posmaps import reduction_map
 from qcorr import serialize
 
 from helpers import werner_third_product_ensemble
@@ -30,7 +30,7 @@ def test_map_roundtrip():
     back = serialize.map_from_json(serialize.map_to_json(alpha))
     assert back.d == 3
     assert back.name == "reduction"
-    assert is_unital(back)
+    assert back.unital
     assert np.allclose(back.choi, alpha.choi, atol=0)
 
 
