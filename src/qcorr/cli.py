@@ -148,7 +148,7 @@ def _emit_result(res, args) -> None:
     ensemble = serialize.ensemble_to_json(res.ensemble)
     if args.dump:
         serialize.dump_json(args.dump, ensemble)
-    _emit(args, {"value": res.value, "starts_used": res.starts_used, "ensemble": ensemble})
+    _emit(args, {"value": res.value, "lower": res.lower, "starts_used": res.starts_used, "ensemble": ensemble})
 
 
 def cmd_d0(args) -> int:
@@ -175,8 +175,8 @@ def cmd_verdict(args) -> int:
     witness = serialize.matrix_to_json(res.witness)
     if args.dump:
         serialize.dump_json(args.dump, witness)
-    _emit(args, {"verdict": res.verdict, "max_d0": res.max_d0, "witness": witness,
-                 "probes": [{"label": lbl, "value": val} for lbl, val in res.probes]})
+    _emit(args, {"verdict": res.verdict, "max_d0": res.max_d0, "lower": res.lower, "witness": witness,
+                 "probes": [{"label": lbl, "lower": low, "value": val} for lbl, low, val in res.probes]})
     return EXIT_OK
 
 
@@ -234,7 +234,7 @@ def cmd_werner_sweep(args) -> int:
         res = minimize_d0(state, witness, cfg, extra_starts=warm)
         warm = ((res.argmin_isometry, res.argmin_partition),)
         ppt = ppt_min_eigenvalue(state)
-        rows.append((float(p), res.value, ppt, classify(res.value, ppt, (2, 2))))
+        rows.append((float(p), res.value, ppt, classify(res.lower, ppt, (2, 2))))
 
     if args.format == "json":
         print(json.dumps([{"p": p, "d0_witness": v, "ppt_min_eig": e, "verdict": verdict}

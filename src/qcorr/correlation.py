@@ -1,7 +1,7 @@
 """Correlation coefficients computed by minimizing, over finite
 decompositions of a state, the gap between an observable's expectation and
-its decorrelated (marginal-product) counterpart, plus an operational
-separability verdict built on top of the minimizer.
+its decorrelated (marginal-product) counterpart, plus a separability
+verdict read from certificates: the product bound and the PPT test.
 
 The search space is the isometry parametrization of pure-state ensembles
 combined with coarse-graining partitions. Every pure refinement of rho is
@@ -75,8 +75,6 @@ from .posmaps import is_ppt, partial_transpose, partial_transpose_matrix, ppt_mi
 
 # Optimization is restricted to small total dimensions.
 MAX_OPT_DIM = 16
-# Decision threshold separating numerical convergence from verdict logic.
-DECISION_THRESHOLD = 1e-4
 # Random coarse-graining partitions tried per start.
 N_RANDOM_PARTITIONS = 2
 # Random probes of a separability verdict, by default.
@@ -155,9 +153,10 @@ class CorrelationResult:
     larger cardinality. When the witness is the zero-gap mixture of two
     ensembles, they describe the endpoint closer to zero.
 
-    ``lower`` is the product bound dist(Tr(rho A), [P_lo, P_hi]) <= d0: the
-    decorrelated term mixes product values Tr[(sigma (x) tau) A], which lie
-    in [max(lambda_min(A), lambda_min(A^Gamma)), min(lambda_max(A),
+    ``lower`` <= d0 is the certified product bound max(0, L - BOUND_MARGIN
+    dim ||A||), L = dist(Tr(rho A), [P_lo, P_hi]): the decorrelated term
+    mixes product values Tr[(sigma (x) tau) A], which lie in
+    [max(lambda_min(A), lambda_min(A^Gamma)), min(lambda_max(A),
     lambda_max(A^Gamma))]. It is 0 for a separable rho, whatever A.
 
     ``starts_used`` is 0 when the trivial decomposition {1, rho} already
@@ -176,10 +175,16 @@ class CorrelationResult:
 
 @dataclass(frozen=True)
 class VerdictResult:
+    """``probes`` holds (label, lower, value) per probe, its certified bound
+    and its d0 upper bound. The verdict reads ``lower``, the largest bound;
+    ``max_d0`` is the largest value and decides nothing. ``witness`` is the
+    first probe of the largest bound above 0, else the identity."""
+
     verdict: str
     max_d0: float
+    lower: float
     witness: np.ndarray
-    probes: tuple[tuple[str, float], ...]
+    probes: tuple[tuple[str, float, float], ...]
 
 
 def _observable(a, dim: int) -> np.ndarray:
@@ -234,9 +239,9 @@ class _Engine:
     marginals are summed into group marginals by each lane's group labels.
     ``gradient`` differentiates every lane of the last evaluated stack from
     the cached eigendecompositions and marginals, so it costs no evaluation.
-    ``lower`` is each probe's product bound (``CorrelationResult.lower``)
-    and ``margin`` the roundoff of a gap against it: every computed gap has
-    |g| >= lower - margin, with the sign of c - P_lo where lower > margin.
+    ``lower`` is each probe's ``CorrelationResult.lower``, net of the
+    roundoff of a gap against it: every computed gap has |g| >= lower, with
+    the sign of c - P_lo where lower > 0.
     """
 
     def __init__(self, rho: BipartiteState, a: np.ndarray, m: int):
@@ -257,8 +262,8 @@ class _Engine:
         h = (a + dagger(a)) / 2.0  # the part the real kernel values read
         w = np.linalg.eigvalsh(np.concatenate([h, partial_transpose_matrix(h, d1, d2)]))
         lo, hi = np.maximum(*np.split(w[:, 0], 2)), np.minimum(*np.split(w[:, -1], 2))
-        self.lower = np.abs(self.c - np.clip(self.c, lo, hi))
-        self.margin = BOUND_MARGIN * d1 * d2 * np.abs(w[:len(a)]).max(axis=-1)
+        margin = BOUND_MARGIN * d1 * d2 * np.abs(w[:len(a)]).max(axis=-1)
+        self.lower = np.maximum(np.abs(self.c - np.clip(self.c, lo, hi)) - margin, 0.0)
         self.n_params = 2 * m * self.r
         self._last = None
 
@@ -591,7 +596,7 @@ def _solve(rho: BipartiteState, observables, cfg: OptimizerConfig,
         return (warm if i == 0 else []) + [(x0, labels) for labels in parts]
 
     open_probes = [p for p, best in enumerate(bests) if not best.done()]
-    alone = [p for p in open_probes if engine.lower[p] <= TOL + engine.margin[p]]
+    alone = [p for p in open_probes if engine.lower[p] <= TOL]
     starts_used = [0] * len(a)
     if alone:
         _lane_search(engine, [(p, 0, work(0)) for p in alone], cfg.max_iters, bests)
@@ -681,20 +686,15 @@ def _pt_witness(rho: BipartiteState, pt_min: float, eta: np.ndarray) -> np.ndarr
     return partial_transpose(proj)
 
 
-def classify(value: float, ppt_min: float, dims: tuple[int, int]) -> str:
-    """Verdict from the largest certified d0 over the probes and the smallest
-    partial-transpose eigenvalue. Entangled needs a value above ten times
-    DECISION_THRESHOLD; Separable needs every value at or below it plus exact
-    partial-transpose agreement, which is only available at 2x2, 2x3 and
-    with a trivial factor.
-
-    ``value`` is an upper bound on d0, so Entangled proves nothing: a search
-    cut short (few starts or evaluations) leaves the bound high and can
-    print Entangled for a separable state."""
-    if value > 10.0 * DECISION_THRESHOLD:
+def classify(lower: float, ppt_min: float, dims: tuple[int, int]) -> str:
+    """Verdict from certificates only, the largest certified bound over the
+    probes and the smallest partial-transpose eigenvalue: Entangled iff
+    ``lower`` > 0 (d0 >= lower, and d0 is 0 on separable states), before
+    PPT_ATOL is read; else Separable iff PPT where that is exact (2x2, 2x3,
+    a trivial factor); else Inconclusive. No d0 upper bound is read."""
+    if lower > 0.0:
         return ENTANGLED
-    if (value <= DECISION_THRESHOLD and (1 in dims or dims in PPT_EXACT_DIMS)
-            and is_ppt(ppt_min)):
+    if (1 in dims or dims in PPT_EXACT_DIMS) and is_ppt(ppt_min):
         return SEPARABLE
     return INCONCLUSIVE
 
@@ -708,9 +708,9 @@ def separability_verdict(rho: BipartiteState, cfg: OptimizerConfig | None = None
     The infimum is taken independently per probe, by one solve of all the
     probes (``_solve``) that gives each the value ``minimize_d0`` gives it
     alone; the verdict never assumes a decomposition shared across
-    observables. See ``classify``. The witness is the first probe with the
-    largest value; with no probe (a PPT state, ``n_observables == 0``) it
-    is the identity, whose d0 is 0 for every state, and nothing is solved.
+    observables. ``classify`` reads the largest certified bound. The
+    witness is the first probe with the largest bound above 0, else the
+    identity, whose d0 is 0 for every state; with no probe nothing is solved.
     """
     if n_observables < 0:
         raise ConfigInvalid(f"n_observables must be >= 0, got {n_observables}")
@@ -722,13 +722,13 @@ def separability_verdict(rho: BipartiteState, cfg: OptimizerConfig | None = None
     probes = ([("pt-witness", witness)] if witness is not None else []) + [
         (f"random-{k}", random_hermitian_probe(rng, dim)) for k in range(n_observables)]
 
-    results, max_d0, max_probe = (), 0.0, np.eye(dim, dtype=np.complex128)
-    if probes:
-        solved = _solve(rho, [a for _, a in probes], cfg)
-        results = tuple((label, res.value) for (label, _), res in zip(probes, solved))
-        k = max(range(len(probes)), key=lambda j: results[j][1])  # the first of the largest
-        max_d0, max_probe = results[k][1], probes[k][1]
+    solved = _solve(rho, [a for _, a in probes], cfg) if probes else []
+    results = tuple((label, res.lower, res.value) for (label, _), res in zip(probes, solved))
+    max_d0 = max((res.value for res in solved), default=0.0)
+    # the identity, then the probes: max keeps the first of the largest bounds
+    lower, max_probe = max([(0.0, np.eye(dim, dtype=np.complex128))] + [
+        (res.lower, a) for (_, a), res in zip(probes, solved)], key=lambda pair: pair[0])
 
-    verdict = classify(max_d0, pt_min, (rho.space.d1, rho.space.d2))
-    return VerdictResult(verdict=verdict, max_d0=float(max_d0),
+    verdict = classify(lower, pt_min, (rho.space.d1, rho.space.d2))
+    return VerdictResult(verdict=verdict, max_d0=float(max_d0), lower=float(lower),
                          witness=max_probe, probes=results)

@@ -82,6 +82,19 @@ def separable_state(k: int, rng: np.random.Generator, pure: bool = False) -> Bip
     return BipartiteState(BipartiteSpace(2, 2), acc)
 
 
+def horodecki_ppt_state(a: float = 0.5) -> BipartiteState:
+    """Horodecki's 3x3 state, PPT and entangled for 0 < a < 1 (P. Horodecki,
+    Phys. Lett. A 232, 333 (1997)): a on the diagonal and between |00>,
+    |11> and |22>, with the |20>, |22> block [[1 + a, b], [b, 1 + a]] / 2,
+    b = sqrt(1 - a^2), all over 8a + 1."""
+    rho = np.zeros((9, 9))
+    rho[np.ix_([0, 4, 8], [0, 4, 8])] = a
+    rho[np.diag_indices(9)] = a
+    rho[6, 6] = rho[8, 8] = (1.0 + a) / 2.0
+    rho[6, 8] = rho[8, 6] = np.sqrt(1.0 - a * a) / 2.0
+    return BipartiteState(BipartiteSpace(3, 3), rho / (8.0 * a + 1.0))
+
+
 def naive_partial_trace_second(rho: np.ndarray, d1: int, d2: int) -> np.ndarray:
     """Loop-based partial trace over the second factor."""
     out = np.zeros((d1, d1), dtype=np.complex128)

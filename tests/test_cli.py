@@ -10,7 +10,7 @@ import pytest
 from qcorr.bipartite import make_bell, make_product, make_werner
 from qcorr import cli, errors, gns, serialize
 from qcorr.cli import main
-from qcorr.posmaps import transpose_map
+from qcorr.posmaps import PPT_ATOL, transpose_map
 
 from helpers import random_density, singlet_proj, werner_third_product_ensemble
 
@@ -175,6 +175,36 @@ def test_werner_sweep_small(capsys):
         assert abs(float(ppt) - (1 - 3 * float(p)) / 4) <= 1e-10
         assert verdict == "Separable"
     assert "\r" not in out
+
+
+def test_werner_sweep_verdict_is_the_ppt_test(capsys):
+    # the verdict reads the certified bound, not d0_witness: with one
+    # evaluation per start no row is Inconclusive, and Entangled is exactly
+    # NPT, from p = 0.334 on
+    code, out, _ = run(capsys, "werner-sweep", "--p-min", "0.3", "--p-max", "0.4", "--steps", "101",
+                       "--starts", "1", "--max-iters", "1")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 101
+    for p, _, ppt, verdict in rows:
+        assert verdict == ("Entangled" if float(ppt) < -PPT_ATOL else "Separable"), p
+    assert [p for p, *_, verdict in rows if verdict == "Entangled"][0] == "0.334"
+
+
+def test_verdict_short_search_on_a_separable_state_is_separable(tmp_path, capsys):
+    # three evaluations leave d0 upper bounds far from 0 on Werner p = 0.2;
+    # they decide nothing: the state is PPT at 2x2, no probe has a bound
+    # above 0, and the witness is the identity
+    path = tmp_path / "werner.json"
+    serialize.dump_json(str(path), serialize.state_to_json(make_werner(0.2)))
+    argv = ["verdict", str(path), "--starts", "1", "--max-iters", "3"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.splitlines()[0] == "verdict: Separable"
+    _, out, _ = run(capsys, *argv, "--format", "json")
+    record = json.loads(out)
+    assert record["verdict"] == "Separable" and record["max_d0"] > 1e-3
+    assert record["lower"] == 0.0 and all(probe["lower"] == 0.0 for probe in record["probes"])
+    assert np.array_equal(serialize.matrix_from_json(record["witness"]), np.eye(4))
 
 
 def test_exit_code_2_on_malformed_json(tmp_path, capsys):
@@ -435,7 +465,7 @@ def test_json_format_output(capsys, bell_path, proj_path):
     assert code == 0
     data = json.loads(out)
     assert abs(data["value"] - 0.75) <= 1e-6
-    assert set(data) == {"value", "starts_used", "ensemble"}
+    assert set(data) == {"value", "lower", "starts_used", "ensemble"}
     assert set(data["ensemble"]) == {"weights", "members"}
     # witness ensemble round-trips and matches the reported value
     ens = serialize.ensemble_from_json(data["ensemble"])
@@ -463,10 +493,10 @@ def output_inputs(tmp_path, bell_path, proj_path):
 
 # Per command: the table keys in order and the JSON record's key set.
 OUTPUT_KEYS = {
-    "d0": (["value", "starts_used"], {"value", "starts_used", "ensemble"}),
-    "d": (["value", "starts_used"], {"value", "starts_used", "ensemble"}),
-    "verdict": (["verdict", "max_d0", "probe pt-witness", "probe random-0", "probe random-1"],
-                {"verdict", "max_d0", "witness", "probes"}),
+    "d0": (["value", "lower", "starts_used"], {"value", "lower", "starts_used", "ensemble"}),
+    "d": (["value", "lower", "starts_used"], {"value", "lower", "starts_used", "ensemble"}),
+    "verdict": (["verdict", "max_d0", "lower", "probe pt-witness", "probe random-0", "probe random-1"],
+                {"verdict", "max_d0", "lower", "witness", "probes"}),
     "ppt": (["ppt_min_eig", "psd"], {"ppt_min_eig", "psd"}),
     "boxtimes": (["barycenter_term", "boxtimes_term", "gap"],
                  {"barycenter_term", "boxtimes_term", "gap"}),
@@ -484,7 +514,9 @@ def test_output_keys_of_every_command(capsys, output_inputs, command, fmt):
     table_keys, json_keys = OUTPUT_KEYS[command]
     if fmt == "json":
         assert out.count("\n") == 1
-        assert set(json.loads(out)) == json_keys
+        record = json.loads(out)
+        assert set(record) == json_keys
+        assert all(set(probe) == {"label", "lower", "value"} for probe in record.get("probes", []))
     else:
         assert [line.split(": ")[0] for line in out.splitlines()] == table_keys
 

@@ -16,6 +16,7 @@ from qcorr.bipartite import (
 )
 from qcorr.correlation import (
     ENTANGLED,
+    INCONCLUSIVE,
     SEPARABLE,
     TOL,
     CorrelationResult,
@@ -51,9 +52,11 @@ from helpers import (
     SZ,
     _gradient_search,
     canonical_witness,
+    horodecki_ppt_state,
     point_gap,
     random_density,
     random_hermitian,
+    random_pure,
     separable_state,
     singlet_proj,
     werner_third_product_ensemble,
@@ -283,7 +286,7 @@ def test_verdict_decomposes_the_partial_transpose_once(monkeypatch):
     monkeypatch.setattr(correlation, "ppt_min_eig_and_vector", counted)
     res = separability_verdict(make_werner(0.8), FAST, n_observables=0)
     assert len(calls) == 1
-    assert [label for label, _ in res.probes] == ["pt-witness"]
+    assert [label for label, *_ in res.probes] == ["pt-witness"]
     assert res.verdict == ENTANGLED
 
 
@@ -291,7 +294,7 @@ def test_verdict_bell_entangled():
     res = separability_verdict(make_bell(), FAST, n_observables=2)
     assert res.verdict == ENTANGLED
     assert res.max_d0 >= 0.75 - 1e-6
-    labels = [lbl for lbl, _ in res.probes]
+    labels = [lbl for lbl, *_ in res.probes]
     assert "pt-witness" in labels and "identity" not in labels
 
 
@@ -338,12 +341,32 @@ def test_verdict_maximally_mixed_separable():
         BipartiteState(BipartiteSpace(2, 2), np.eye(4) / 4), FAST, n_observables=2)
     assert res.verdict == SEPARABLE
     assert res.max_d0 <= 1e-9
+    # no bound above 0, so the witness is the identity
+    assert res.lower == 0.0 and all(lower == 0.0 for _, lower, _ in res.probes)
+    assert np.array_equal(res.witness, np.eye(4))
 
 
 def test_verdict_werner_entangled_with_lower_bound():
-    res = separability_verdict(make_werner(0.6), FAST, n_observables=1)
+    state = make_werner(0.6)
+    res = separability_verdict(state, FAST, n_observables=1)
     assert res.verdict == ENTANGLED
     assert res.max_d0 >= (3 * 0.6 - 1) / 4 - 1e-9
+    # the pt-witness probe certifies it: its bound |lambda_min(rho^Gamma)| is the largest
+    assert abs(res.lower - (3 * 0.6 - 1) / 4) <= 1e-12
+    assert res.lower == max(lower for _, lower, _ in res.probes) == res.probes[0][1]
+    assert np.array_equal(res.witness, canonical_pt_witness(state))
+
+
+def test_verdict_horodecki_ppt_entangled_is_inconclusive():
+    # a PPT entangled state at 3x3: every product bound is 0 and the PPT test
+    # is not exact there, so no certificate decides, whatever the values
+    state = horodecki_ppt_state(0.5)
+    assert ppt_min_eigenvalue(state) >= -PPT_ATOL
+    res = separability_verdict(state, OptimizerConfig(starts=1, max_iters=5), n_observables=3)
+    assert res.verdict == INCONCLUSIVE
+    assert len(res.probes) == 3 and all(lower == 0.0 for _, lower, _ in res.probes)
+    assert res.lower == 0.0
+    assert np.array_equal(res.witness, np.eye(9))
 
 
 def test_verdict_separable_fixtures():
@@ -356,7 +379,7 @@ def test_verdict_separable_fixtures():
 
 def test_verdict_nonneg_values():
     res = separability_verdict(make_werner(0.5), FAST, n_observables=2)
-    assert all(v >= 0.0 for _, v in res.probes)
+    assert all(0.0 <= lower <= v for _, lower, v in res.probes)
 
 
 def test_result_fields():
@@ -955,7 +978,7 @@ def _verdict_probes(state, cfg, n_observables):
        separable=st.booleans(), n_observables=st.integers(0, 4))
 def test_verdict_probe_values_are_those_of_lone_solves(seed, dims, separable, n_observables):
     # the probes of a verdict share kernel calls, never a search or a budget:
-    # each value is, to the bit, that of minimize_d0 on the probe alone
+    # each bound and value is, to the bit, that of minimize_d0 on the probe alone
     rng = np.random.default_rng(seed)
     space = BipartiteSpace(*dims)
     state = _separable(space, rng) if separable else BipartiteState(space, random_density(space.dim, rng, rank=2))
@@ -963,7 +986,35 @@ def test_verdict_probe_values_are_those_of_lone_solves(seed, dims, separable, n_
     res = separability_verdict(state, cfg, n_observables=n_observables)
     probes = _verdict_probes(state, cfg, n_observables)
     assert len(res.probes) == len(probes)
-    assert [value for _, value in res.probes] == [minimize_d0(state, a, cfg).value for a in probes]
+    alone = [minimize_d0(state, a, cfg) for a in probes]
+    assert [(lower, value) for _, lower, value in res.probes] == [(r.lower, r.value) for r in alone]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from([(2, 2), (2, 3), (3, 2)]),
+       kind=st.sampled_from(["random", "separable", "npt"]), starts=st.integers(1, 2),
+       max_iters=st.integers(1, 5), n_observables=st.integers(0, 3))
+def test_verdict_at_exact_dims_is_the_ppt_test_for_any_budget(seed, dims, kind, starts, max_iters,
+                                                              n_observables):
+    # the verdict reads certificates only, so a search cut short changes
+    # nothing: Entangled iff the partial transpose has an eigenvalue below
+    # -PPT_ATOL, and Separable otherwise
+    rng = np.random.default_rng(seed)
+    space = BipartiteSpace(*dims)
+    if kind == "separable":
+        state = _separable(space, rng)
+    elif kind == "random":
+        state = BipartiteState(space, random_density(space.dim, rng, rank=int(rng.integers(1, space.dim + 1))))
+    else:
+        state = BipartiteState(space, random_pure(space.dim, rng))
+        assume(ppt_min_eigenvalue(state) < -PPT_ATOL)
+    cfg = OptimizerConfig(starts=starts, max_iters=max_iters, seed=seed % 1000)
+    res = separability_verdict(state, cfg, n_observables=n_observables)
+    npt = ppt_min_eigenvalue(state) < -PPT_ATOL
+    assert res.verdict == (ENTANGLED if npt else SEPARABLE)
+    assert (res.lower > 0.0) == npt
+    if not npt:
+        assert np.array_equal(res.witness, np.eye(space.dim))
 
 
 def test_verdict_trivial_decompositions_share_one_kernel_call(monkeypatch):
@@ -1059,8 +1110,8 @@ def test_product_bound_of_werner_witness(p):
 @given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from([(2, 2), (2, 3), (3, 2)]))
 def test_kernel_gaps_respect_product_bound(seed, dims):
     # at random points and partitions, in one kernel call over a stack of
-    # probes, every gap has |g| >= lower - margin, and where lower > margin
-    # the gaps of a probe all have one sign
+    # probes, every gap has |g| >= lower (net of the roundoff margin), and
+    # where lower > 0 the gaps of a probe all have one sign
     rng = np.random.default_rng(seed)
     space = BipartiteSpace(*dims)
     state = BipartiteState(space, random_density(space.dim, rng, rank=int(rng.integers(1, space.dim + 1))))
@@ -1075,8 +1126,8 @@ def test_kernel_gaps_respect_product_bound(seed, dims):
     x = np.array([engine.coords(expm_antihermitian(rng.standard_normal(m * m), m)) for _ in probe])
     labels = np.array([_random_partition(rng, m) for _ in probe])
     g = engine.signed_gap(x, _LaneSet(engine, probe, labels)).reshape(len(probes), lanes)
-    assert np.all(np.abs(g) >= (engine.lower - engine.margin)[:, None])
-    for k in np.flatnonzero(engine.lower > engine.margin):
+    assert np.all(np.abs(g) >= engine.lower[:, None])
+    for k in np.flatnonzero(engine.lower > 0.0):
         assert np.all(g[k] > 0.0) or np.all(g[k] < 0.0)
     # a probe's gaps are those of a one-probe engine
     single = _Engine(state, probes[-1], m)
