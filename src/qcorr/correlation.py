@@ -1,7 +1,8 @@
 """Correlation coefficients computed by minimizing, over finite
 decompositions of a state, the gap between an observable's expectation and
 its decorrelated (marginal-product) counterpart, plus a separability
-verdict read from certificates: the product bound and the PPT test.
+verdict read from certificates: the product bound, the exact bound at rank
+<= 2 and the PPT test.
 
 The search space is the isometry parametrization of pure-state ensembles
 combined with coarse-graining partitions. Every pure refinement of rho is
@@ -23,20 +24,24 @@ witness (see ``measures.normalize_partition``). One driver runs every search
 as a lane, side by side with the other searches of its start, which share
 the start's budget. The gap and gradient kernel takes only lane stacks, each
 lane with its probe (observable) and its labels: every step is one kernel
-call on all live lanes. The probes of a solve share calls: (A) the trivial
-decomposition {1, rho} of every probe is one call; (B) start 0 runs first,
-alone, in one batch across probes, so that an instance it resolves stops
-inside it; (C) each probe still open runs starts 1..S-1 in lockstep as one
-batch, joined by start 0 where the product bound (``CorrelationResult.lower``)
-shows that no evaluation comes within TOL of zero or crosses it. Each
-lane keeps its own step length and L-BFGS memory. The search also keeps the
-closest evaluation on each side of zero, from any partition and start.
-S is affine in the decomposition measure and the decompositions of a state
-form a convex set, so once both sides are seen the convex mixture of the
-two ensembles with the right weight has zero gap, and the search stops. The
-mixture is the ensemble of one 2m x r isometry stacking the two polar
-factors, so every witness is one ``ensemble_from_unitary`` call on an
-isometry.
+call on all live lanes. The probes of a solve share calls: (A) one call
+evaluates the trivial decomposition {1, rho} of every probe and, at rank 2,
+the two chord decompositions that attain the exact range of S (see
+``_Engine._envelope``); (B) start 0 runs first, alone, in one batch across
+probes, so that an instance it resolves stops inside it; (C) each probe
+still open runs starts 1..S-1 in lockstep as one batch, joined by start 0
+where the certified bound (``CorrelationResult.lower``) exceeds TOL, so that
+no evaluation comes within TOL of zero or crosses it. Each lane keeps its
+own step length and L-BFGS memory. The search also keeps the closest
+evaluation on each side of zero, from any partition and start. S is affine
+in the decomposition measure and the decompositions of a state form a
+convex set, so once both sides are seen the convex mixture of the two
+ensembles with the right weight has zero gap, and the search stops. It also
+stops once its closest evaluation is within TOL of the certified bound,
+which no evaluation can beat: at rank <= 2 that bound is d0 itself, less a
+roundoff margin, so (A) decides and no start runs. The mixture is the
+ensemble of one 2m x r isometry stacking the two polar factors, so every
+witness is one ``ensemble_from_unitary`` call on an isometry.
 
 All randomness is derived from (seed, start_index), so results are
 reproducible and do not depend on scheduling. No lane reads another lane's
@@ -56,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bipartite import BipartiteState, expect
+from .bipartite import BipartiteState, expect, marginal
 from .errors import ConfigInvalid, DimensionMismatch, QcorrError, RankTooSmall
 from .linalg import as_matrix, dagger, operator_norm, require_hermitian
 from .measures import (
@@ -95,7 +100,7 @@ GRAM_RCOND = 1e-6
 # Largest entry of V^dagger V - 1 accepted for the first r columns of a
 # start point V; the polar factors the search returns meet it by ~1e-10.
 ISOMETRY_ATOL = 1e-8
-# Allowance for the roundoff of a kernel gap against the product bound, per
+# Allowance for the roundoff of a kernel gap against a certified bound, per
 # unit of dim ||A||: ~450 eps, far above that of one kernel evaluation.
 BOUND_MARGIN = 1e-13
 # Dimensions where the partial-transpose criterion is an exact oracle. It is
@@ -104,6 +109,11 @@ BOUND_MARGIN = 1e-13
 PPT_EXACT_DIMS = {(2, 2), (2, 3), (3, 2)}
 # The d0 stop rule: a search stops once its closest |c - S| is at or below this.
 TOL = 1e-9
+
+# The identity and the Pauli matrices x, y, z: the Bloch coordinates of a
+# rank-2 support.
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+                  dtype=np.complex128)
 
 SEPARABLE = "Separable"
 ENTANGLED = "Entangled"
@@ -153,16 +163,25 @@ class CorrelationResult:
     larger cardinality. When the witness is the zero-gap mixture of two
     ensembles, they describe the endpoint closer to zero.
 
-    ``lower`` <= d0 is the certified product bound max(0, L - BOUND_MARGIN
-    dim ||A||), L = dist(Tr(rho A), [P_lo, P_hi]): the decorrelated term
-    mixes product values Tr[(sigma (x) tau) A], which lie in
-    [max(lambda_min(A), lambda_min(A^Gamma)), min(lambda_max(A),
-    lambda_max(A^Gamma))]. It is 0 for a separable rho, whatever A.
+    ``lower`` <= d0 is the larger of two certified bounds, each less
+    BOUND_MARGIN dim ||A|| and never below 0:
 
-    ``starts_used`` is 0 when the trivial decomposition {1, rho} already
-    decides the value, 1 when the search ends within start 0 (with the
-    warm starts), run first and alone, and ``cfg.starts`` once the other
-    starts have run as lanes, even if the search ended partway through them.
+    - the product bound dist(Tr(rho A), [P_lo, P_hi]): the decorrelated term
+      mixes product values Tr[(sigma (x) tau) A], which lie in
+      [max(lambda_min(A), lambda_min(A^Gamma)), min(lambda_max(A),
+      lambda_max(A^Gamma))]. It is 0 for a separable rho, whatever A.
+    - at rank <= 2, the exact bound dist(Tr(rho A), [S_min, S_max]) = d0,
+      from the range of S over all decompositions (``_Engine._envelope``).
+
+    So at rank <= 2 the value lies within TOL of ``lower`` wherever the
+    margin does (||A|| below about 1e4 / dim).
+
+    ``starts_used`` is 0 when the first kernel call already decides the
+    value: the trivial decomposition {1, rho}, or at rank <= 2 the exact
+    bound with the chord decompositions that attain it. It is 1 when the
+    search ends within start 0 (with the warm starts), run first and alone,
+    and ``cfg.starts`` once the other starts have run as lanes, even if the
+    search ended partway through them.
     """
 
     value: float
@@ -240,8 +259,10 @@ class _Engine:
     ``gradient`` differentiates every lane of the last evaluated stack from
     the cached eigendecompositions and marginals, so it costs no evaluation.
     ``lower`` is each probe's ``CorrelationResult.lower``, net of the
-    roundoff of a gap against it: every computed gap has |g| >= lower, with
-    the sign of c - P_lo where lower > 0.
+    roundoff of a gap against it: every computed gap has |g| >= lower, and
+    where lower > 0 all gaps of the probe have one sign. ``chords`` holds,
+    per probe, the coordinates of the decompositions that attain its exact
+    bound (two at rank 2, none otherwise).
     """
 
     def __init__(self, rho: BipartiteState, a: np.ndarray, m: int):
@@ -263,9 +284,72 @@ class _Engine:
         w = np.linalg.eigvalsh(np.concatenate([h, partial_transpose_matrix(h, d1, d2)]))
         lo, hi = np.maximum(*np.split(w[:, 0], 2)), np.minimum(*np.split(w[:, -1], 2))
         margin = BOUND_MARGIN * d1 * d2 * np.abs(w[:len(a)]).max(axis=-1)
-        self.lower = np.maximum(np.abs(self.c - np.clip(self.c, lo, hi)) - margin, 0.0)
         self.n_params = 2 * m * self.r
+        self.chords = np.empty((len(a), 0, self.n_params))
+        bound = np.abs(self.c - np.clip(self.c, lo, hi))
+        if self.r <= 2:
+            s_lo, s_hi = self._envelope(rho, p, psi)
+            bound = np.maximum(bound, np.abs(self.c - np.clip(self.c, s_lo, s_hi)))
+        self.lower = np.maximum(bound - margin, 0.0)
         self._last = None
+
+    def _envelope(self, rho: BipartiteState, p: np.ndarray, psi: np.ndarray):
+        """The exact range [S_min, S_max] of the decorrelated term S over the
+        decompositions of a state of rank r <= 2, for each probe; at rank 2
+        it also sets ``chords``, the (probes, 2, 2mr) coordinates of the two
+        decompositions that attain S_min and S_max.
+
+        The states on a 2-dimensional support form a Bloch ball, sigma(r) =
+        psi (1 + r.pauli) psi^dagger / 2 with |r| <= 1, and rho is its point
+        r0 = (0, 0, p1 - p2). The term of one state, f(r) = Tr[(Tr_2 sigma
+        (x) Tr_1 sigma) A] = r^T H r + g.r + k, is a quadratic, and S of a
+        decomposition {w_i, r_i} is sum_i w_i f(r_i), with sum_i w_i r_i =
+        r0. Then S_min = f(r0) - mu (1 - |r0|^2), mu = max(0,
+        -lambda_min(H)):
+
+        - bound: h(r) = f(r) + mu (|r|^2 - 1) is convex (Hessian 2(H + mu))
+          and h <= f on the ball, so S >= sum_i w_i h(r_i) >= h(r0).
+        - attained: along H's lowest eigenvector e, the chord r0 + t e meets
+          the sphere at t+ > 0 > t-, with t+ t- = |r0|^2 - 1 (the power of
+          the point r0). Its two pure endpoints, weighted -t- : t+, have
+          barycenter r0, their linear terms cancel, and S = f(r0) +
+          lambda_min(H) (-t+ t-). Where lambda_min(H) >= 0, the trivial
+          decomposition {1, rho} attains f(r0).
+
+        S_max is the mirror case, with lambda_max(H) and the upper eigenvector.
+        Rank 1 is the point r0 itself, a pure state with one decomposition:
+        S_min = S_max = f(rho). See Osborne, Phys. Rev. A 72, 022309 (2005).
+        """
+        r, pn = self.r, p / p.sum()  # the kernel normalizes its decompositions
+        basis = _PAULI if r == 2 else np.ones((1, 1, 1))
+        sig = psi @ basis @ dagger(psi) / r  # sigma(r) = sum_mu y_mu sig_mu, y = (1, r)
+        first = marginal(sig, rho.space, 0).reshape(len(sig), -1)
+        second = marginal(sig, rho.space, 1).reshape(len(sig), -1)
+        q = (first.conj() @ self.a_sig @ second.T).real  # f = y^T q y, as the kernel reads A
+        q = (q + q.transpose(0, 2, 1)) / 2.0
+        z = pn[0] - pn[-1]
+        y0 = np.array([1.0, 0.0, 0.0, z])[:r * r]
+        f0 = np.sum(q * np.outer(y0, y0), axis=(1, 2))  # elementwise: the same bits for any probe count
+        if r == 1:
+            return f0, f0
+        lam, vec = np.linalg.eigh(q[:, 1:, 1:])
+        room = 4.0 * pn[0] * pn[1]  # 1 - |r0|^2
+        e = vec[:, :, [0, -1]].transpose(0, 2, 1)  # (probes, 2, 3): lowest, then upper
+        along = z * e[..., 2]  # r0 . e
+        root = np.sqrt(along * along + room)
+        t = np.stack([root - along, -root - along], axis=-1)  # t+, t-
+        weight = np.abs(t[..., ::-1]) / (2.0 * root[..., None])  # -t- : t+
+        n = np.array([0.0, 0.0, z]) + t[..., None] * e[..., None, :]  # the endpoints on the sphere
+        # the unit vector u of |u><u| = (1 + n.pauli)/2, from its column of larger norm
+        nz, nxy = np.abs(n[..., 2]), n[..., 0] + 1j * n[..., 1]
+        u = np.where((n[..., 2] < 0.0)[..., None], np.stack([nxy.conj(), 1.0 + nz], axis=-1),
+                     np.stack([1.0 + nz, nxy], axis=-1)) / np.sqrt(2.0 * (1.0 + nz))[..., None]
+        # row j of the isometry is conj(sqrt(w_j) u_j / sqrt(pn)), so that phi_j = sqrt(w_j) psi u_j
+        v = np.zeros((len(q), 2, self.m, r), dtype=np.complex128)
+        v[:, :, :2] = (np.sqrt(weight)[..., None] * u / np.sqrt(pn)).conj()
+        v = v.reshape(len(q), 2, -1)
+        self.chords = np.concatenate([v.real, v.imag], axis=-1)
+        return f0 + np.minimum(lam[:, 0], 0.0) * room, f0 + np.maximum(lam[:, -1], 0.0) * room
 
     def coords(self, v) -> np.ndarray:
         """Coordinates of X = V[:, :r] for an m x n matrix V, n >= r, whose
@@ -373,9 +457,10 @@ class _Best:
     depend on which lanes share a lockstep call. Points and labels are kept
     as copies, since the lane driver moves its rows in place."""
 
-    __slots__ = ("value", "start", "x", "labels", "pos", "neg")
+    __slots__ = ("lower", "value", "start", "x", "labels", "pos", "neg")
 
-    def __init__(self):
+    def __init__(self, lower: float):
+        self.lower = lower  # the probe's certified bound, <= every evaluation
         self.value, self.start = np.inf, 0
         self.x = self.labels = self.pos = self.neg = None
 
@@ -399,8 +484,9 @@ class _Best:
             self.offer(float(g[k]), x[k], labels[k], int(starts[k]))
 
     def done(self) -> bool:
-        """Within TOL, or both sides of zero seen (a zero-gap mixture exists)."""
-        return self.value <= TOL or (self.pos is not None and self.neg is not None)
+        """Within TOL of the certified bound, which no evaluation can beat by
+        more than TOL, or both sides of zero seen (a zero-gap mixture exists)."""
+        return self.value <= self.lower + TOL or (self.pos is not None and self.neg is not None)
 
 
 def _random_partition(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -577,15 +663,20 @@ def _solve(rho: BipartiteState, observables, cfg: OptimizerConfig,
     m = cfg.m if cfg.m is not None else dim ** 2
     engine = _Engine(rho, a, m)
     warm = [(engine.coords(v), normalize_partition(pt, m)) for v, pt in extra_starts]
-    bests = [_Best() for _ in a]
+    bests = [_Best(lower) for lower in engine.lower]
     x_id = engine.coords(np.eye(m))  # the isometry at theta = 0
 
     # {1, rho}, the merge-everything partition (every label 0), does not
-    # depend on the isometry: evaluate it once
-    trivial = np.zeros((len(a), m), dtype=np.intp)
-    gap = engine.signed_gap(np.repeat(x_id[None], len(a), axis=0), _LaneSet(engine, np.arange(len(a)), trivial))
+    # depend on the isometry: evaluate it once, beside the chords that attain
+    # the envelope at rank 2, each with the singleton partition
+    points = np.concatenate([np.broadcast_to(x_id, (len(a), 1, x_id.size)), engine.chords], axis=1)
+    k = points.shape[1]
+    labels = np.zeros((len(a), k, m), dtype=np.intp)
+    labels[:, 1:] = singleton_partition(m)
+    gap = engine.signed_gap(points.reshape(-1, x_id.size),
+                            _LaneSet(engine, np.repeat(np.arange(len(a)), k), labels.reshape(-1, m)))
     for p, best in enumerate(bests):
-        best.offer_lanes(gap[p:p + 1], x_id[None], trivial[p:p + 1], np.zeros(1, dtype=int))
+        best.offer_lanes(gap[p * k:(p + 1) * k], points[p], labels[p], np.zeros(k, dtype=int))
 
     @functools.cache
     def work(i):  # start i's searches, drawn from (seed, i) once per solve

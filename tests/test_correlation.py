@@ -383,10 +383,12 @@ def test_verdict_nonneg_values():
 
 
 def test_result_fields():
+    # a pure state has one decomposition, so the exact bound closes the
+    # bracket before any start runs
     res = minimize_d0(make_bell(), singlet_proj(), FAST)
     assert isinstance(res, CorrelationResult)
     assert res.value >= 0.0
-    assert res.starts_used >= 1
+    assert res.starts_used == 0
     assert res.ensemble.barycenter.space.dim == 4
 
 
@@ -459,7 +461,7 @@ def test_engine_rejects_singular_gram():
     x[::engine.r] = 0.0  # real parts of column 0
     assert np.isnan(point_gap(engine, x, singleton_partition(16)))
     assert np.isnan(point_gap(engine, np.zeros(engine.n_params), singleton_partition(16)))
-    best = _Best()
+    best = _Best(engine.lower[0])
     best.offer(point_gap(engine, x, singleton_partition(16)), x, singleton_partition(16))
     assert best.value == np.inf and best.x is None and best.pos is None and best.neg is None
 
@@ -490,8 +492,8 @@ def test_lane_kernel_matches_point_kernel(d1, d2):
 class _Recorder(_Best):
     """Records each start's evaluations as raw bytes."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, lower):
+        super().__init__(lower)
         self.seen = {}
 
     def offer_lanes(self, g, x, labels, starts):
@@ -502,6 +504,9 @@ class _Recorder(_Best):
 
 class _Trajectories(_Recorder):
     """Never done, so every lane runs until its own budget or searches end."""
+
+    def __init__(self):
+        super().__init__(0.0)  # never read: done() ignores the bound
 
     def done(self):
         return False
@@ -535,8 +540,8 @@ def test_one_start_never_exceeds_max_iters(monkeypatch, p, observable, max_iters
         kernel_ndim.append(x.ndim)
         return signed_gap(self, x, lanes)
 
-    def recorder():
-        records.append(_Recorder())
+    def recorder(lower):
+        records.append(_Recorder(lower))
         return records[-1]
 
     monkeypatch.setattr(_Engine, "signed_gap", recorded)
@@ -555,7 +560,8 @@ def _sequential_starts(state, a, cfg, extra_starts=()):
     start 0 with the warm starts first, its searches sharing max_iters
     evaluations."""
     m = state.space.dim ** 2
-    engine, best = _Engine(state, a, m), _Best()
+    engine = _Engine(state, a, m)
+    best = _Best(engine.lower[0])
     x_id = engine.coords(np.eye(m))
     trivial = np.zeros(m, dtype=int)
     best.offer(point_gap(engine, x_id, trivial), x_id, trivial)
@@ -577,10 +583,12 @@ def _sequential_starts(state, a, cfg, extra_starts=()):
     return best
 
 
-def _npt_2x3_state():
+def _npt_2x3_state(rank=3):
+    # rank 3 by default: at rank <= 2 the exact envelope decides the value
+    # before any lane runs, so the driver tests need a state above it
     rng = np.random.default_rng(21)
     while True:
-        state = BipartiteState(BipartiteSpace(2, 3), random_density(6, rng, rank=2))
+        state = BipartiteState(BipartiteSpace(2, 3), random_density(6, rng, rank=rank))
         witness = canonical_pt_witness(state)
         if witness is not None:
             return state, witness
@@ -744,13 +752,14 @@ def test_search_trajectory_same_alone_and_in_full_batch(seed, dims, n_starts):
 
 
 def test_lane_memory_ceiling_4x4():
-    # a 4x4 rank-2 solve runs 93 lanes at m = 256; their state grows through
-    # no temporary copy and partitions are labels, so the traced peak stays at
-    # or below 80 MB (62.1 MB measured; an (L, m, m) indicator stack would
-    # take it to about 160 MB)
+    # a 4x4 rank-3 solve runs 93 lanes at m = 256 (at rank <= 2 the exact
+    # envelope decides before any lane runs); their state grows through no
+    # temporary copy and partitions are labels, so the traced peak stays at
+    # or below 80 MB (78.8 MB measured; an (L, m, m) stack of float
+    # indicators would add 93 x 256^2 doubles, about 49 MB)
     rng = np.random.default_rng(3)
     while True:
-        state = BipartiteState(BipartiteSpace(4, 4), random_density(16, rng, rank=2))
+        state = BipartiteState(BipartiteSpace(4, 4), random_density(16, rng, rank=3))
         witness = canonical_pt_witness(state)
         if witness is not None:
             break
@@ -764,13 +773,13 @@ def test_lane_memory_ceiling_4x4():
 
 
 def test_verdict_memory_ceiling_4x4():
-    # a 4x4 rank-2 verdict solves 9 probes; starts 1..S-1 run one probe at a
+    # a 4x4 rank-3 verdict solves 9 probes; starts 1..S-1 run one probe at a
     # time, so its lanes, 93 at most, stay within the one-probe ceiling of
     # test_lane_memory_ceiling_4x4 (batched across probes they would hold
-    # 9 x 93 lanes, about 0.9 GB of L-BFGS memory at the default max_iters)
+    # 9 x 93 lanes, nine times the L-BFGS memory of one probe)
     rng = np.random.default_rng(3)
     while True:
-        state = BipartiteState(BipartiteSpace(4, 4), random_density(16, rng, rank=2))
+        state = BipartiteState(BipartiteSpace(4, 4), random_density(16, rng, rank=3))
         if canonical_pt_witness(state) is not None:
             break
     tracemalloc.start()
@@ -814,13 +823,13 @@ def test_best_ties_go_to_lower_start():
     # one per evaluation, its start) and points are kept as copies, since
     # the lane driver moves its rows in place
     x = np.zeros(2)
-    best = _Best()
+    best = _Best(0.0)
     best.offer(0.5, x + 3, np.array([3]), 3)
     best.offer(-0.5, x + 1, np.array([1]), 1)
     best.offer(0.5, x + 2, np.array([2]), 2)
     assert (best.value, best.start, best.labels.tolist()) == (0.5, 1, [1])
     assert best.pos[:2] == (0.5, 2) and best.neg[:2] == (-0.5, 1)
-    lanes = _Best()
+    lanes = _Best(0.0)
     lanes.offer_lanes(np.array([0.25, -0.25, 0.25, -0.5]), np.arange(8.0).reshape(4, 2),
                       np.array([[4], [5], [6], [7]]), np.array([4, 5, 6, 7]))
     rows, points = np.array([[2], [3]]), np.zeros((2, 2))
@@ -1030,8 +1039,8 @@ def test_verdict_trivial_decompositions_share_one_kernel_call(monkeypatch):
         return g
 
     class Partitions(_Recorder):
-        def __init__(self):
-            super().__init__()
+        def __init__(self, lower):
+            super().__init__(lower)
             self.offered = []
             records.append(self)
 
@@ -1099,9 +1108,14 @@ def test_product_bound_below_value(seed, dims, kind):
 @pytest.mark.parametrize("p", [0.0, 0.2, 1.0 / 3.0, 0.34, 0.5, 0.75, 1.0])
 def test_product_bound_of_werner_witness(p):
     # dist(c, [P_lo, P_hi]) for the canonical witness is (3p - 1)/4 above the
-    # separable boundary p = 1/3 and 0 below it; it equals |lambda_min(rho^Gamma)|
+    # separable boundary p = 1/3 and 0 below it; it equals |lambda_min(rho^Gamma)|.
+    # At p = 1 the state is pure (rank 1), and the exact bound d0 = 3/4 is
+    # the larger one
     state = make_werner(p)
     res = minimize_d0(state, canonical_witness(), OptimizerConfig(starts=1, max_iters=1))
+    if p == 1.0:
+        assert abs(res.lower - 0.75) <= 1e-12 and res.value - res.lower <= TOL
+        return
     assert abs(res.lower - max(0.0, (3.0 * p - 1.0) / 4.0)) <= 1e-12
     assert abs(res.lower - max(0.0, -ppt_min_eigenvalue(state))) <= 1e-12
 
@@ -1134,3 +1148,83 @@ def test_kernel_gaps_respect_product_bound(seed, dims):
     assert single.lower[0] == engine.lower[-1]
     assert np.array_equal(single.signed_gap(x[-lanes:], _LaneSet(single, np.zeros(lanes, dtype=int), labels[-lanes:])),
                           g[-1])
+
+
+def _rank_le_2_case(seed, dims, rank, kind):
+    """A state of rank 1 or 2 and a unit-norm probe: a random one, the
+    canonical PT witness (None on a PPT state), or a random one on a mixture
+    of ``rank`` pure product states, whose range of S holds c ("straddle")."""
+    rng = np.random.default_rng(seed)
+    space = BipartiteSpace(*dims)
+    if kind == "straddle":
+        state = BipartiteState(space, sum(w * np.kron(random_pure(dims[0], rng), random_pure(dims[1], rng))
+                                          for w in rng.dirichlet(np.ones(rank))))
+    else:
+        state = BipartiteState(space, random_density(space.dim, rng, rank=rank))
+    a = canonical_pt_witness(state) if kind == "pt-witness" else random_hermitian_probe(rng, space.dim)
+    return state, a, rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (2, 4)]),
+       rank=st.integers(1, 2), kind=st.sampled_from(["random", "pt-witness", "straddle"]))
+def test_envelope_certificate_at_rank_at_most_2(seed, dims, rank, kind):
+    # at rank <= 2 the exact range [S_min, S_max] of the decorrelated term is a
+    # certificate. Sound: a search that never stops evaluates no |g| below
+    # lower. Tight: the trivial decomposition and the two chords alone come
+    # within TOL of it, and no start runs. Where c lies in the range, the
+    # witness is a zero-gap mixture. A failure here is a solver defect: the
+    # tolerances are not to be loosened
+    state, a, rng = _rank_le_2_case(seed, dims, rank, kind)
+    assume(a is not None)
+    assert np.linalg.matrix_rank(state.rho) == rank
+    res = minimize_d0(state, a)
+    assert 0.0 <= res.lower <= res.value
+    assert res.value - res.lower <= TOL and res.starts_used == 0
+    if kind == "straddle":
+        assert res.value <= TOL
+    m = state.space.dim ** 2
+    engine = _Engine(state, a, m)
+    assert engine.lower[0] == res.lower
+    lanes = []
+    for i in range(3):
+        x0 = engine.coords(expm_antihermitian(rng.standard_normal(m * m) * (np.pi / (2.0 * np.sqrt(m))), m))
+        lanes.append((0, i, [(x0, singleton_partition(m)), (x0, _random_partition(rng, m))]))
+    never = _Trajectories()
+    _lane_search(engine, lanes, 100, [never])
+    assert never.value >= engine.lower[0]
+
+
+def test_rank_2_verdict_is_one_kernel_call(monkeypatch):
+    # a rank-2 NPT state at 2x3 with the default 8 random probes: the exact
+    # envelope closes every probe's bracket in the first kernel call, the
+    # trivial decomposition and two chords per probe, and no lane search runs
+    state, _ = _npt_2x3_state(rank=2)
+    calls = []
+    signed_gap = _Engine.signed_gap
+
+    def recorded(self, x, lanes):
+        calls.append(len(x))
+        return signed_gap(self, x, lanes)
+
+    def no_search(*args):
+        raise AssertionError("lane search called")
+
+    monkeypatch.setattr(_Engine, "signed_gap", recorded)
+    monkeypatch.setattr("qcorr.correlation._lane_search", no_search)
+    res = separability_verdict(state)
+    assert calls == [9 * 3]
+    assert res.verdict == ENTANGLED and len(res.probes) == 9
+    assert all(0.0 <= value - lower <= TOL for _, lower, value in res.probes)
+
+
+@pytest.mark.parametrize("case", ["rows", "columns", "rank-deficient"])
+def test_extra_starts_reject_malformed_isometry_at_rank_2(case):
+    # the bracket closes before any warm start is searched, and a malformed
+    # warm start is still an error
+    state, a = _npt_2x3_state(rank=2)
+    v = np.linalg.qr(np.random.default_rng(5).standard_normal((36, 2)))[0]
+    bad = {"rows": v[:35], "columns": v[:, :1], "rank-deficient": v[:, [0, 0]]}[case]
+    assert minimize_d0(state, a, FAST, extra_starts=((v, singleton_partition(36)),)).starts_used == 0
+    with pytest.raises(DimensionMismatch):
+        minimize_d0(state, a, FAST, extra_starts=((bad, singleton_partition(36)),))
