@@ -164,7 +164,10 @@ class CorrelationResult:
     ensembles, they describe the endpoint closer to zero.
 
     ``lower`` <= d0 is the larger of two certified bounds, each less
-    BOUND_MARGIN dim ||A|| and never below 0:
+    (BOUND_MARGIN dim + ||rho - rho'||_1) ||A|| and never below 0. Here
+    rho' is the normalized support state that every decomposition is built
+    from (``measures.state_spectral_data``); validation lets rho's trace and
+    eigenvalues stray from it by up to 1e-10, and Tr(rho A) moves with them:
 
     - the product bound dist(Tr(rho A), [P_lo, P_hi]): the decorrelated term
       mixes product values Tr[(sigma (x) tau) A], which lie in
@@ -259,7 +262,7 @@ class _Engine:
     ``gradient`` differentiates every lane of the last evaluated stack from
     the cached eigendecompositions and marginals, so it costs no evaluation.
     ``lower`` is each probe's ``CorrelationResult.lower``, net of the
-    roundoff of a gap against it: every computed gap has |g| >= lower, and
+    roundoff of a gap against it and of the drift from rho to rho': every computed gap has |g| >= lower, and
     where lower > 0 all gaps of the probe have one sign. ``chords`` holds,
     per probe, the coordinates of the decompositions that attain its exact
     bound (two at rank 2, none otherwise).
@@ -283,7 +286,12 @@ class _Engine:
         h = (a + dagger(a)) / 2.0  # the part the real kernel values read
         w = np.linalg.eigvalsh(np.concatenate([h, partial_transpose_matrix(h, d1, d2)]))
         lo, hi = np.maximum(*np.split(w[:, 0], 2)), np.minimum(*np.split(w[:, -1], 2))
-        margin = BOUND_MARGIN * d1 * d2 * np.abs(w[:len(a)]).max(axis=-1)
+        # c is read on rho, every S on the normalized support state rho' =
+        # psi diag(p) psi^dagger / sum(p) that the kernel decomposes, and
+        # |Tr[(rho - rho') A]| <= ||A|| ||rho - rho'||_1
+        support = (psi * (p / p.sum())) @ dagger(psi)
+        drift = np.abs(np.linalg.eigvalsh((rho.rho + dagger(rho.rho)) / 2.0 - support)).sum()
+        margin = (BOUND_MARGIN * d1 * d2 + drift) * np.abs(w[:len(a)]).max(axis=-1)
         self.n_params = 2 * m * self.r
         self.chords = np.empty((len(a), 0, self.n_params))
         bound = np.abs(self.c - np.clip(self.c, lo, hi))

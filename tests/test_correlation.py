@@ -909,21 +909,33 @@ def test_argmin_params_rebuild_closest_ensemble(monkeypatch, case):
     assert warm.value <= res.value + 1e-12
 
 
-@pytest.mark.parametrize("case,match", [
-    ("rows", "rows"), ("columns", "columns"), ("rank-deficient", "orthonormal"),
-    ("scaled", "orthonormal"), ("not-finite", "orthonormal")],
-    ids=["rows", "columns", "rank-deficient", "scaled", "not-finite"])
-def test_extra_starts_reject_malformed_isometry(case, match):
-    # Werner p = 0.7 has r = 4 at m = 16. A warm start is read like
-    # ensemble_from_unitary reads it: m rows, at least r columns, of which only
-    # the first r are read and must be orthonormal
-    state, a = make_werner(0.7), canonical_witness()
-    v = np.linalg.qr(np.random.default_rng(5).standard_normal((16, 4)))[0]
-    labels = singleton_partition(16)
-    wide = np.concatenate([v, np.ones((16, 1))], axis=1)  # the fifth column is not read
-    assert minimize_d0(state, a, FAST, extra_starts=((wide, labels),)).argmin_isometry.shape == (16, 4)
-    bad = {"rows": v[:15], "columns": v[:, :3], "rank-deficient": v[:, [0, 0, 1, 2]],
-           "scaled": (1.0 + 1e-6) * v, "not-finite": np.where(np.eye(16, 4) > 0, np.nan, v)}[case]
+_MALFORMED = [("rows", "rows"), ("columns", "columns"), ("rank-deficient", "orthonormal"),
+              ("scaled", "orthonormal"), ("not-finite", "orthonormal")]
+
+
+@pytest.mark.parametrize("state_case,case,match", [
+    pytest.param(state_case, case, match, id=prefix + case)
+    for state_case, prefix in (("werner", ""), ("npt-2x3-rank-2", "rank-2-"))
+    for case, match in _MALFORMED])
+def test_extra_starts_reject_malformed_isometry(state_case, case, match):
+    # A warm start is read like ensemble_from_unitary reads it: m rows, at
+    # least r columns, of which only the first r are read and must be
+    # orthonormal. Werner p = 0.7 has r = 4 at m = 16 and the search runs; at
+    # rank 2 (m = 36) the bracket closes before any warm start is searched,
+    # and a malformed one is still an error
+    if state_case == "werner":
+        state, a = make_werner(0.7), canonical_witness()
+    else:
+        state, a = _npt_2x3_state(rank=2)
+    m, r = state.space.dim ** 2, np.linalg.matrix_rank(state.rho)
+    v = np.linalg.qr(np.random.default_rng(5).standard_normal((m, r)))[0]
+    labels = singleton_partition(m)
+    wide = np.concatenate([v, np.ones((m, 1))], axis=1)  # the last column is not read
+    res = minimize_d0(state, a, FAST, extra_starts=((wide, labels),))
+    assert res.argmin_isometry.shape == (m, r)
+    assert (res.starts_used == 0) == (r <= 2)
+    bad = {"rows": v[:m - 1], "columns": v[:, :r - 1], "rank-deficient": v[:, [0, *range(r - 1)]],
+           "scaled": (1.0 + 1e-6) * v, "not-finite": np.where(np.eye(m, r) > 0, np.nan, v)}[case]
     with pytest.raises(DimensionMismatch, match=match):
         minimize_d0(state, a, FAST, extra_starts=((bad, labels),))
 
@@ -1218,13 +1230,17 @@ def test_rank_2_verdict_is_one_kernel_call(monkeypatch):
     assert all(0.0 <= value - lower <= TOL for _, lower, value in res.probes)
 
 
-@pytest.mark.parametrize("case", ["rows", "columns", "rank-deficient"])
-def test_extra_starts_reject_malformed_isometry_at_rank_2(case):
-    # the bracket closes before any warm start is searched, and a malformed
-    # warm start is still an error
-    state, a = _npt_2x3_state(rank=2)
-    v = np.linalg.qr(np.random.default_rng(5).standard_normal((36, 2)))[0]
-    bad = {"rows": v[:35], "columns": v[:, :1], "rank-deficient": v[:, [0, 0]]}[case]
-    assert minimize_d0(state, a, FAST, extra_starts=((v, singleton_partition(36)),)).starts_used == 0
-    with pytest.raises(DimensionMismatch):
-        minimize_d0(state, a, FAST, extra_starts=((bad, singleton_partition(36)),))
+@pytest.mark.parametrize("case", ["trace-above-1", "negative-eigenvalue"])
+def test_bounds_allow_for_a_state_off_unit_trace(case):
+    # validation accepts a trace or an eigenvalue off by up to 1e-10. c is read
+    # on rho, every S on its normalized support, so the certified bounds allow
+    # for the drift between the two: a product pure state scaled by 1 + 5e-11,
+    # or with a -5e-11 eigenvalue beside it, is not certified entangled, by
+    # the exact bound of a random probe or by the product bound of a probe
+    # whose largest eigenvalue is the state's expectation
+    p00, p11 = np.diag([1.0, 0.0, 0.0, 0.0]), np.diag([0.0, 0.0, 0.0, 1.0])
+    rho = (1.0 + 5e-11) * p00 - (5e-11 * p11 if case == "negative-eigenvalue" else 0.0)
+    state = BipartiteState(BipartiteSpace(2, 2), rho)
+    res = separability_verdict(state)
+    assert res.verdict == SEPARABLE and res.lower == 0.0
+    assert minimize_d0(state, p00, FAST).lower == 0.0
