@@ -191,7 +191,7 @@ def cmd_boxtimes(args) -> int:
     ensemble = serialize.ensemble_from_json(serialize.load_json(args.ensemble), args.ensemble)
     observable = _load_matrix(args.observable)
     # checks the observable's shape and Hermiticity
-    barycenter_term, boxtimes_term, _ = decomposition_terms(ensemble, observable)
+    barycenter_term, boxtimes_term = decomposition_terms(ensemble, observable)
     _emit(args, {"barycenter_term": barycenter_term.real, "boxtimes_term": boxtimes_term.real,
                  "gap": abs(barycenter_term - boxtimes_term)})
     return EXIT_OK

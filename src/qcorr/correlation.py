@@ -41,7 +41,8 @@ stops once its closest evaluation is within TOL of the certified bound,
 which no evaluation can beat: at rank <= 2 that bound is d0 itself, less a
 roundoff margin, so (A) decides and no start runs. The mixture is the
 ensemble of one 2m x r isometry stacking the two polar factors, so every
-witness is one ``ensemble_from_unitary`` call on an isometry.
+witness is built from an isometry, all of a solve's in one batch
+(``measures.ensembles_from_isometries``), and recomputed in another.
 
 All randomness is derived from (seed, start_index), so results are
 reproducible and do not depend on scheduling. No lane reads another lane's
@@ -61,15 +62,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bipartite import BipartiteState, expect, marginal
+from .bipartite import BipartiteState, marginal, validate_density
 from .errors import ConfigInvalid, DimensionMismatch, QcorrError, RankTooSmall
 from .linalg import as_matrix, dagger, operator_norm, require_hermitian
 from .measures import (
     Ensemble,
-    ProductEnsemble,
     ZERO_WEIGHT_TOL,
     boxtimes,
-    ensemble_from_unitary,
+    ensembles_from_isometries,
     evaluate_boxtimes,
     expm_antihermitian,
     normalize_partition,
@@ -153,7 +153,8 @@ class OptimizerConfig:
 class CorrelationResult:
     """Best value found (upper bound on the infimum), recomputed from its
     witness ensemble: that of the closest evaluation's m x r polar factor,
-    or of the stacked 2m x r isometry of a zero-gap mixture.
+    or of the stacked 2m x r isometry of a zero-gap mixture. A solve builds
+    and recomputes the witnesses of all its probes in one batch each.
 
     ``argmin_isometry`` (the m x r polar factor) and ``argmin_partition``
     describe the evaluated single ensemble closest to the target:
@@ -217,21 +218,32 @@ def _observable(a, dim: int) -> np.ndarray:
     return a
 
 
-def decomposition_terms(e: Ensemble, a: np.ndarray) -> tuple[complex, complex, ProductEnsemble]:
+def decomposition_terms(e: Ensemble, a: np.ndarray) -> tuple[complex, complex]:
     """Both sides of the decomposition gap for one fixed decomposition: the
-    expectation on the barycenter, the decorrelated (marginal-product)
-    expectation, and the marginal-product ensemble the latter is evaluated
-    on. A must be Hermitian and match the ensemble's dimension."""
-    a = _observable(a, e.space.dim)
-    pe = boxtimes(e)
-    return expect(e.barycenter, a), evaluate_boxtimes(pe, a), pe
+    expectation on the barycenter and the decorrelated (marginal-product)
+    expectation. A must be Hermitian and match the ensemble's dimension."""
+    return _decomposition_terms([e], _observable(a, e.space.dim)[None])[0]
 
 
 def d0_objective(e: Ensemble, a: np.ndarray) -> float:
     """|expectation on the barycenter - decorrelated expectation| for one
     fixed decomposition."""
-    lhs, rhs, _ = decomposition_terms(e, a)
+    lhs, rhs = decomposition_terms(e, a)
     return abs(lhs - rhs)
+
+
+def _decomposition_terms(ensembles, a: np.ndarray) -> list[tuple[complex, complex]]:
+    """``decomposition_terms`` of each ensemble (one space) under its own
+    observable of a checked stack, each call stacked over all members: their
+    marginals get the checks that ``boxtimes`` runs."""
+    space, sizes = ensembles[0].space, [len(e) for e in ensembles]
+    members = np.concatenate([e.members for e in ensembles])
+    firsts = validate_density(marginal(members, space, 0), space.d1, "first marginal", stack=True)
+    seconds = validate_density(marginal(members, space, 1), space.d2, "second marginal", stack=True)
+    a4 = a.reshape(-1, space.d1, space.d2, space.d1, space.d2)[np.repeat(np.arange(len(a)), sizes)]
+    values = np.split(np.einsum("iab,icd,ibdac->i", firsts, seconds, a4), np.cumsum(sizes)[:-1])
+    lhs = np.trace(np.array([e.barycenter.rho for e in ensembles]) @ a, axis1=1, axis2=2)
+    return [(complex(x), complex(e.weights @ v)) for e, x, v in zip(ensembles, lhs, values)]
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray):
@@ -505,18 +517,27 @@ def _random_partition(rng: np.random.Generator, m: int) -> np.ndarray:
 
 class _LaneSet:
     """What a kernel call reads of its lanes besides their points, built once
-    per lane set: each lane's c and observable (its probe's), and for sig and
-    tau the flat indices of the real and imaginary parts of an (L, k, m)
-    complex stack, one pair per entry: pair (l, i, j) indexes row i, column
-    labels[l, j] of lane l, where member j reads its group's column."""
+    per lane search: each lane's c and observable (its probe's), and for sig
+    and tau the flat indices of the real and imaginary parts of an (L, k, m)
+    complex stack, a row of pairs per lane: pair (l, i, j) indexes row i,
+    column labels[l, j] of lane l, where member j reads its group's column."""
 
     def __init__(self, engine: _Engine, probe: np.ndarray, labels: np.ndarray):
         self.c, self.a_sig, self.a_sig_h = engine.c[probe], engine.a_sig[probe], engine.a_sig_h[probe]
         (lanes, m), index = labels.shape, {}
         for k in {engine.d1 ** 2, engine.d2 ** 2}:
             column = np.arange(lanes * k).reshape(lanes, k, 1) * m + labels[:, None, :]
-            index[k] = (2 * column[..., None] + (0, 1)).ravel()
+            index[k] = (2 * column[..., None] + (0, 1)).reshape(lanes, -1)
         self.sig, self.tau = index[engine.d1 ** 2], index[engine.d2 ** 2]
+
+    def compact(self, live: np.ndarray) -> None:
+        """Keep the lanes ``live`` (ascending), moved to the front in place by
+        ``_compact``; a lane moved down j rows has its pairs lowered by j rows."""
+        pairs = [self.sig] if self.tau is self.sig else [self.sig, self.tau]  # one array when d1 == d2
+        self.c, self.a_sig, self.a_sig_h, *pairs = _compact([self.c, self.a_sig, self.a_sig_h, *pairs], live)
+        for index in pairs:
+            index -= (live - np.arange(live.size))[:, None] * index.shape[1]
+        self.sig, self.tau = pairs[0], pairs[-1]
 
 
 def _group_sums(members: np.ndarray, pairs: np.ndarray) -> np.ndarray:
@@ -526,7 +547,7 @@ def _group_sums(members: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     One weighted bincount over the real and imaginary parts, binned by the
     ``pairs`` of a ``_LaneSet``."""
     parts = np.ascontiguousarray(members).view(np.float64).ravel()
-    sums = np.bincount(pairs, parts, minlength=parts.size)
+    sums = np.bincount(pairs.ravel(), parts, minlength=parts.size)
     return sums.view(np.complex128).reshape(len(members), -1, members.shape[-1])
 
 
@@ -601,7 +622,7 @@ def _lane_search(engine: _Engine, lanes, max_iters: int, bests) -> None:
                 (key, probe, start, labels, pt, x, d, grad, f, t, slope, gamma, count), live)
             _compact(mem, live)
             mem = mem[:, :live.size]
-            lane_set = _LaneSet(engine, probe, labels)
+            lane_set.compact(live)
         gap = engine.signed_gap(pt, lane_set)
         left -= np.bincount(key, minlength=left.size)
         new = np.abs(gap)
@@ -705,24 +726,21 @@ def _solve(rho: BipartiteState, observables, cfg: OptimizerConfig,
             _lane_search(engine, [(p, i, work(i)) for i in range(first, cfg.starts)], cfg.max_iters, bests)
             starts_used[p] = cfg.starts
 
-    results = []
-    for p, best in enumerate(bests):
-        closest = engine.isometry(best.x)
-        if best.pos is not None and best.neg is not None:
-            # g_pos > 0 > g_neg, so t g_pos + (1 - t) g_neg = 0 for t in (0, 1); the
-            # t : 1 - t mixture is the ensemble of [sqrt(t) V_pos ; sqrt(1 - t) V_neg]
-            (g_pos, _, x_pos, labels_pos), (g_neg, _, x_neg, labels_neg) = best.pos, best.neg
-            t = g_neg / (g_neg - g_pos)
-            v = np.concatenate([np.sqrt(t) * engine.isometry(x_pos),
-                                np.sqrt(1.0 - t) * engine.isometry(x_neg)])
-            labels = np.concatenate([labels_pos, labels_neg + m])  # the groups of V_neg after V_pos's
-        else:
-            v, labels = closest, best.labels
-        ensemble = ensemble_from_unitary(rho, v, labels)
-        results.append(CorrelationResult(value=d0_objective(ensemble, a[p]), lower=float(engine.lower[p]),
-                                         ensemble=ensemble, starts_used=starts_used[p],
-                                         argmin_isometry=closest, argmin_partition=best.labels))
-    return results
+    # one batch: the polar factors of each closest point, then pos and neg points
+    mixed = [(p, b.pos, b.neg) for p, b in enumerate(bests) if b.pos is not None and b.neg is not None]
+    v = engine.isometry(np.array([b.x for b in bests] + [side[2] for _, *sides in mixed for side in sides]))
+    witnesses = [(v[p], best.labels) for p, best in enumerate(bests)]
+    for (p, pos, neg), (v_pos, v_neg) in zip(mixed, v[len(bests):].reshape(-1, 2, *v.shape[1:])):
+        # g_pos > 0 > g_neg, so t g_pos + (1 - t) g_neg = 0 for t in (0, 1); the
+        # t : 1 - t mixture is the ensemble of [sqrt(t) V_pos ; sqrt(1 - t) V_neg]
+        (g_pos, _, _, labels_pos), (g_neg, _, _, labels_neg) = pos, neg
+        t = g_neg / (g_neg - g_pos)
+        witnesses[p] = (np.concatenate([np.sqrt(t) * v_pos, np.sqrt(1.0 - t) * v_neg]),
+                        np.concatenate([labels_pos, labels_neg + m]))  # the groups of V_neg after V_pos's
+    ensembles = ensembles_from_isometries(rho, *zip(*witnesses))
+    return [CorrelationResult(value=abs(lhs - rhs), lower=float(engine.lower[p]), ensemble=ensembles[p],
+                              starts_used=starts_used[p], argmin_isometry=v[p], argmin_partition=best.labels)
+            for p, (best, (lhs, rhs)) in enumerate(zip(bests, _decomposition_terms(ensembles, a)))]
 
 
 def minimize_d0(rho: BipartiteState, a: np.ndarray, cfg: OptimizerConfig | None = None,
@@ -757,8 +775,8 @@ def minimize_d_simple(rho: BipartiteState, a: np.ndarray, b: np.ndarray,
         raise DimensionMismatch(f"b shape {b.shape} != second factor {rho.space.d2}")
     ab = np.kron(a, b)
     res = minimize_d0(rho, ab, cfg)
-    _, joint, pe = decomposition_terms(res.ensemble, ab)
-    fact = factored_product_value(pe, a, b)
+    pe = boxtimes(res.ensemble)
+    joint, fact = evaluate_boxtimes(pe, ab), factored_product_value(pe, a, b)
     if abs(fact - joint.real) > 1e-12 * max(1.0, abs(joint.real)):
         raise QcorrError(f"factored form {fact} disagrees with joint evaluation {joint.real}")
     return res

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bipartite import BipartiteSpace, BipartiteState, marginal, validate_density
-from .errors import BadPartition, DimensionMismatch, OutOfRange, RankTooSmall
+from .errors import BadPartition, DimensionMismatch, DomainError, OutOfRange, RankTooSmall
 from .linalg import as_matrix, dagger, psd_support
 
 WEIGHT_SUM_ATOL = 1e-10
@@ -173,34 +173,55 @@ def state_spectral_data(rho: BipartiteState) -> tuple[np.ndarray, np.ndarray]:
 def ensemble_from_unitary(rho: BipartiteState, u: np.ndarray, partition) -> Ensemble:
     """Ensemble of rho from an m x n matrix U, n >= r = rank rho, applied to
     its spectral decomposition and coarse-grained by the partition (m group
-    labels). Only the first r columns, an isometry, are read. Stacking two
-    isometries as [sqrt(t) V1 ; sqrt(1 - t) V2] gives the t : 1 - t mixture
-    of their ensembles.
+    labels); a solve builds all its witnesses in one ``ensembles_from_isometries``
+    batch. Only the first r columns, an isometry, are read. Stacking two
+    isometries as [sqrt(t) V1 ; sqrt(1 - t) V2] gives the t : 1 - t mixture.
 
     Unnormalized vectors phi_j = sum_k conj(U[j, k]) sqrt(p_k) psi_k; each
     group G becomes one member with weight sum_{j in G} <phi_j|phi_j>.
     """
-    u = as_matrix(u, "U")
-    m = u.shape[0]
+    return ensembles_from_isometries(rho, [u], [partition])[0]
+
+
+def ensembles_from_isometries(rho: BipartiteState, isometries, partitions) -> list[Ensemble]:
+    """``ensemble_from_unitary`` of each (isometry, partition) pair of two
+    equal-length sequences, with one spectral decomposition and one grouped
+    sum for all, each pair's labels offset past the previous pair's. A bad
+    pair raises what it raises alone, the first bad pair first."""
     p, psi = state_spectral_data(rho)
-    r = p.size
-    if m < r:
-        raise RankTooSmall(f"cardinality {m} below rank {r}")
-    if u.shape[1] < r:
-        raise DimensionMismatch(f"U has {u.shape[1]} columns, fewer than rank {r}")
-    labels = normalize_partition(partition, m)
-    phi = psi @ (np.sqrt(p)[:, None] * u[:, :r].conj().T)  # (dim, m)
+    r, phis, labels, ends = p.size, [], [], [0]  # ends[k]: the groups before entry k
+    for u, partition in zip(isometries, partitions, strict=True):
+        try:
+            u = as_matrix(u, "U")
+            if u.shape[0] < r:
+                raise RankTooSmall(f"cardinality {u.shape[0]} below rank {r}")
+            if u.shape[1] < r:
+                raise DimensionMismatch(f"U has {u.shape[1]} columns, fewer than rank {r}")
+            labels.append(normalize_partition(partition, u.shape[0]) + ends[-1])
+        except DomainError:  # the errors of earlier entries, found once they are summed, go first
+            ensembles_from_isometries(rho, isometries[:len(phis)], partitions[:len(phis)])
+            raise
+        ends.append(int(labels[-1].max()) + 1)
+        # one product per entry: BLAS may round a product of 9 rows differently
+        # for other column counts, and an entry's bits must not depend on the batch
+        phis.append(psi @ (np.sqrt(p)[:, None] * u[:, :r].conj().T))  # (dim, m)
+    if not phis:
+        return []
     # each group's sum of |phi_j><phi_j|, group by group, its pieces ascending
-    cols = phi[:, np.argsort(labels, kind="stable")].T
+    labels = np.concatenate(labels)
+    cols = np.concatenate(phis, axis=1)[:, np.argsort(labels, kind="stable")].T
     sizes = np.bincount(labels)
     x = np.add.reduceat(cols[:, :, None] * cols.conj()[:, None, :], np.cumsum(sizes) - sizes)
     lam = np.einsum("kaa->k", x).real
     keep = lam >= ZERO_WEIGHT_TOL
-    if not keep.any():
-        raise BadPartition("all groups carried zero weight")
-    x, lam = x[keep], lam[keep]
-    members = (x + dagger(x)) / (2.0 * lam[:, None, None])
-    return Ensemble(rho.space, lam / lam.sum(), members, rho)
+    members = (x + dagger(x)) / (2.0 * np.where(keep, lam, 1.0)[:, None, None])
+    ensembles = []
+    for lo, hi in zip(ends, ends[1:]):
+        kept = lo + np.flatnonzero(keep[lo:hi])
+        if not kept.size:
+            raise BadPartition("all groups carried zero weight")
+        ensembles.append(Ensemble(rho.space, lam[kept] / lam[kept].sum(), members[kept], rho))
+    return ensembles
 
 
 def hjw_ensemble(rho: BipartiteState, isometry_params: np.ndarray, m: int, partition) -> Ensemble:

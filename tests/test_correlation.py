@@ -27,6 +27,7 @@ from qcorr.correlation import (
     _LaneSet,
     _lane_search,
     _random_partition,
+    _solve,
     canonical_pt_witness,
     d0_objective,
     factored_product_value,
@@ -45,6 +46,7 @@ from qcorr.measures import (
     hjw_ensemble,
     normalize_partition,
     singleton_partition,
+    state_spectral_data,
 )
 from qcorr.posmaps import PPT_ATOL, ppt_min_eig_and_vector, ppt_min_eigenvalue
 
@@ -487,6 +489,29 @@ def test_lane_kernel_matches_point_kernel(d1, d2):
     for k in (0, 2, 3, 4):
         assert abs(gaps[k] - point_gap(engine, x[k], parts[k])) <= 1e-12
         assert np.abs(grads[k] - engine.gradient()[0]).max() <= 1e-12 * max(1.0, np.abs(grads[k]).max())
+
+
+@pytest.mark.parametrize("d1,d2", [(2, 2), (2, 3)])
+def test_lane_set_compacts_in_place_to_its_rebuild(d1, d2):
+    # retiring lanes moves the survivors' rows down in place, and their pairs
+    # with them: the arrays equal those a lane set built from the survivors
+    # alone holds, after one retirement and after another; at d1 == d2 sig and
+    # tau stay one array
+    rng = np.random.default_rng(7)
+    space = BipartiteSpace(d1, d2)
+    state = BipartiteState(space, random_density(space.dim, rng))
+    m = space.dim ** 2
+    engine = _Engine(state, np.array([random_hermitian(space.dim, rng) for _ in range(3)]), m)
+    probe = rng.integers(0, 3, size=9)
+    labels = np.array([_random_partition(rng, m) for _ in probe])
+    lanes = _LaneSet(engine, probe, labels)
+    for live in (np.array([0, 2, 3, 4, 7, 8]), np.array([1, 2, 5])):
+        lanes.compact(live)
+        probe, labels = probe[live], labels[live]
+        rebuilt = _LaneSet(engine, probe, labels)
+        for name in ("c", "a_sig", "a_sig_h", "sig", "tau"):
+            assert np.array_equal(getattr(lanes, name), getattr(rebuilt, name)), name
+        assert (lanes.tau is lanes.sig) == (d1 == d2)
 
 
 class _Recorder(_Best):
@@ -1228,6 +1253,57 @@ def test_rank_2_verdict_is_one_kernel_call(monkeypatch):
     assert calls == [9 * 3]
     assert res.verdict == ENTANGLED and len(res.probes) == 9
     assert all(0.0 <= value - lower <= TOL for _, lower, value in res.probes)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]),
+       rank=st.sampled_from([1, 2, "full"]), n=st.sampled_from([1, 8]), separable=st.booleans())
+def test_values_are_recomputed_from_the_witnesses(seed, dims, rank, n, separable):
+    # a solve builds and values every probe's witness in one batch, yet each
+    # value is, to the bit, d0_objective of the returned ensemble, for closest
+    # points, chords at rank 2, and straddle mixtures (c inside the range of
+    # S on a separable state); the verdict reports those values, and
+    # minimize_d0 gives each probe the same result alone
+    rng = np.random.default_rng(seed)
+    space = BipartiteSpace(*dims)
+    r = space.dim if rank == "full" else rank
+    if separable:
+        rho = sum(w * np.kron(random_density(dims[0], rng, rank=1), random_density(dims[1], rng, rank=1))
+                  for w in rng.dirichlet(np.ones(r)))
+    else:
+        rho = random_density(space.dim, rng, rank=r)
+    state = BipartiteState(space, rho)
+    cfg = OptimizerConfig(starts=2, max_iters=30, seed=seed % 1000)
+    probes = _verdict_probes(state, cfg, n)
+    results = _solve(state, probes, cfg)
+    for res, a in zip(results, probes):
+        assert res.value == d0_objective(res.ensemble, a)
+    verdict = separability_verdict(state, cfg, n_observables=n)
+    assert [value for _, _, value in verdict.probes] == [res.value for res in results]
+    alone = minimize_d0(state, probes[-1], cfg)
+    assert alone.value == results[-1].value == d0_objective(alone.ensemble, probes[-1])
+    assert np.array_equal(alone.ensemble.members, results[-1].ensemble.members)
+
+
+@pytest.mark.parametrize("n_probes", [1, 8])
+def test_solve_decomposes_the_state_twice_whatever_the_probe_count(monkeypatch, n_probes):
+    # once for the engine and once for the batched witness recompute, not
+    # once more per probe; the searches run and straddle zero
+    calls = []
+    spectral = state_spectral_data
+
+    def counted(rho):
+        calls.append(rho)
+        return spectral(rho)
+
+    monkeypatch.setattr("qcorr.correlation.state_spectral_data", counted)
+    monkeypatch.setattr("qcorr.measures.state_spectral_data", counted)
+    state, a, _ = _straddle_case()
+    rng = np.random.default_rng(3)
+    probes = [a] + [random_hermitian_probe(rng, state.space.dim) for _ in range(n_probes - 1)]
+    results = _solve(state, probes, FAST)
+    assert len(results) == n_probes and results[0].value <= 1e-14
+    assert len(calls) <= 2
 
 
 @pytest.mark.parametrize("case", ["trace-above-1", "negative-eigenvalue"])

@@ -13,6 +13,7 @@ from qcorr.measures import (
     boxtimes_barycenter,
     embed_partition,
     ensemble_from_unitary,
+    ensembles_from_isometries,
     evaluate_boxtimes,
     expm_antihermitian,
     hjw_ensemble,
@@ -342,6 +343,75 @@ def test_stacked_recompute_matches_per_member_reference(seed, dims, t, zero_rows
     assert abs(evaluate_boxtimes(pe, a) - loop_evaluate_boxtimes(weights, firsts, seconds, a)) <= 1e-14
     factored = loop_evaluate_boxtimes(weights, firsts, seconds, np.kron(b1, b2)).real
     assert abs(factored_product_value(pe, b1, b2) - factored) <= 1e-14
+
+
+def _witnesses(state: BipartiteState, rng, n: int) -> list:
+    """n (isometry, labels) witnesses of the kinds a solve builds, in turn:
+    the m x r polar factor of a closest point, the stacked 2m x r isometry
+    of a straddle mixture, and at rank 2 the polar factor of a chord."""
+    dim, m = state.space.dim, state.space.dim ** 2
+    engine = _Engine(state, np.array([random_hermitian(dim, rng) for _ in range(n)]), m)
+    polar = engine.isometry(rng.standard_normal((2 * n, engine.n_params)))
+    chords = engine.isometry(engine.chords.reshape(-1, engine.n_params))
+    entries = []
+    for k in range(n):
+        labels = _random_partition(rng, m)
+        if k % 3 == 1:
+            t = rng.uniform()
+            entries.append((np.concatenate([np.sqrt(t) * polar[k], np.sqrt(1.0 - t) * polar[n + k]]),
+                            np.concatenate([labels, _random_partition(rng, m) + m])))
+        elif k % 3 == 2 and len(chords):
+            entries.append((chords[k % len(chords)], singleton_partition(m)))
+        else:
+            entries.append((polar[k], labels))
+    return entries
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]),
+       rank=st.sampled_from([1, 2, "full"]), n=st.sampled_from([1, 8]))
+def test_batched_witnesses_are_those_of_one_entry_calls(seed, dims, rank, n):
+    # every ensemble of a batch is, to the bit, the one its entry gives alone,
+    # whatever the entries beside it (so a probe's witness does not depend on
+    # the probes solved with it), and agrees with the one-group-at-a-time
+    # reference to the tolerance of its other summation order
+    rng = np.random.default_rng(seed)
+    space = BipartiteSpace(*dims)
+    state = BipartiteState(space, random_density(space.dim, rng, rank=space.dim if rank == "full" else rank))
+    entries = _witnesses(state, rng, n)
+    batch = ensembles_from_isometries(state, *zip(*entries))
+    assert len(batch) == n
+    for e, (u, labels) in zip(batch, entries):
+        alone = ensemble_from_unitary(state, u, labels)
+        assert np.array_equal(e.weights, alone.weights) and np.array_equal(e.members, alone.members)
+        weights, members = loop_ensemble_from_unitary(state, u, labels)
+        assert len(e) == len(weights)
+        assert np.abs(e.weights - weights).max() <= 1e-14
+        assert np.abs(e.members - np.stack(members)).max() <= 1e-14
+
+
+def test_batched_witness_errors_are_those_of_one_entry_calls():
+    # a bad entry raises the error, type and message, that it raises alone;
+    # with several bad entries the first is reported, a zero-weight entry
+    # (found only once the batch is summed) before a later malformed one
+    s = make_random_state(BipartiteSpace(2, 2), 2, seed=37)
+    u = expm_antihermitian(np.random.default_rng(31).standard_normal(16), 4)[:, :2]
+    good = (u, np.array([0, 0, 1, 2]))
+    bad = {"rank": (u[:1], [0]), "columns": (u[:, :1], good[1]), "labels": (u, [0, 1]),
+           "zero-weight": (np.zeros((4, 2)), good[1]), "not-an-isometry": (u[:, [0, 0]], good[1])}
+    alone = {}
+    for kind, (v, labels) in bad.items():
+        with pytest.raises((BadPartition, DimensionMismatch, RankTooSmall)) as info:
+            ensemble_from_unitary(s, v, labels)
+        alone[kind] = info.value
+    assert type(alone["zero-weight"]) is BadPartition and "zero weight" in str(alone["zero-weight"])
+    for first, second in [(a, b) for a in bad for b in bad if a != b]:
+        with pytest.raises(type(alone[first])) as info:
+            ensembles_from_isometries(s, *zip(good, bad[first], good, bad[second]))
+        assert type(info.value) is type(alone[first]) and str(info.value) == str(alone[first])
+    with pytest.raises(ValueError):
+        ensembles_from_isometries(s, [u, u], [good[1]])
+    assert ensembles_from_isometries(s, [], []) == []
 
 
 def _message(fn) -> str:
