@@ -41,8 +41,8 @@ stops once its closest evaluation is within TOL of the certified bound,
 which no evaluation can beat: at rank <= 2 that bound is d0 itself, less a
 roundoff margin, so (A) decides and no start runs. The mixture is the
 ensemble of one 2m x r isometry stacking the two polar factors, so every
-witness is built from an isometry, all of a solve's in one batch
-(``measures.ensembles_from_isometries``), and recomputed in another.
+witness is built from the kernel's own polar factors, all of a solve's in
+one batch (``measures.ensembles_from_isometries``) and recomputed in another.
 
 All randomness is derived from (seed, start_index), so results are
 reproducible and do not depend on scheduling. No lane reads another lane's
@@ -140,13 +140,16 @@ class OptimizerConfig:
 
     def __post_init__(self):
         for name, low in (("m", 1), ("starts", 1), ("max_iters", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if value is None and name == "m":  # resolved to (d1 d2)^2 by the solve
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigInvalid(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise ConfigInvalid(f"{name} must be >= {low}, got {value}")
+            if name != "m" or self.m is not None:  # m = None resolves to (d1 d2)^2 in the solve
+                _check_integer(name, getattr(self, name), low)
+
+
+def _check_integer(name: str, value, low: int) -> None:
+    """ConfigInvalid unless value is an integer (a bool is not one) >= low."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigInvalid(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ConfigInvalid(f"{name} must be >= {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -272,12 +275,13 @@ class _Engine:
     probe, point and partition each (see ``_LaneSet``); the per-member
     marginals are summed into group marginals by each lane's group labels.
     ``gradient`` differentiates every lane of the last evaluated stack from
-    the cached eigendecompositions and marginals, so it costs no evaluation.
+    the cached eigendecompositions and marginals, so it costs no evaluation;
+    ``v`` keeps that stack's polar factors, (L, m, r), until it runs.
     ``lower`` is each probe's ``CorrelationResult.lower``, net of the
-    roundoff of a gap against it and of the drift from rho to rho': every computed gap has |g| >= lower, and
-    where lower > 0 all gaps of the probe have one sign. ``chords`` holds,
-    per probe, the coordinates of the decompositions that attain its exact
-    bound (two at rank 2, none otherwise).
+    roundoff of a gap against it and of the drift from rho to rho': every
+    computed gap has |g| >= lower, and where lower > 0 all gaps of the probe
+    have one sign. ``chords`` holds, per probe, the coordinates of the
+    decompositions that attain its exact bound (two at rank 2, none otherwise).
     """
 
     def __init__(self, rho: BipartiteState, a: np.ndarray, m: int):
@@ -311,7 +315,7 @@ class _Engine:
             s_lo, s_hi = self._envelope(rho, p, psi)
             bound = np.maximum(bound, np.abs(self.c - np.clip(self.c, s_lo, s_hi)))
         self.lower = np.maximum(bound - margin, 0.0)
-        self._last = None
+        self._last = self.v = None
 
     def _envelope(self, rho: BipartiteState, p: np.ndarray, psi: np.ndarray):
         """The exact range [S_min, S_max] of the decorrelated term S over the
@@ -383,23 +387,6 @@ class _Engine:
             raise DimensionMismatch(f"the first {self.r} columns of a warm start must be orthonormal")
         return np.concatenate([x.real.ravel(), x.imag.ravel()])
 
-    def _matrix(self, x: np.ndarray) -> np.ndarray:
-        half = self.m * self.r
-        return (x[..., :half] + 1j * x[..., half:]).reshape(*x.shape[:-1], self.m, self.r)
-
-    @staticmethod
-    def _polar(xm: np.ndarray, s: np.ndarray, e: np.ndarray):
-        """Polar factor V = X W of X, or of each X in a stack, with
-        W = G^{-1/2} from the eigendecomposition G = X^dagger X =
-        E diag(s) E^dagger, as (V, W)."""
-        w = (e / np.sqrt(s)[..., None, :]) @ dagger(e)
-        return xm @ w, w
-
-    def isometry(self, x: np.ndarray) -> np.ndarray:
-        """The m x r polar factor V of X at x."""
-        xm = self._matrix(x)
-        return self._polar(xm, *np.linalg.eigh(dagger(xm) @ xm))[0]
-
     def signed_gap(self, x: np.ndarray, lanes: _LaneSet) -> np.ndarray:
         """c - S at each of L lanes: x is an (L, 2mr) stack of points, and
         ``lanes`` gives each lane its probe and partition. A group label no
@@ -409,13 +396,14 @@ class _Engine:
         enters ``_Best`` (every comparison with it is false) and fails the
         Armijo test, so the search backtracks from it.
         """
-        d1, d2, m = self.d1, self.d2, self.m
-        self._last = None  # drop the last stack's cache before this one's grows
-        xm = self._matrix(x)
-        s, e = np.linalg.eigh(dagger(xm) @ xm)
+        d1, d2, m, half = self.d1, self.d2, self.m, self.m * self.r
+        self._last = self.v = None  # drop the last stack's cache before this one's grows
+        xm = (x[:, :half] + 1j * x[:, half:]).reshape(len(x), m, self.r)
+        s, e = np.linalg.eigh(dagger(xm) @ xm)  # G = X^dagger X = E diag(s) E^dagger
         ok = s[:, 0] > s[:, -1] * GRAM_RCOND
         s = np.where(ok[:, None], s, 1.0)
-        v, w = self._polar(xm, s, e)
+        w = (e / np.sqrt(s)[..., None, :]) @ dagger(e)  # W = G^{-1/2}
+        self.v = v = xm @ w
         t3 = (self.b @ dagger(v)).reshape(len(x), d1, d2, m)
         sig = _group_sums(np.einsum("...aej,...bej->...abj", t3, t3.conj()), lanes.sig)
         tau = _group_sums(np.einsum("...eaj,...ebj->...abj", t3, t3.conj()), lanes.tau)
@@ -443,6 +431,7 @@ class _Engine:
         s_k -> s_l and gives -s^{-3/2} / 2 on the diagonal.
         """
         d1, d2, m = self.d1, self.d2, self.m
+        self.v = None  # offered by now: freed before the temporaries below peak
         xm, w, s, e, t3, lanes, sig, g1, inv, quad, weight, s_val = self._last
         n_lanes = len(xm)
         # dS = sum_k Tr[x1_k dsig_k] + Tr[x2_k dtau_k] over kept groups
@@ -470,30 +459,32 @@ class _Engine:
 
 
 class _Best:
-    """Closest evaluation to zero (value, x, labels), and the closest
-    evaluation on each side of zero (pos, neg), each as (g, start, x,
-    labels). Equal values go to the lower start index, then to the earlier
-    step, then to the earlier search of the start, so the choice does not
-    depend on which lanes share a lockstep call. Points and labels are kept
-    as copies, since the lane driver moves its rows in place."""
+    """Closest evaluation to zero (value, v, labels), and the closest
+    evaluation on each side of zero (pos, neg), each as (g, start, v,
+    labels), with v the m x r polar factor the kernel valued. Equal values
+    go to the lower start index, then to the earlier step, then to the
+    earlier search of the start, so the choice does not depend on which
+    lanes share a lockstep call. Factors and labels are kept as copies, since
+    the kernel frees its stack and the lane driver moves its rows in place.
+    ``witness`` makes the choice between the closest one and a mixture."""
 
-    __slots__ = ("lower", "value", "start", "x", "labels", "pos", "neg")
+    __slots__ = ("lower", "value", "start", "v", "labels", "pos", "neg")
 
     def __init__(self, lower: float):
         self.lower = lower  # the probe's certified bound, <= every evaluation
         self.value, self.start = np.inf, 0
-        self.x = self.labels = self.pos = self.neg = None
+        self.v = self.labels = self.pos = self.neg = None
 
-    def offer(self, g: float, x: np.ndarray, labels: np.ndarray, start: int = 0):
+    def offer(self, g: float, v: np.ndarray, labels: np.ndarray, start: int = 0):
         if g > 0.0 and (self.pos is None or (g, start) < self.pos[:2]):
-            self.pos = (g, start, x.copy(), labels.copy())
+            self.pos = (g, start, v.copy(), labels.copy())
         elif g < 0.0 and (self.neg is None or (-g, start) < (-self.neg[0], self.neg[1])):
-            self.neg = (g, start, x.copy(), labels.copy())
+            self.neg = (g, start, v.copy(), labels.copy())
         if (abs(g), start) < (self.value, self.start):
             self.value, self.start = abs(g), start
-            self.x, self.labels = x.copy(), labels.copy()
+            self.v, self.labels = v.copy(), labels.copy()
 
-    def offer_lanes(self, g: np.ndarray, x: np.ndarray, labels: np.ndarray, starts: np.ndarray):
+    def offer_lanes(self, g: np.ndarray, v: np.ndarray, labels: np.ndarray, starts: np.ndarray):
         """Offer one evaluation per lane, lanes in (start, search) order. Only
         the smallest g >= 0 and the largest g < 0 can change anything; argmin
         and argmax return the first lane of a tie (a nan lane is neither),
@@ -501,12 +492,23 @@ class _Best:
         pos = int(np.argmin(np.where(g >= 0.0, g, np.inf)))
         neg = int(np.argmax(np.where(g < 0.0, g, -np.inf)))
         for k in sorted({pos, neg}):
-            self.offer(float(g[k]), x[k], labels[k], int(starts[k]))
+            self.offer(float(g[k]), v[k], labels[k], int(starts[k]))
 
     def done(self) -> bool:
         """Within TOL of the certified bound, which no evaluation can beat by
         more than TOL, or both sides of zero seen (a zero-gap mixture exists)."""
         return self.value <= self.lower + TOL or (self.pos is not None and self.neg is not None)
+
+    def witness(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (isometry, labels) of the witness: the closest evaluation's, or
+        once both sides of zero are seen, the zero-gap mixture of the two."""
+        if self.pos is None or self.neg is None:
+            return self.v, self.labels
+        # g_pos > 0 > g_neg: the t : 1 - t mixture [sqrt(t) V_pos ; sqrt(1 - t) V_neg] has gap 0
+        (g_pos, _, v_pos, labels_pos), (g_neg, _, v_neg, labels_neg) = self.pos, self.neg
+        t = g_neg / (g_neg - g_pos)
+        return (np.concatenate([np.sqrt(t) * v_pos, np.sqrt(1.0 - t) * v_neg]),
+                np.concatenate([labels_pos, labels_neg + len(v_pos)]))  # the groups of V_neg after V_pos's
 
 
 def _random_partition(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -576,7 +578,7 @@ def _lane_search(engine: _Engine, lanes, max_iters: int, bests) -> None:
     the entry's ``max_iters`` evaluations: at each step, an entry with b
     evaluations left evaluates only its first b live searches and its other
     searches end. Every step evaluates one point per live lane with one
-    kernel call and offers each probe's points to ``bests[probe]``. Trial
+    kernel call and offers their polar factors to ``bests[probe]``. Trial
     points along a lane's search direction are evaluated until the Armijo
     test accepts one; only the accepted point is differentiated. The first
     step of a search, and any step after its memory is reset, has length
@@ -631,7 +633,7 @@ def _lane_search(engine: _Engine, lanes, max_iters: int, bests) -> None:
         cuts = [0, *(np.flatnonzero(np.diff(probe)) + 1), len(probe)]
         for lo, hi in zip(cuts, cuts[1:]):  # each probe's lanes, in lane order, to its best
             best = bests[probe[lo]]
-            best.offer_lanes(gap[lo:hi], pt[lo:hi], labels[lo:hi], start[lo:hi])
+            best.offer_lanes(gap[lo:hi], engine.v[lo:hi], labels[lo:hi], start[lo:hi])
             ended[lo:hi] |= best.done()
         accept = ~ended & (new <= f + ARMIJO * t * slope)
         if accept.any():
@@ -704,8 +706,9 @@ def _solve(rho: BipartiteState, observables, cfg: OptimizerConfig,
     labels[:, 1:] = singleton_partition(m)
     gap = engine.signed_gap(points.reshape(-1, x_id.size),
                             _LaneSet(engine, np.repeat(np.arange(len(a)), k), labels.reshape(-1, m)))
-    for p, best in enumerate(bests):
-        best.offer_lanes(gap[p * k:(p + 1) * k], points[p], labels[p], np.zeros(k, dtype=int))
+    for p, best in enumerate(bests):  # slices: a view left bound would keep the kernel's stack alive
+        rows = slice(p * k, (p + 1) * k)
+        best.offer_lanes(gap[rows], engine.v[rows], labels[p], np.zeros(k, dtype=int))
 
     @functools.cache
     def work(i):  # start i's searches, drawn from (seed, i) once per solve
@@ -726,20 +729,9 @@ def _solve(rho: BipartiteState, observables, cfg: OptimizerConfig,
             _lane_search(engine, [(p, i, work(i)) for i in range(first, cfg.starts)], cfg.max_iters, bests)
             starts_used[p] = cfg.starts
 
-    # one batch: the polar factors of each closest point, then pos and neg points
-    mixed = [(p, b.pos, b.neg) for p, b in enumerate(bests) if b.pos is not None and b.neg is not None]
-    v = engine.isometry(np.array([b.x for b in bests] + [side[2] for _, *sides in mixed for side in sides]))
-    witnesses = [(v[p], best.labels) for p, best in enumerate(bests)]
-    for (p, pos, neg), (v_pos, v_neg) in zip(mixed, v[len(bests):].reshape(-1, 2, *v.shape[1:])):
-        # g_pos > 0 > g_neg, so t g_pos + (1 - t) g_neg = 0 for t in (0, 1); the
-        # t : 1 - t mixture is the ensemble of [sqrt(t) V_pos ; sqrt(1 - t) V_neg]
-        (g_pos, _, _, labels_pos), (g_neg, _, _, labels_neg) = pos, neg
-        t = g_neg / (g_neg - g_pos)
-        witnesses[p] = (np.concatenate([np.sqrt(t) * v_pos, np.sqrt(1.0 - t) * v_neg]),
-                        np.concatenate([labels_pos, labels_neg + m]))  # the groups of V_neg after V_pos's
-    ensembles = ensembles_from_isometries(rho, *zip(*witnesses))
+    ensembles = ensembles_from_isometries(rho, *zip(*(best.witness() for best in bests)))
     return [CorrelationResult(value=abs(lhs - rhs), lower=float(engine.lower[p]), ensemble=ensembles[p],
-                              starts_used=starts_used[p], argmin_isometry=v[p], argmin_partition=best.labels)
+                              starts_used=starts_used[p], argmin_isometry=best.v, argmin_partition=best.labels)
             for p, (best, (lhs, rhs)) in enumerate(zip(bests, _decomposition_terms(ensembles, a)))]
 
 
@@ -820,7 +812,7 @@ def separability_verdict(rho: BipartiteState, cfg: OptimizerConfig | None = None
                          n_observables: int = N_RANDOM_PROBES) -> VerdictResult:
     """Aggregate the minimizer over a probe set of Hermitian observables:
     the canonical partial-transpose witness when one exists, and
-    ``n_observables`` (>= 0) seeded random probes.
+    ``n_observables`` (an integer >= 0, else ConfigInvalid) seeded random probes.
 
     The infimum is taken independently per probe, by one solve of all the
     probes (``_solve``) that gives each the value ``minimize_d0`` gives it
@@ -829,8 +821,7 @@ def separability_verdict(rho: BipartiteState, cfg: OptimizerConfig | None = None
     witness is the first probe with the largest bound above 0, else the
     identity, whose d0 is 0 for every state; with no probe nothing is solved.
     """
-    if n_observables < 0:
-        raise ConfigInvalid(f"n_observables must be >= 0, got {n_observables}")
+    _check_integer("n_observables", n_observables, 0)
     cfg = cfg or OptimizerConfig()
     dim = rho.space.dim
     pt_min, eta = ppt_min_eig_and_vector(rho)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bipartite import BipartiteSpace, BipartiteState, marginal, validate_density
-from .errors import BadPartition, DimensionMismatch, DomainError, OutOfRange, RankTooSmall
+from .errors import BadPartition, DimensionMismatch, OutOfRange, RankTooSmall
 from .linalg import as_matrix, dagger, psd_support
 
 WEIGHT_SUM_ATOL = 1e-10
@@ -187,20 +187,18 @@ def ensembles_from_isometries(rho: BipartiteState, isometries, partitions) -> li
     """``ensemble_from_unitary`` of each (isometry, partition) pair of two
     equal-length sequences, with one spectral decomposition and one grouped
     sum for all, each pair's labels offset past the previous pair's. A bad
-    pair raises what it raises alone, the first bad pair first."""
+    pair raises what it raises alone. With several, shape and partition
+    errors come first, in entry order, then weight and barycenter errors,
+    found once the batch is summed, in entry order."""
     p, psi = state_spectral_data(rho)
     r, phis, labels, ends = p.size, [], [], [0]  # ends[k]: the groups before entry k
     for u, partition in zip(isometries, partitions, strict=True):
-        try:
-            u = as_matrix(u, "U")
-            if u.shape[0] < r:
-                raise RankTooSmall(f"cardinality {u.shape[0]} below rank {r}")
-            if u.shape[1] < r:
-                raise DimensionMismatch(f"U has {u.shape[1]} columns, fewer than rank {r}")
-            labels.append(normalize_partition(partition, u.shape[0]) + ends[-1])
-        except DomainError:  # the errors of earlier entries, found once they are summed, go first
-            ensembles_from_isometries(rho, isometries[:len(phis)], partitions[:len(phis)])
-            raise
+        u = as_matrix(u, "U")
+        if u.shape[0] < r:
+            raise RankTooSmall(f"cardinality {u.shape[0]} below rank {r}")
+        if u.shape[1] < r:
+            raise DimensionMismatch(f"U has {u.shape[1]} columns, fewer than rank {r}")
+        labels.append(normalize_partition(partition, u.shape[0]) + ends[-1])
         ends.append(int(labels[-1].max()) + 1)
         # one product per entry: BLAS may round a product of 9 rows differently
         # for other column counts, and an entry's bits must not depend on the batch

@@ -242,7 +242,7 @@ def _gradient_search(engine: _Engine, labels, x0: np.ndarray, budget: int, best:
         nonlocal evals
         evals += 1
         g = point_gap(engine, x, labels)
-        best.offer(g, x, labels)
+        best.offer(g, engine.v[0], labels)
         return g
 
     x, g = x0, f(x0)

@@ -177,6 +177,41 @@ def test_werner_sweep_small(capsys):
     assert "\r" not in out
 
 
+def test_werner_sweep_json_matches_csv(capsys):
+    # the JSON grid carries the CSV rows: the same p, verdict and values to
+    # the CSV's 12 digits, across the separable and entangled rows
+    argv = ["werner-sweep", "--p-min", "0.2", "--p-max", "0.5", "--steps", "4", "--starts", "1", "--max-iters", "20"]
+    code, csv, _ = run(capsys, *argv)
+    assert code == 0
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    rows = [line.split(",") for line in csv.splitlines()[1:]]
+    assert [[cli._fmt(r["p"]), cli._fmt(r["d0_witness"]), cli._fmt(r["ppt_min_eig"]), r["verdict"]]
+            for r in json.loads(out)] == rows
+    assert [row[-1] for row in rows] == ["Separable", "Separable", "Entangled", "Entangled"]
+
+
+def test_verdict_dump_witness_writes_the_records_witness(tmp_path, capsys):
+    # --dump-witness PATH writes the witness of the verdict's record, here a
+    # probe with a bound above 0 (the state is entangled)
+    state, dump = tmp_path / "werner.json", tmp_path / "witness.json"
+    serialize.dump_json(str(state), serialize.state_to_json(make_werner(0.8)))
+    code, out, _ = run(capsys, "verdict", str(state), "--n-observables", "1", "--starts", "1",
+                       "--max-iters", "20", "--format", "json", "--dump-witness", str(dump))
+    assert code == 0
+    record = json.loads(out)
+    assert record["verdict"] == "Entangled" and record["lower"] > 0.0
+    assert serialize.load_json(str(dump)) == record["witness"]
+    assert not np.allclose(serialize.matrix_from_json(record["witness"]), np.eye(4))
+
+
+@pytest.mark.parametrize("spec", ["random:2", "random:2:1:3", "random:two:1", "random:2:"])
+def test_malformed_random_state_spec_exits_2(capsys, spec):
+    code, out, err = run(capsys, "gns-verify", "identity", spec)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "random:D:SEED" in err
+
+
 def test_werner_sweep_verdict_is_the_ppt_test(capsys):
     # the verdict reads the certified bound, not d0_witness: with one
     # evaluation per start no row is Inconclusive, and Entangled is exactly
@@ -276,10 +311,11 @@ FAST = ["--starts", "1", "--max-iters", "10"]
     (["werner-sweep", *FAST], {"QCORR_SEED": "-3"}),
     (["kadison", "identity", "--seed", "-5"], {}),
     (["gns-verify", "identity", "random:2:-1"], {}),
+    (["werner-sweep", *FAST, "--steps", "1"], {}),
 ], ids=["boxtimes-3x3-observable", "kadison-transpose-d-1", "kadison-depolarizing-d-1",
         "gns-verify-random-d-2", "verdict-negative-probes", "d0-negative-seed",
         "verdict-negative-seed", "werner-sweep-negative-seed", "werner-sweep-negative-env-seed",
-        "kadison-negative-seed", "gns-verify-random-negative-seed"])
+        "kadison-negative-seed", "gns-verify-random-negative-seed", "werner-sweep-one-step"])
 def test_malformed_arguments_exit_3(tmp_path, monkeypatch, capsys, argv, env):
     # negative sizes and seeds and a mis-shaped observable are domain errors,
     # reported on stderr

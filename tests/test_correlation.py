@@ -205,6 +205,16 @@ def test_optimizer_config_rejects_non_integers(field, value):
     assert OptimizerConfig(**{field: np.int64(16)}).__getattribute__(field) == 16
 
 
+@pytest.mark.parametrize("value", [2.5, "3", None, True, -1])
+def test_verdict_rejects_a_probe_count_that_is_not_a_count(value):
+    # n_observables is checked like an OptimizerConfig field: a bool or a
+    # non-integer is a ConfigInvalid (exit 3), not a TypeError or one probe
+    match = "n_observables must be >= 0" if value == -1 else "n_observables must be an integer"
+    with pytest.raises(ConfigInvalid, match=match):
+        separability_verdict(make_werner(0.2), FAST, n_observables=value)
+    assert len(separability_verdict(make_werner(0.2), FAST, n_observables=np.int64(2)).probes) == 2
+
+
 def test_d_simple_bell_sigma_z():
     res = minimize_d_simple(make_bell(), SZ, SZ, FAST)
     assert abs(res.value - 1.0) <= 1e-6
@@ -235,8 +245,10 @@ def test_d_simple_factored_form_identity():
 
 
 def test_d_simple_dimension_errors():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="first factor"):
         minimize_d_simple(make_bell(), np.eye(3), SZ, FAST)
+    with pytest.raises(DimensionMismatch, match="second factor"):
+        minimize_d_simple(make_bell(), SZ, np.eye(3), FAST)
 
 
 @pytest.mark.parametrize("case", ["bell", "werner-0.6", "random-2x3"])
@@ -464,8 +476,8 @@ def test_engine_rejects_singular_gram():
     assert np.isnan(point_gap(engine, x, singleton_partition(16)))
     assert np.isnan(point_gap(engine, np.zeros(engine.n_params), singleton_partition(16)))
     best = _Best(engine.lower[0])
-    best.offer(point_gap(engine, x, singleton_partition(16)), x, singleton_partition(16))
-    assert best.value == np.inf and best.x is None and best.pos is None and best.neg is None
+    best.offer(point_gap(engine, x, singleton_partition(16)), engine.v[0], singleton_partition(16))
+    assert best.value == np.inf and best.v is None and best.pos is None and best.neg is None
 
 
 @pytest.mark.parametrize("d1,d2", [(2, 2), (2, 3)])
@@ -843,10 +855,9 @@ def test_random_partition_matches_label_scan(m):
 
 def test_best_ties_go_to_lower_start():
     # equal |g| from a later step keeps the lower start index, and the two
-    # candidates of a lockstep step are offered in lane order
     # candidates of a lockstep step are offered in lane order; labels (here
-    # one per evaluation, its start) and points are kept as copies, since
-    # the lane driver moves its rows in place
+    # one per evaluation, its start) and polar factors are kept as copies,
+    # since the lane driver moves its rows in place
     x = np.zeros(2)
     best = _Best(0.0)
     best.offer(0.5, x + 3, np.array([3]), 3)
@@ -863,7 +874,24 @@ def test_best_ties_go_to_lower_start():
     assert (lanes.value, lanes.start, lanes.labels.tolist()) == (0.25, 2, [2])
     assert lanes.pos[1] == 3 and lanes.neg[1] == 2
     assert lanes.pos[3].tolist() == [3] and lanes.neg[3].tolist() == [2]
-    assert np.array_equal(lanes.x, np.zeros(2))
+    assert np.array_equal(lanes.v, np.zeros(2))
+
+
+def test_best_witness_is_closest_or_zero_gap_mixture():
+    # one side of zero seen: the closest evaluation's factor and labels; both
+    # sides: the stacked mixture whose gap t g_pos + (1 - t) g_neg is 0, with
+    # V_neg's groups after V_pos's
+    v_pos, v_neg = np.eye(3, 2), np.eye(3, 2)[::-1]
+    best = _Best(0.0)
+    best.offer(0.5, v_pos, np.array([0, 0, 1]))
+    v, labels = best.witness()
+    assert v is best.v and labels is best.labels and np.array_equal(v, v_pos)
+    best.offer(-0.25, v_neg, np.array([0, 1, 1]))
+    v, labels = best.witness()
+    t = 1.0 / 3.0  # t 0.5 - (1 - t) 0.25 = 0
+    assert np.allclose(v, np.concatenate([np.sqrt(t) * v_pos, np.sqrt(1.0 - t) * v_neg]), atol=1e-15)
+    assert np.allclose(v.conj().T @ v, np.eye(2), atol=1e-15)
+    assert labels.tolist() == [0, 0, 1, 3, 4, 4]
 
 
 @pytest.mark.parametrize("d1,d2", [(1, 3), (3, 1)])
@@ -987,7 +1015,7 @@ def test_engine_gap_is_gap_of_completed_isometry(seed, dims, log_cond, scale):
     x = np.concatenate([xm.real.ravel(), xm.imag.ravel()])
     labels = _random_partition(rng, m)
     g = point_gap(engine, x, labels)
-    v = engine.isometry(x)
+    v = engine.v[0]  # the kernel's own polar factor, valued at x
     assert v.shape == (m, r)
     u = np.concatenate([v, np.linalg.qr(v, mode="complete")[0][:, r:]], axis=1)
     assert np.abs(u.conj().T @ u - np.eye(m)).max() <= 1e-10
@@ -1072,7 +1100,7 @@ def test_verdict_trivial_decompositions_share_one_kernel_call(monkeypatch):
 
     def recorded(self, x, lanes):
         g = signed_gap(self, x, lanes)
-        calls.append((x.copy(), g.copy()))
+        calls.append((x.copy(), g.copy(), self.v.copy()))
         return g
 
     class Partitions(_Recorder):
@@ -1089,13 +1117,15 @@ def test_verdict_trivial_decompositions_share_one_kernel_call(monkeypatch):
     monkeypatch.setattr("qcorr.correlation._Best", Partitions)
     res = separability_verdict(state, OptimizerConfig(), n_observables=8)
     assert len(res.probes) == 8 and len(records) == 8
-    x, g = calls[0]
+    x, g, v = calls[0]
     x_id = _Engine(state, np.eye(4), 16).coords(np.eye(16))
     assert len(x) == 8 and all(np.array_equal(row, x_id) for row in x)
+    # what is offered is the kernel's polar factor of x_id, the isometry I[:, :r]
+    assert np.abs(v - np.eye(16, v.shape[-1])).max() <= 1e-15
     trivial = [0] * 16
     for p, best in enumerate(records):
         assert best.offered[0] == trivial and best.offered.count(trivial) == 1
-        assert best.seen[0][0] == (g[p].tobytes(), x_id.tobytes())
+        assert best.seen[0][0] == (g[p].tobytes(), v[p].tobytes())
 
 
 @pytest.mark.parametrize("case", ["werner-witness", "npt-2x3", "npt-2x3-perturbed"])
@@ -1320,3 +1350,45 @@ def test_bounds_allow_for_a_state_off_unit_trace(case):
     res = separability_verdict(state)
     assert res.verdict == SEPARABLE and res.lower == 0.0
     assert minimize_d0(state, p00, FAST).lower == 0.0
+
+
+def _eighs_after_last_kernel_call(monkeypatch, solve) -> tuple[int, int]:
+    """Run ``solve`` and count its kernel calls and the ``np.linalg.eigh``
+    calls that follow the last of them."""
+    events = []
+    eigh, signed_gap = np.linalg.eigh, _Engine.signed_gap
+
+    def counted_eigh(*args, **kwargs):
+        events.append("eigh")
+        return eigh(*args, **kwargs)
+
+    def counted_gap(self, x, lanes):
+        g = signed_gap(self, x, lanes)
+        events.append("gap")
+        return g
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(_Engine, "signed_gap", counted_gap)
+    solve()
+    last = len(events) - events[::-1].index("gap")
+    return events.count("gap"), events[last:].count("eigh")
+
+
+@pytest.mark.parametrize("case", ["werner-1-probe", "separable-8-probes", "straddle", "rank-2-verdict"])
+def test_witnesses_take_the_kernels_polar_factors(monkeypatch, case):
+    # the witnesses are built from the polar factors the kernel computed:
+    # after a solve's last kernel call, the one eigh left is the spectral
+    # decomposition of rho that the batched recompute reads
+    if case == "werner-1-probe":
+        solve = lambda: minimize_d0(make_werner(0.6), canonical_witness(), FAST)
+    elif case == "separable-8-probes":
+        state = separable_state(3, np.random.default_rng(12))
+        solve = lambda: separability_verdict(state, FAST, n_observables=8)
+    elif case == "straddle":
+        state, a, _ = _straddle_case()
+        solve = lambda: minimize_d0(state, a, FAST)
+    else:
+        state = _npt_2x3_state(rank=2)[0]
+        solve = lambda: separability_verdict(state, FAST)
+    kernel_calls, eighs = _eighs_after_last_kernel_call(monkeypatch, solve)
+    assert kernel_calls >= 1 and eighs == 1

@@ -351,3 +351,16 @@ def test_verification_verdict_fails_on_each_check_past_its_tolerance(doubled):
             replace(ld, v=ld.v * (1 + 1e-8))]
     assert [verification_report(x)["verdict"] for x in edge + past] == ["PASS"] * 2 + ["FAIL"] * 3
     assert verification_report(past[2])["omega_residual"] > gns.OMEGA_TOL
+
+
+def test_intertwiner_solve_rejects_data_no_positive_map_gives():
+    # a null direction of the defining data with a nonzero target, and data
+    # that no linear map fits, each a WellDefinednessFailure naming its cause
+    elements = [np.eye(2), np.diag([1.0, -1.0])]
+    x = np.array([[1.0, 0.0], [0.0, 0.0]])  # column k is x_k; x_2 = 0
+    with pytest.raises(WellDefinednessFailure, match="null vector .* nonvanishing image"):
+        gns._solve_intertwiner(x, np.array([[0.0, 1.0]]), elements)
+    with pytest.raises(WellDefinednessFailure, match="defining data is inconsistent"):
+        gns._solve_intertwiner(np.array([[1.0, 1.0]]), np.array([[1.0, 2.0]]), elements)
+    v = gns._solve_intertwiner(x, np.array([[3.0, 0.0]]), elements)  # a zero target is consistent
+    assert np.allclose(v, [[3.0, 0.0]])

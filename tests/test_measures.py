@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcorr.bipartite import BipartiteSpace, BipartiteState, make_bell, make_random_state, validate_density
-from qcorr.correlation import _Engine, _random_partition, factored_product_value
+from qcorr.correlation import _Engine, _LaneSet, _random_partition, factored_product_value
 from qcorr.errors import BadPartition, DimensionMismatch, InvalidDensityMatrix, InvalidMatrix, OutOfRange, RankTooSmall
 from qcorr.linalg import matrix_units
 from qcorr.measures import (
@@ -351,8 +351,10 @@ def _witnesses(state: BipartiteState, rng, n: int) -> list:
     of a straddle mixture, and at rank 2 the polar factor of a chord."""
     dim, m = state.space.dim, state.space.dim ** 2
     engine = _Engine(state, np.array([random_hermitian(dim, rng) for _ in range(n)]), m)
-    polar = engine.isometry(rng.standard_normal((2 * n, engine.n_params)))
-    chords = engine.isometry(engine.chords.reshape(-1, engine.n_params))
+    # the kernel's polar factors of 2n random points, then of the chords
+    x = np.concatenate([rng.standard_normal((2 * n, engine.n_params)), engine.chords.reshape(-1, engine.n_params)])
+    engine.signed_gap(x, _LaneSet(engine, np.zeros(len(x), dtype=int), np.zeros((len(x), m), dtype=int)))
+    polar, chords = engine.v[:2 * n], engine.v[2 * n:]
     entries = []
     for k in range(n):
         labels = _random_partition(rng, m)
@@ -392,8 +394,8 @@ def test_batched_witnesses_are_those_of_one_entry_calls(seed, dims, rank, n):
 
 def test_batched_witness_errors_are_those_of_one_entry_calls():
     # a bad entry raises the error, type and message, that it raises alone;
-    # with several bad entries the first is reported, a zero-weight entry
-    # (found only once the batch is summed) before a later malformed one
+    # with several, shape and partition errors go first, then the weight and
+    # barycenter errors found once the batch is summed, each kind in entry order
     s = make_random_state(BipartiteSpace(2, 2), 2, seed=37)
     u = expm_antihermitian(np.random.default_rng(31).standard_normal(16), 4)[:, :2]
     good = (u, np.array([0, 0, 1, 2]))
@@ -405,10 +407,12 @@ def test_batched_witness_errors_are_those_of_one_entry_calls():
             ensemble_from_unitary(s, v, labels)
         alone[kind] = info.value
     assert type(alone["zero-weight"]) is BadPartition and "zero weight" in str(alone["zero-weight"])
+    summed = {"zero-weight", "not-an-isometry"}
     for first, second in [(a, b) for a in bad for b in bad if a != b]:
-        with pytest.raises(type(alone[first])) as info:
+        reported = second if first in summed and second not in summed else first
+        with pytest.raises(type(alone[reported])) as info:
             ensembles_from_isometries(s, *zip(good, bad[first], good, bad[second]))
-        assert type(info.value) is type(alone[first]) and str(info.value) == str(alone[first])
+        assert type(info.value) is type(alone[reported]) and str(info.value) == str(alone[reported])
     with pytest.raises(ValueError):
         ensembles_from_isometries(s, [u, u], [good[1]])
     assert ensembles_from_isometries(s, [], []) == []
